@@ -85,11 +85,13 @@ def distance_matrix(points: list[GeoPoint]) -> np.ndarray:
 def kernel_weight(shape: KernelShape, d, h):
     """Evaluate a kernel at distance d (km) with bandwidth h (km).
 
-    Accepts scalars or arrays for d. All shapes equal 1 at d = 0 and are
-    non-increasing in d.
+    Accepts scalars or arrays for d and h; an array h broadcasts against d,
+    so ``h[:, None]`` gives each row of a distance matrix its own bandwidth.
+    All shapes equal 1 at d = 0 and are non-increasing in d.
     """
-    if h <= 0:
-        raise InvalidBandwidthError(f"kernel bandwidth must be > 0, got {h}")
+    h = np.asarray(h, dtype=float)
+    if np.any(h <= 0):
+        raise InvalidBandwidthError(f"kernel bandwidth must be > 0, got {h.min()}")
     d = np.asarray(d, dtype=float)
     u = d / h
     if shape is KernelShape.EXPONENTIAL:
@@ -145,6 +147,17 @@ def adaptive_bandwidths(dist: np.ndarray, k: int) -> np.ndarray:
     return h
 
 
+def adaptive_weights(dist: np.ndarray, shape: KernelShape, k: int):
+    """Kernel weights where row i has its own bandwidth h_i, the distance from
+    i to its k-th nearest neighbor. Returns (w, h); the diagonal is kernel(0).
+    """
+    h = adaptive_bandwidths(dist, k)
+    degenerate = np.flatnonzero(h <= 0)
+    if degenerate.size:
+        raise DegenerateBandwidthError(int(degenerate[0]))
+    return kernel_weight(shape, dist, h[:, None]), h
+
+
 def build_weights(points: list[GeoPoint], shape: KernelShape, bw: Bandwidth) -> SpatialWeights:
     """Pairwise kernel weights over locations; diagonal forced to zero.
 
@@ -156,10 +169,7 @@ def build_weights(points: list[GeoPoint], shape: KernelShape, bw: Bandwidth) -> 
         raise InvalidBandwidthError(f"need at least 2 points, got {n}")
     dist = distance_matrix(points)
     if bw.is_adaptive:
-        h = adaptive_bandwidths(dist, int(bw.value))
-        for i in np.nonzero(h <= 0)[0]:
-            raise DegenerateBandwidthError(int(i))
-        w = np.vstack([kernel_weight(shape, dist[i], h[i]) for i in range(n)])
+        w, _ = adaptive_weights(dist, shape, int(bw.value))
     else:
         w = kernel_weight(shape, dist, bw.value)
     np.fill_diagonal(w, 0.0)

@@ -5,7 +5,9 @@ nearest-neighbor spatial-scale statistic.
 
 Local solves go through a QR decomposition of sqrt(W) X rather than the
 normal equations; near-singular local designs at small bandwidths are the
-expected failure mode and surface as explicit errors.
+expected failure mode and surface as explicit errors. All focal locations
+are solved together: one batched QR over the stacked sqrt(w_i) X, taken in
+blocks of ``FOCAL_BLOCK`` focal rows so that memory stays bounded at large n.
 """
 
 from __future__ import annotations
@@ -17,13 +19,12 @@ from dataclasses import dataclass, field, replace
 from functools import cached_property
 
 import numpy as np
-from scipy.linalg import solve_triangular
 
 from .errors import (
     DegenerateBandwidthError,
     EmptyReportError,
+    FuelSpatialError,
     InsufficientSupportError,
-    InvalidBandwidthError,
     InvalidKError,
     NoFeasibleBandwidthError,
     OversaturatedModelError,
@@ -35,11 +36,16 @@ from .geo import (
     GeoPoint,
     KernelShape,
     adaptive_bandwidths,
+    adaptive_weights,
     distance_matrix,
     kernel_weight,
 )
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+
+# Focal locations per batched QR. A block stacks FOCAL_BLOCK * n * (p+1)
+# floats (12 MB at n=1000, p=5), and its Q factor as many again.
+FOCAL_BLOCK = 256
 
 
 @dataclass
@@ -147,38 +153,53 @@ def _design(data: GwrDataset, spec: GwrSpec):
 def _weight_matrix(dist: np.ndarray, spec: GwrSpec) -> np.ndarray:
     """Geographic weights per focal location (rows); self-weight is kernel(0)=1."""
     bw = spec.bandwidth
-    if bw.is_adaptive:
-        n = dist.shape[0]
-        if bw.value >= n:
-            raise InvalidBandwidthError(f"adaptive k={bw.value} must be < n={n}")
-        h = adaptive_bandwidths(dist, int(bw.value))
-        for i in np.nonzero(h <= 0)[0]:
-            raise DegenerateBandwidthError(int(i))
-        w = np.vstack([kernel_weight(spec.kernel, dist[i], h[i]) for i in range(dist.shape[0])])
-        if spec.truncate_adaptive:
-            w = np.where(dist <= h[:, None], w, 0.0)
-    else:
-        w = kernel_weight(spec.kernel, dist, bw.value)
+    if not bw.is_adaptive:
+        return kernel_weight(spec.kernel, dist, bw.value)
+    w, h = adaptive_weights(dist, spec.kernel, int(bw.value))
+    if spec.truncate_adaptive:
+        w = np.where(dist <= h[:, None], w, 0.0)
     return w
 
 
-def _local_solve(x: np.ndarray, y: np.ndarray, w_row: np.ndarray, focal: int):
-    """Weighted least squares at one focal location via QR of sqrt(w) X.
+def _back_substitute(r: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Solve the stacked upper-triangular systems r[i] x[i] = b[i].
 
-    Returns (beta, hat_diag_element). Raises SingularFitError on local rank
-    deficiency.
+    Row by row from the last: x_j = (b_j - r[j, j+1:] . x[j+1:]) / r_jj. This
+    is the operation order of LAPACK's trtrs on a row-major r, so on the same
+    BLAS kernels it reproduces scipy.linalg.solve_triangular bit for bit.
     """
-    p1 = x.shape[1]
-    sw = np.sqrt(w_row)
-    q, r = np.linalg.qr(sw[:, None] * x)
-    diag = np.abs(np.diag(r))
-    if diag.min() <= 1e-10 * max(diag.max(), 1.0):
-        raise SingularFitError(focal)
-    beta = solve_triangular(r, q.T @ (sw * y))
-    # s_ii = w_ii * x_i^T (X^T W X)^{-1} x_i with (X^T W X)^{-1} = R^{-1} R^{-T}
-    t = solve_triangular(r.T, x[focal], lower=True)
-    s_ii = w_row[focal] * float(t @ t)
-    return beta, s_ii
+    x = np.empty_like(b)
+    for j in range(b.shape[1] - 1, -1, -1):
+        dot = r[:, j:j + 1, j + 1:] @ x[:, j + 1:, None]
+        x[:, j] = (b[:, j] - dot[:, 0, 0]) / r[:, j, j]
+    return x
+
+
+def _local_fits(x: np.ndarray, y: np.ndarray, w: np.ndarray):
+    """Weighted least squares at focal locations 0..m-1, where row i of the
+    (m, n) array ``w`` holds the weights of focal location i.
+
+    Each local fit is a QR of sqrt(w_i) X. Row i of Q is sqrt(w_ii) x_i^T R^-1,
+    so its squared norm is the hat diagonal s_ii = w_ii x_i^T (X^T W_i X)^-1 x_i.
+    Returns (betas, hat_diag). Raises SingularFitError for the first focal
+    location whose local design is rank deficient.
+    """
+    m = w.shape[0]
+    betas = np.empty((m, x.shape[1]))
+    hat_diag = np.empty(m)
+    for start in range(0, m, FOCAL_BLOCK):
+        focal = np.arange(start, min(start + FOCAL_BLOCK, m))
+        sw = np.sqrt(w[focal])
+        q, r = np.linalg.qr(sw[:, :, None] * x)
+        diag = np.abs(np.diagonal(r, axis1=1, axis2=2))
+        singular = diag.min(axis=1) <= 1e-10 * np.maximum(diag.max(axis=1), 1.0)
+        if singular.any():
+            raise SingularFitError(int(focal[np.argmax(singular)]))
+        qty = q.transpose(0, 2, 1) @ (sw * y)[:, :, None]
+        betas[focal] = _back_substitute(r, qty[:, :, 0])
+        own_q = q[np.arange(focal.size), focal]
+        hat_diag[focal] = np.einsum("ij,ij->i", own_q, own_q)
+    return betas, hat_diag
 
 
 def gwr_fit(data: GwrDataset, spec: GwrSpec, compute_cv: bool = False) -> GwrFit:
@@ -189,10 +210,7 @@ def gwr_fit(data: GwrDataset, spec: GwrSpec, compute_cv: bool = False) -> GwrFit
         raise ValueError(f"need n > p+2, got n={n}, p={p1 - 1}")
     w = _weight_matrix(data.distances, spec)
 
-    betas = np.empty((n, p1))
-    hat_diag = np.empty(n)
-    for i in range(n):
-        betas[i], hat_diag[i] = _local_solve(x, y, w[i], i)
+    betas, hat_diag = _local_fits(x, y, w)
 
     fitted = np.einsum("ij,ij->i", x, betas)
     residuals = y - fitted
@@ -235,20 +253,23 @@ def gwr_aicc(fit: GwrFit) -> float:
 
 
 def gwr_cv_score(data: GwrDataset, spec: GwrSpec) -> float:
-    """Leave-one-out CV: each focal weight for its own observation forced to 0."""
+    """Leave-one-out CV: each focal weight for its own observation forced to 0.
+
+    Locations are checked in order: the first one that is singular or left
+    with fewer than p+1 in-range neighbors raises.
+    """
     x, y, _, _ = _design(data, spec)
     n, p1 = x.shape
     w = _weight_matrix(data.distances, spec)
-    score = 0.0
-    for i in range(n):
-        w_i = w[i].copy()
-        w_i[i] = 0.0
-        if np.count_nonzero(w_i) < p1:
-            raise InsufficientSupportError(
-                f"location {i} has fewer than {p1} in-range neighbors after self-removal")
-        beta, _ = _local_solve(x, y, w_i, i)
-        score += (y[i] - float(x[i] @ beta)) ** 2
-    return score
+    np.fill_diagonal(w, 0.0)
+    short = np.flatnonzero(np.count_nonzero(w, axis=1) < p1)
+    first_short = int(short[0]) if short.size else n
+    betas, _ = _local_fits(x, y, w[:first_short])
+    if first_short < n:
+        raise InsufficientSupportError(
+            f"location {first_short} has fewer than {p1} in-range neighbors after self-removal")
+    residuals = y - np.einsum("ij,ij->i", x, betas)
+    return float(residuals @ residuals)
 
 
 @dataclass
@@ -433,8 +454,9 @@ def enumerate_models(data: GwrDataset, all_covariates, kernels=None,
                      criterion: str = "aicc", mode: str = "adaptive",
                      log_response: bool = False) -> ModelSelectionReport:
     """Exhaustive model search: every non-empty covariate subset x every kernel,
-    each with its own optimized bandwidth. Failed configurations are recorded
-    and excluded from the ranking."""
+    each with its own optimized bandwidth. Configurations that fail with a
+    package error or a LinAlgError are recorded and excluded from the ranking;
+    any other exception (an unknown covariate, a programming error) propagates."""
     kernels = list(kernels) if kernels is not None else list(KernelShape)
     entries: list[ModelEntry] = []
     for subset in _subsets(all_covariates):
@@ -447,7 +469,7 @@ def enumerate_models(data: GwrDataset, all_covariates, kernels=None,
                 fit = gwr_fit(data, spec, compute_cv=(criterion.lower() == "cv"))
                 entries.append(ModelEntry(subset, kernel, search.bandwidth,
                                           fit.aicc, fit.cv_score, fit.global_r2))
-            except Exception as exc:  # noqa: BLE001 - per-config failure is data
+            except (FuelSpatialError, np.linalg.LinAlgError) as exc:
                 entries.append(ModelEntry(subset, kernel, None, None, None, None,
                                           failure=f"{type(exc).__name__}: {exc}"))
     ok = [i for i, e in enumerate(entries) if e.failure is None]

@@ -140,7 +140,7 @@ def test_criterion_4_model_selection(capfd):
         hits += {"income", "wage_per_job"} <= best
     ok = hits >= 16
     verdict(capfd, 4, "model selection recovers true subset", ok,
-            time.perf_counter() - t0, 300.0, f"{hits}/20 seeds contain both covariates")
+            time.perf_counter() - t0, 60.0, f"{hits}/20 seeds contain both covariates")
 
 
 def _aicc_curve(data):

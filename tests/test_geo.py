@@ -103,6 +103,19 @@ class TestKernelWeight:
         with pytest.raises(InvalidBandwidthError):
             kernel_weight(KernelShape.GAUSSIAN, 1.0, 0.0)
 
+    @pytest.mark.parametrize("shape", list(KernelShape))
+    def test_per_row_bandwidth_equals_row_calls(self, shape):
+        d = distance_matrix(_random_points(12, seed=3))
+        h = np.linspace(50.0, 900.0, 12)
+        expected = np.vstack([kernel_weight(shape, d[i], h[i]) for i in range(12)])
+        assert np.array_equal(kernel_weight(shape, d, h[:, None]), expected)
+
+    @pytest.mark.parametrize("bad", [0.0, -5.0])
+    def test_non_positive_entry_in_bandwidth_array(self, bad):
+        h = np.array([[10.0], [bad], [20.0]])
+        with pytest.raises(InvalidBandwidthError):
+            kernel_weight(KernelShape.GAUSSIAN, np.ones((3, 3)), h)
+
 
 class TestBandwidth:
     def test_fixed_positive(self):

@@ -3,17 +3,21 @@ import math
 import numpy as np
 import pytest
 
+from fuelspatial import gwr
 from fuelspatial.errors import (
     InsufficientSupportError,
     InvalidBandwidthError,
     InvalidKError,
     OversaturatedModelError,
     PerfectFitError,
+    SingularFitError,
 )
 from fuelspatial.geo import Bandwidth, GeoPoint, KernelShape, distance_matrix, kernel_weight
 from fuelspatial.gwr import (
     GwrDataset,
     GwrSpec,
+    _design,
+    _weight_matrix,
     aicc_score,
     enumerate_models,
     gwr_aicc,
@@ -146,6 +150,94 @@ class TestGwrFit:
                                   Bandwidth.adaptive_knn(20)))
 
 
+def _lstsq_local_fits(data, spec):
+    """Oracle: one least-squares solve per focal location. The hat diagonal
+    s_ii is x_i . (sqrt(W_i) X)^+ sqrt(w_ii) e_i."""
+    x, y, _, _ = _design(data, spec)
+    w = _weight_matrix(data.distances, spec)
+    betas, hat_trace = np.empty_like(x), 0.0
+    for i in range(data.n):
+        sw = np.sqrt(w[i])
+        rhs = np.column_stack([sw * y, np.where(np.arange(data.n) == i, sw, 0.0)])
+        sol, *_ = np.linalg.lstsq(sw[:, None] * x, rhs, rcond=None)
+        betas[i] = sol[:, 0]
+        hat_trace += x[i] @ sol[:, 1]
+    return betas, hat_trace
+
+
+def _clustered_dataset(isolated, constant):
+    """Six groups of three points ~1 km apart, groups ~500 km apart. Points in
+    group ``isolated`` are spread ~100 km apart, so a 10 km step kernel sees
+    only the point itself; group ``constant`` has one covariate value, so its
+    local designs are rank deficient despite full support."""
+    lats, xs = [], []
+    rng = np.random.default_rng(0)
+    for g in range(6):
+        spacing = 1.0 if g != isolated else 100.0
+        lats += [30.0 + 4.5 * g + spacing / 111.2 * j for j in range(3)]
+        xs += [0.5] * 3 if g == constant else list(rng.normal(0, 1, 3))
+    xs = np.array(xs)
+    y = 1.0 + 2.0 * xs + rng.normal(0, 0.1, xs.size)
+    return GwrDataset(ids=list(range(xs.size)),
+                      points=[GeoPoint(lat, -100.0) for lat in lats],
+                      covariates={"x": xs}, response=y)
+
+
+STEP_10KM = GwrSpec(("x",), KernelShape.STEP, Bandwidth.fixed_distance(10.0))
+
+
+class TestBatchedLocalFits:
+    @pytest.mark.parametrize("kernel", list(KernelShape))
+    @pytest.mark.parametrize("bandwidth, truncate", [
+        (Bandwidth.fixed_distance(1200.0), False),
+        (Bandwidth.adaptive_knn(15), False),
+        (Bandwidth.adaptive_knn(15), True),
+    ])
+    def test_matches_lstsq_oracle(self, kernel, bandwidth, truncate):
+        data = make_random_gwr_dataset(23, n=40, p=2)
+        spec = GwrSpec(tuple(data.covariates), kernel, bandwidth,
+                       truncate_adaptive=truncate)
+        fit = gwr_fit(data, spec)
+        betas, hat_trace = _lstsq_local_fits(data, spec)
+        assert np.max(np.abs(fit.local_coefficients - betas)) < 1e-10
+        assert fit.hat_trace == pytest.approx(hat_trace, abs=1e-10)
+
+    def test_blocks_equal_single_block(self, monkeypatch):
+        data = make_random_gwr_dataset(24, n=50, p=3)
+        spec = GwrSpec(tuple(data.covariates), KernelShape.BISQUARE,
+                       Bandwidth.adaptive_knn(20))
+        whole = gwr_fit(data, spec)
+        whole_cv = gwr_cv_score(data, spec)
+        monkeypatch.setattr(gwr, "FOCAL_BLOCK", 7)
+        blocked = gwr_fit(data, spec)
+        assert np.array_equal(blocked.local_coefficients, whole.local_coefficients)
+        assert np.array_equal(blocked.local_r2, whole.local_r2)
+        assert blocked.hat_trace == whole.hat_trace
+        assert blocked.aicc == whole.aicc
+        assert gwr_cv_score(data, spec) == whole_cv
+
+    @pytest.mark.parametrize("block", [256, 4])
+    def test_singular_fit_names_first_location(self, monkeypatch, block):
+        monkeypatch.setattr(gwr, "FOCAL_BLOCK", block)
+        # group 3 (locations 9-11) sees only itself; group 5 is constant in x
+        with pytest.raises(SingularFitError) as exc:
+            gwr_fit(_clustered_dataset(isolated=3, constant=5), STEP_10KM)
+        assert exc.value.location == 9
+
+    @pytest.mark.parametrize("block", [256, 4])
+    def test_cv_singular_before_short_support(self, monkeypatch, block):
+        monkeypatch.setattr(gwr, "FOCAL_BLOCK", block)
+        with pytest.raises(SingularFitError) as exc:
+            gwr_cv_score(_clustered_dataset(isolated=4, constant=2), STEP_10KM)
+        assert exc.value.location == 6
+
+    @pytest.mark.parametrize("block", [256, 4])
+    def test_cv_short_support_before_singular(self, monkeypatch, block):
+        monkeypatch.setattr(gwr, "FOCAL_BLOCK", block)
+        with pytest.raises(InsufficientSupportError, match="location 6 "):
+            gwr_cv_score(_clustered_dataset(isolated=2, constant=4), STEP_10KM)
+
+
 class TestAicc:
     def test_formula_oracle(self):
         data = make_random_gwr_dataset(7, n=20, p=2)
@@ -203,7 +295,6 @@ class TestCvScore:
                        Bandwidth.adaptive_knn(10))
         score = gwr_cv_score(data, spec)
         # oracle: refit each location from scratch with the self weight zeroed
-        from fuelspatial.gwr import _design, _weight_matrix
         x, y, _, _ = _design(data, spec)
         w = _weight_matrix(data.distances, spec)
         oracle = 0.0
@@ -277,6 +368,11 @@ class TestEnumerateModels:
         report = enumerate_models(data, list(cov), [KernelShape.GAUSSIAN,
                                                     KernelShape.STEP])
         assert len(report.entries) == 31 * 2
+
+    def test_unknown_covariate_raises(self):
+        data = make_random_gwr_dataset(25, n=30, p=1)
+        with pytest.raises(KeyError, match="nope"):
+            enumerate_models(data, ["x0", "nope"], [KernelShape.GAUSSIAN])
 
     def test_csv_export(self, tmp_path):
         data = make_random_gwr_dataset(20, n=30, p=1)
