@@ -1,10 +1,16 @@
 """Fixed-effect regressions and cluster-robust inference.
 
-Group effects are absorbed by demeaning (iterated for two-way effects), never
-by materializing dummy matrices; the within estimator is numerically
-equivalent to dummy-variable OLS. Clustered standard errors use the
-Liang-Zeger sandwich with the Stata-style small-sample factor
-G/(G-1) * (n-1)/(n-k), where k counts absorbed effects.
+Group effects are absorbed by demeaning, never by materializing dummy
+matrices; the within estimator is numerically equivalent to dummy-variable
+OLS. Two-way (group and day) effects are solved exactly by Frisch-Waugh-Lovell:
+the group-demeaned response is regressed on the group-demeaned day dummies,
+whose (D-1) x (D-1) normal equations diag(n_d) - C' diag(1/n_g) C come from
+the sparse group-by-day count table C. A group-day graph with several
+connected components is rank deficient by one per component, so one
+reference day per component is dropped and a disconnected panel is still
+solved exactly. Clustered standard errors use the Liang-Zeger sandwich with
+the Stata-style small-sample factor G/(G-1) * (n-1)/(n-k), where k counts
+absorbed effects.
 """
 
 from __future__ import annotations
@@ -14,7 +20,8 @@ import datetime as dt
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import stats as sps
+from scipy import linalg, sparse, special
+from scipy.sparse import csgraph
 
 from .errors import (
     AbsorbedCovariateError,
@@ -24,6 +31,7 @@ from .errors import (
     PerfectFitError,
     SingularDesignError,
 )
+from .groups import demean, group_index, group_means, group_sums
 
 GWR_COVARIATES = ("income", "population", "wage_per_job", "jobs_per_capita", "jobs")
 COUNTY_COVARIATES = ("density", "log_population", "log_total_income", "unemployment",
@@ -94,24 +102,28 @@ def ols(design, response) -> OlsResult:
     return OlsResult(coefficients=beta, residuals=residuals, r_squared=r2)
 
 
-def _demean_by(values: np.ndarray, labels: np.ndarray) -> np.ndarray:
-    out = values.astype(float).copy()
-    for g in np.unique(labels):
-        mask = labels == g
-        out[mask] -= out[mask].mean(axis=0)
-    return out
+def _two_way_residual(y: np.ndarray, groups: np.ndarray, group_counts: np.ndarray,
+                      days: np.ndarray) -> np.ndarray:
+    """Residual of ``y`` on group and day dummies (group and day codes as
+    from ``group_index``), by the exact Frisch-Waugh-Lovell solve described
+    in the module docstring. Memory is O(n + nnz(C)) plus the D x D system."""
+    n_groups = group_counts.size
+    day_counts = np.bincount(days)
+    n_days = day_counts.size
+    table = sparse.csr_matrix((np.ones(y.size), (groups, days)), shape=(n_groups, n_days))
+    # Days d and d' are linked when some group is seen on both; the
+    # components of this day graph are those of the group-day graph.
+    shared = table.T @ sparse.diags(1.0 / group_counts) @ table
+    normal = np.diag(day_counts.astype(float)) - shared.toarray()
+    rhs = np.bincount(days, weights=demean(y, groups, group_counts), minlength=n_days)
 
-
-def _two_way_demean(values: np.ndarray, labels_a: np.ndarray, labels_b: np.ndarray,
-                    tol: float = 1e-10, max_iter: int = 500) -> np.ndarray:
-    out = values.astype(float).copy()
-    for _ in range(max_iter):
-        before = out.copy()
-        out = _demean_by(out, labels_a)
-        out = _demean_by(out, labels_b)
-        if np.max(np.abs(out - before)) < tol:
-            break
-    return out
+    _, component = csgraph.connected_components(shared, directed=False)
+    _, reference = np.unique(component, return_index=True)
+    free = np.ones(n_days, dtype=bool)
+    free[reference] = False
+    day_effect = np.zeros(n_days)
+    day_effect[free] = np.linalg.solve(normal[np.ix_(free, free)], rhs[free])
+    return demean(y - day_effect[days], groups, group_counts)
 
 
 def fe_variance_explained(panel, spec: FixedEffectSpec) -> dict:
@@ -122,65 +134,46 @@ def fe_variance_explained(panel, spec: FixedEffectSpec) -> dict:
         raise EmptyInputError("need at least 2 observations")
     price = np.array([o.price for o in panel])
     key = {"state": "state_id", "county": "county_fips", "station": "station_id"}[spec.level]
-    groups = np.array([getattr(o, key) for o in panel])
-    if np.unique(groups).size < 2:
+    groups, counts = group_index([getattr(o, key) for o in panel])
+    if counts.size < 2:
         raise DegenerateGroupingError(f"only one {spec.level} group present")
     tss = float(np.sum((price - price.mean()) ** 2))
     if spec.include_day_effect:
-        days = np.array([o.day.toordinal() for o in panel])
-        within = _two_way_demean(price, groups, days)
+        days, _ = group_index([o.day.toordinal() for o in panel])
+        within = _two_way_residual(price, groups, counts, days)
     else:
-        within = _demean_by(price, groups)
+        within = demean(price, groups, counts)
     rss = float(within @ within)
     return {"r_squared": 1.0 - rss / tss if tss > 0 else float("nan"),
-            "n_groups": int(np.unique(groups).size)}
+            "n_groups": int(counts.size)}
 
 
-def cluster_robust_se(design, residuals, bread, clusters, k_total: int | None = None) -> np.ndarray:
-    """Liang-Zeger clustered standard errors.
+def clustered_covariance(design, residuals, bread, clusters, k_total=None) -> np.ndarray:
+    """Liang-Zeger clustered variance matrix.
 
     ``bread`` is (X'X)^{-1} for the (demeaned) design; ``k_total`` counts
     regressors plus any absorbed fixed effects for the small-sample factor.
     """
     x = np.asarray(design, dtype=float)
     u = np.asarray(residuals, dtype=float)
-    labels = np.asarray(clusters)
     n, k = x.shape
     if k_total is None:
         k_total = k
-    uniq = np.unique(labels)
-    g = uniq.size
+    codes, counts = group_index(clusters)
+    g = counts.size
     if g < 2:
         raise InsufficientClustersError("need at least 2 clusters")
-    meat = np.zeros((k, k))
-    for lab in uniq:
-        mask = labels == lab
-        score = x[mask].T @ u[mask]
-        meat += np.outer(score, score)
-    c = (g / (g - 1.0)) * ((n - 1.0) / (n - k_total))
-    cov = c * bread @ meat @ bread
-    return np.sqrt(np.clip(np.diag(cov), 0.0, None))
-
-
-def clustered_covariance(design, residuals, bread, clusters, k_total=None) -> np.ndarray:
-    """Full clustered variance matrix (used for PSD checks and tests)."""
-    x = np.asarray(design, dtype=float)
-    u = np.asarray(residuals, dtype=float)
-    labels = np.asarray(clusters)
-    n, k = x.shape
-    if k_total is None:
-        k_total = k
-    uniq = np.unique(labels)
-    g = uniq.size
-    if g < 2:
-        raise InsufficientClustersError("need at least 2 clusters")
-    meat = np.zeros((k, k))
-    for lab in uniq:
-        mask = labels == lab
-        score = x[mask].T @ u[mask]
-        meat += np.outer(score, score)
+    scores = group_sums(codes, x * u[:, None], g)
+    meat = scores.T @ scores
     c = (g / (g - 1.0)) * ((n - 1.0) / (n - k_total))
     return c * bread @ meat @ bread
+
+
+def cluster_robust_se(design, residuals, bread, clusters, k_total: int | None = None) -> np.ndarray:
+    """Liang-Zeger clustered standard errors: the square roots of the
+    diagonal of ``clustered_covariance``."""
+    cov = clustered_covariance(design, residuals, bread, clusters, k_total=k_total)
+    return np.sqrt(np.clip(np.diag(cov), 0.0, None))
 
 
 def county_regression(rows, covariate_set, cluster: str = "state") -> FeFit:
@@ -195,9 +188,9 @@ def county_regression(rows, covariate_set, cluster: str = "state") -> FeFit:
         raise EmptyInputError("no county rows")
     covariate_set = tuple(covariate_set)
     y = np.array([r.log_mean_price for r in rows])
-    states = np.array([r.state_id for r in rows])
+    states, state_counts = group_index([r.state_id for r in rows])
     n = len(rows)
-    n_states = np.unique(states).size
+    n_states = state_counts.size
     if n_states < 2:
         raise InsufficientClustersError("need counties from at least 2 states")
     x = np.column_stack([[r.covariates[name] for r in rows] for name in covariate_set])
@@ -205,11 +198,11 @@ def county_regression(rows, covariate_set, cluster: str = "state") -> FeFit:
     if n <= k + n_states:
         raise ValueError(f"need n > k + number of states ({k + n_states}), got {n}")
 
-    xd = _demean_by(x, states)
+    xd = demean(x, states, state_counts)
     for j, name in enumerate(covariate_set):
         if np.max(np.abs(xd[:, j])) <= 1e-12 * max(1.0, np.max(np.abs(x[:, j]))):
             raise AbsorbedCovariateError(name)
-    yd = _demean_by(y, states)
+    yd = demean(y, states, state_counts)
 
     q, r = np.linalg.qr(xd)
     diag = np.abs(np.diag(r))
@@ -220,11 +213,8 @@ def county_regression(rows, covariate_set, cluster: str = "state") -> FeFit:
     residuals = yd - xd @ beta
 
     # Recovered state effects make the fitted values, hence the reported R^2.
-    partial = y - x @ beta
     fitted = x @ beta
-    for s in np.unique(states):
-        mask = states == s
-        fitted[mask] += partial[mask].mean()
+    fitted += group_means(states, state_counts, y - fitted)[states]
     tss = float(np.sum((y - y.mean()) ** 2))
     rss = float(np.sum((y - fitted) ** 2))
     r2 = 1.0 - rss / tss if tss > 0 else float("nan")
@@ -232,7 +222,9 @@ def county_regression(rows, covariate_set, cluster: str = "state") -> FeFit:
     if np.max(np.abs(residuals)) <= 1e-12 * max(1.0, np.max(np.abs(yd))):
         raise PerfectFitError("zero residuals; clustered standard errors undefined")
 
-    bread = np.linalg.inv(xd.T @ xd)
+    # (X'X)^-1 = R^-1 R^-T from the QR factor above.
+    r_inv = linalg.solve_triangular(r, np.eye(k))
+    bread = r_inv @ r_inv.T
     se = cluster_robust_se(xd, residuals, bread, states, k_total=k + n_states)
     return FeFit(
         coefficients={name: float(b) for name, b in zip(covariate_set, beta)},
@@ -248,9 +240,9 @@ def significance_stars(coef: float, se: float, n_clusters: int) -> str:
         return ""
     t = abs(coef) / se
     if n_clusters <= 30:
-        p = 2.0 * sps.t.sf(t, df=max(n_clusters - 1, 1))
+        p = 2.0 * special.stdtr(max(n_clusters - 1, 1), -t)
     else:
-        p = 2.0 * sps.norm.sf(t)
+        p = 2.0 * special.ndtr(-t)
     if p < 0.01:
         return "***"
     if p < 0.05:

@@ -15,7 +15,6 @@ import datetime as dt
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import stats as sps
 
 from .errors import (
     EmptyInputError,
@@ -24,6 +23,7 @@ from .errors import (
     ZeroVarianceError,
 )
 from .geo import Bandwidth, GeoPoint, KernelShape, SpatialWeights, build_weights
+from .groups import group_index, group_means
 
 
 @dataclass(frozen=True)
@@ -148,14 +148,29 @@ def moran_sweep(observations, locations: dict[object, GeoPoint], window_kind: st
     return sweep
 
 
+def _average_ranks(x: np.ndarray) -> np.ndarray:
+    """Ranks 1..n, ties given the mean of the ranks they span; all NaN when
+    ``x`` holds a NaN (as ``scipy.stats.rankdata`` does)."""
+    n = x.shape[0]
+    if np.isnan(x).any():
+        return np.full(n, np.nan)
+    order = np.argsort(x, kind="mergesort")
+    xs = x[order]
+    starts = np.flatnonzero(np.r_[True, xs[1:] != xs[:-1]])
+    ends = np.r_[starts[1:], n]
+    ranks = np.empty(n)
+    ranks[order] = np.repeat(0.5 * (starts + 1 + ends), ends - starts)
+    return ranks
+
+
 def spearman_rank(x, y) -> float:
     """Spearman rank correlation, tie-aware (Pearson on average ranks)."""
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     if x.shape != y.shape or x.ndim != 1 or x.shape[0] < 2:
         raise ValueError("need two equal-length vectors of length >= 2")
-    rx = sps.rankdata(x)
-    ry = sps.rankdata(y)
+    rx = _average_ranks(x)
+    ry = _average_ranks(y)
     if np.ptp(rx) == 0 or np.ptp(ry) == 0:
         raise ZeroVarianceError("all ranks tied in one argument")
     rx = rx - rx.mean()
@@ -171,15 +186,13 @@ def variance_decomposition(values, groups, grouping: str = "group") -> VarianceD
     labels = np.asarray(groups)
     if labels.shape[0] != x.shape[0]:
         raise ValueError("groups must match values in length")
+    codes, counts = group_index(labels)
     grand = x.mean()
     total = float(np.sum((x - grand) ** 2))
-    between = 0.0
-    within = 0.0
-    for g in np.unique(labels):
-        xg = x[labels == g]
-        between += xg.size * (xg.mean() - grand) ** 2
-        within += float(np.sum((xg - xg.mean()) ** 2))
-    return VarianceDecomposition(total=total, between=float(between), within=within,
+    means = group_means(codes, counts, x)
+    between = float(counts @ (means - grand) ** 2)
+    within = float(np.sum((x - means[codes]) ** 2))
+    return VarianceDecomposition(total=total, between=between, within=within,
                                  grouping=grouping)
 
 

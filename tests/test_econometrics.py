@@ -45,6 +45,21 @@ def dummy_ols_coefficients(rows, names):
     return beta[: len(names)]
 
 
+def dummy_two_way_r2(panel):
+    """Oracle: R^2 of full dummy-variable OLS on state and day dummies."""
+    y = np.array([o.price for o in panel])
+    states = [o.state_id for o in panel]
+    days = [o.day for o in panel]
+    d1 = np.column_stack([[1.0 if s == u else 0.0 for s in states]
+                          for u in sorted(set(states))])
+    d2 = np.column_stack([[1.0 if d == u else 0.0 for d in days]
+                          for u in sorted(set(days))])
+    full = np.column_stack([d1, d2])
+    beta, *_ = np.linalg.lstsq(full, y, rcond=None)
+    resid = y - full @ beta
+    return 1 - resid @ resid / np.sum((y - y.mean()) ** 2)
+
+
 class TestOls:
     def test_exact_line(self):
         x = np.arange(5.0)
@@ -124,18 +139,32 @@ class TestFeVarianceExplained:
     def test_two_way_demeaning_with_day_effect(self):
         panel = make_random_panel(5, n_stations=8, n_days=5)
         res = fe_variance_explained(panel, FixedEffectSpec("state", include_day_effect=True))
-        y = np.array([o.price for o in panel])
-        states = [o.state_id for o in panel]
-        days = [o.day for o in panel]
-        d1 = np.column_stack([[1.0 if s == u else 0.0 for s in states]
-                              for u in sorted(set(states))])
-        d2 = np.column_stack([[1.0 if d == u else 0.0 for d in days]
-                              for u in sorted(set(days))[1:]])
-        full = np.column_stack([d1, d2])
-        beta, *_ = np.linalg.lstsq(full, y, rcond=None)
-        resid = y - full @ beta
-        r2 = 1 - resid @ resid / np.sum((y - y.mean()) ** 2)
-        assert res["r_squared"] == pytest.approx(r2, abs=1e-8)
+        assert res["r_squared"] == pytest.approx(dummy_two_way_r2(panel), abs=1e-10)
+
+    def test_two_way_weakly_connected_chain(self):
+        # Group g is seen on days g and g+1 only: the group-day graph is one
+        # long path, where alternating projections converge very slowly.
+        rng = np.random.default_rng(12)
+        panel = [PanelObservation("s", f"{g:02d}", "10001",
+                                  dt.date(2017, 1, 1) + dt.timedelta(days=g + step),
+                                  float(rng.normal(2.3, 0.3)))
+                 for g in range(60) for step in (0, 1) for _ in range(2)]
+        res = fe_variance_explained(panel, FixedEffectSpec("state", include_day_effect=True))
+        assert res["r_squared"] == pytest.approx(dummy_two_way_r2(panel), abs=1e-10)
+
+    def test_two_way_disconnected_components(self):
+        # Three blocks of states, each seen on every one of its own days: the
+        # group-day graph has three components, so the day-effect system is
+        # singular unless one reference day per component is dropped.
+        rng = np.random.default_rng(13)
+        blocks = ((5, 4), (3, 3), (4, 2))  # (states, days) per component
+        panel = [PanelObservation("s", f"{b}-{g}", "10001",
+                                  dt.date(2017, 1, 1) + dt.timedelta(days=10 * b + day),
+                                  float(rng.normal(2.3, 0.3)))
+                 for b, (n_states, n_days) in enumerate(blocks)
+                 for g in range(n_states) for day in range(n_days)]
+        res = fe_variance_explained(panel, FixedEffectSpec("state", include_day_effect=True))
+        assert res["r_squared"] == pytest.approx(dummy_two_way_r2(panel), abs=1e-10)
 
     def test_single_group_error(self):
         panel = self._panel([1.0, 2.0], ["a", "b"])
