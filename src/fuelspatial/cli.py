@@ -32,7 +32,6 @@ DEFAULTS = {
     "window": "daily",
     "kernel": "gaussian",
     "criterion": "aicc",
-    "fe_level": "state",
     "gwr_covariates": "all",
     "fe_covariates": "density,log_population,log_total_income,unemployment,poverty,pct_black,vote_gop",
     "max_in_flight": "4",
@@ -85,8 +84,8 @@ def build_config(args) -> RunConfig:
     values = {}
     if args.config:
         values.update(load_config(args.config))
-    for key in ("out", "seed", "fuel", "d0_grid", "kernel", "criterion", "fe_level",
-                "stations", "covariates", "store", "pages", "window", "gwr_covariates",
+    for key in ("out", "seed", "fuel", "d0_grid", "kernel", "criterion", "stations",
+                "covariates", "store", "pages", "window", "gwr_covariates",
                 "fe_covariates", "bandwidth_k", "max_in_flight", "per_host_delay_ms",
                 "retries"):
         flag = getattr(args, key, None)
@@ -185,6 +184,9 @@ def cmd_ingest(cfg: RunConfig) -> int:
         retries=cfg.get_int("retries"),
     )
     store = ing.ObservationStore(cfg.path("store"))
+    if store.torn_bytes:
+        print(f"ingest: ignoring a torn final line of {store.torn_bytes} bytes "
+              f"in {store.path}; the next append cuts it")
     pool = ing.ProxyPool([ing.ProxyEndpoint("localhost:0")])
     report = ing.run_collection(plan, source, pool, store)
     with open(out / "ingest_report.json", "w") as fh:
@@ -382,8 +384,6 @@ def make_parser() -> argparse.ArgumentParser:
         p.add_argument("--d0-grid", dest="d0_grid")
         p.add_argument("--kernel", help="kernel name or 'all'")
         p.add_argument("--criterion", choices=["aicc", "cv"])
-        p.add_argument("--fe-level", dest="fe_level",
-                       choices=["state", "county", "station"])
         p.add_argument("--stations")
         p.add_argument("--covariates")
         p.add_argument("--store")

@@ -5,6 +5,11 @@ and aggregation into analysis-ready panels.
 Record wire format (one price entry per line, pipe-separated, UTF-8, LF):
 
     station_id|iso8601_timestamp|fuel_type|payment_mode|price
+
+The store is one file of such lines and nothing else. A record's dedup key is
+its line up to the last ``|``, so the set of stored keys is rebuilt from the
+file on open. Only LF-terminated lines count: an unterminated final line (a
+crash mid-append) is ignored when reading and cut by the next append.
 """
 
 from __future__ import annotations
@@ -118,10 +123,6 @@ class ProxyPool:
                 ep.failure_count = 0
 
 
-def proxy_next(pool: ProxyPool) -> ProxyEndpoint:
-    return pool.next()
-
-
 # ---------------------------------------------------------------------------
 # Parsing
 
@@ -165,43 +166,62 @@ def parse_price_record(raw: str, source_url: str = ""):
 # Observation store
 
 class ObservationStore:
-    """Append-only line-delimited store with a sidecar index of dedup keys.
+    """Append-only file of record lines, deduplicated on the record key.
 
-    The dedup key is (station_id, timestamp, fuel_type, payment_mode); the
-    first-seen price wins. Appends are serialized; safe for concurrent use.
+    The file is the only state: the dedup key of a line is the line up to its
+    last ``|`` (``PriceObservation.dedup_key``), and only LF-terminated lines
+    count. ``torn_bytes`` is the size of the unterminated tail found on open;
+    ``load`` ignores it and the next append cuts it. The first-seen price
+    wins. Appends are serialized; safe for concurrent use.
     """
 
     def __init__(self, path):
         self.path = Path(path)
-        self.index_path = self.path.with_suffix(self.path.suffix + ".idx")
         self._lock = threading.Lock()
-        self._seen: set[str] = set()
-        if self.index_path.exists():
-            self._seen.update(self.index_path.read_text().splitlines())
+        data, self._end = self._read()
+        self.torn_bytes = len(data) - self._end
+        self._seen = {line.rpartition("|")[0]
+                      for line in data[:self._end].decode().splitlines()}
 
-    def add(self, obs: PriceObservation) -> bool:
-        """Store one observation; returns False for a duplicate."""
-        key = obs.dedup_key()
+    def _read(self) -> tuple[bytes, int]:
+        """The file's bytes and the offset just past its last LF."""
+        data = self.path.read_bytes() if self.path.exists() else b""
+        return data, data.rfind(b"\n") + 1
+
+    def add(self, *observations: PriceObservation) -> int:
+        """Append the observations with new keys in one write; returns how
+        many were new (duplicates within the call count once).
+
+        Each write first truncates the file to the end of its last complete
+        line, which cuts a torn tail and any bytes of an earlier write that
+        raised ``StoreWriteError``.
+        """
+        lines = [obs.to_line() for obs in observations]
         with self._lock:
-            if key in self._seen:
-                return False
+            fresh = {}
+            for line in lines:
+                key = line.rpartition("|")[0]
+                if key not in self._seen:
+                    fresh.setdefault(key, line)
+            if not fresh:
+                return 0
+            data = "".join(line + "\n" for line in fresh.values()).encode()
             try:
-                with open(self.path, "a") as fh:
-                    fh.write(obs.to_line() + "\n")
-                with open(self.index_path, "a") as fh:
-                    fh.write(key + "\n")
+                with open(self.path, "ab") as fh:
+                    fh.truncate(self._end)
+                    fh.write(data)
             except OSError as exc:
                 raise StoreWriteError(str(exc)) from exc
-            self._seen.add(key)
-            return True
+            self._end += len(data)
+            self._seen.update(fresh)
+            return len(fresh)
 
     def __len__(self) -> int:
         return len(self._seen)
 
     def load(self) -> list[PriceObservation]:
-        if not self.path.exists():
-            return []
-        obs, _ = parse_price_record(self.path.read_text(), str(self.path))
+        data, end = self._read()
+        obs, _ = parse_price_record(data[:end].decode(), str(self.path))
         return obs
 
 
@@ -299,8 +319,8 @@ def run_collection(plan: CollectionPlan, source, pool: ProxyPool,
     """Run a collection plan with bounded concurrency.
 
     Worker tasks share a URL queue; each URL is attempted up to retries+1
-    times; per-host delay is enforced across workers; every parsed record goes
-    through the deduplicating store.
+    times; per-host delay is enforced across workers; each parsed page goes
+    to the deduplicating store in one append.
     """
     report = CollectionReport()
     throttle = _HostThrottle(plan.per_host_delay_ms / 1000.0)
@@ -345,23 +365,19 @@ def run_collection(plan: CollectionPlan, source, pool: ProxyPool,
                     report.failed += 1
                     report.errors.append((url, str(exc)))
                 return
+            try:
+                stored = store.add(*observations)
+            except StoreWriteError as exc:
+                with lock:
+                    report.aborted = True
+                    report.errors.append((url, str(exc)))
+                stop.set()
+                return
             with lock:
                 report.parsed += len(observations)
                 report.quarantined += len(quarantined)
-            for obs in observations:
-                try:
-                    stored = store.add(obs)
-                except StoreWriteError as exc:
-                    with lock:
-                        report.aborted = True
-                        report.errors.append((url, str(exc)))
-                    stop.set()
-                    return
-                with lock:
-                    if stored:
-                        report.stored += 1
-                    else:
-                        report.duplicates_dropped += 1
+                report.stored += stored
+                report.duplicates_dropped += len(observations) - stored
             return
 
     def worker() -> None:

@@ -9,6 +9,7 @@ import pytest
 from fuelspatial import cli
 from fuelspatial.errors import FuelSpatialError
 from fuelspatial.geo import Bandwidth, GeoPoint, KernelShape, build_weights
+from fuelspatial.ingest import ObservationStore
 from fuelspatial.spatial_stats import moran_index
 
 
@@ -122,6 +123,19 @@ class TestChainArtifacts:
         assert report["duplicates_dropped"] == truth["planted_duplicates"]
         assert report["quarantined"] == truth["quarantined"]
         assert report["failed"] == 0
+
+    def test_ingest_reports_and_cuts_torn_tail(self, chain_dir, tmp_path, capsys):
+        store = tmp_path / "store.psv"
+        torn = "st1|2017-01-05T08:0"
+        store.write_text(torn)
+        assert run("ingest", "--out", str(tmp_path / "run"),
+                   "--pages", str(chain_dir.parent / "data" / "pages"),
+                   "--store", str(store)) == 0
+        assert f"torn final line of {len(torn)} bytes" in capsys.readouterr().out
+        truth = json.loads((chain_dir.parent / "data" / "synth_truth.json").read_text())
+        reopened = ObservationStore(store)
+        assert reopened.torn_bytes == 0
+        assert len(reopened.load()) == len(reopened) == truth["unique_records"]
 
     def test_fe_variance_nested_groupings_monotone(self, chain_dir):
         with open(chain_dir / "fe_variance.csv", newline="") as fh:

@@ -5,11 +5,13 @@ import time
 import numpy as np
 import pytest
 
+from fuelspatial import ingest
 from fuelspatial.errors import (
     DuplicateKeyError,
     EmptyInputError,
     ParseError,
     PoolExhaustedError,
+    StoreWriteError,
 )
 from fuelspatial.geo import GeoPoint
 from fuelspatial.ingest import (
@@ -28,7 +30,6 @@ from fuelspatial.ingest import (
     load_covariate_table,
     load_station_registry,
     parse_price_record,
-    proxy_next,
     run_collection,
 )
 from fuelspatial.synth import make_mock_corpus
@@ -44,7 +45,7 @@ class TestProxyPool:
         pool = ProxyPool([a, b])
         order = []
         for _ in range(3):
-            ep = proxy_next(pool)
+            ep = pool.next()
             order.append(ep.address)
             pool.release(ep)
         assert order == ["a:1", "b:1", "a:1"]
@@ -54,7 +55,7 @@ class TestProxyPool:
         b = ProxyEndpoint("b:1")
         pool = ProxyPool([a, b])
         for _ in range(4):
-            ep = proxy_next(pool)
+            ep = pool.next()
             assert ep.address == "b:1"
             pool.release(ep)
 
@@ -63,7 +64,7 @@ class TestProxyPool:
         pool = ProxyPool(eps)
         counts = {ep.address: 0 for ep in eps}
         for _ in range(100):
-            ep = proxy_next(pool)
+            ep = pool.next()
             counts[ep.address] += 1
             pool.release(ep)
         assert set(counts.values()) == {25}
@@ -72,12 +73,12 @@ class TestProxyPool:
         a = ProxyEndpoint("a:1")
         pool = ProxyPool([a], failure_threshold=2)
         for _ in range(2):
-            ep = proxy_next(pool)
+            ep = pool.next()
             pool.release(ep, success=False)
         with pytest.raises(PoolExhaustedError):
-            proxy_next(pool)
+            pool.next()
         pool.reset()
-        assert proxy_next(pool).address == "a:1"
+        assert pool.next().address == "a:1"
 
 
 class TestParse:
@@ -134,6 +135,58 @@ class TestStore:
         reopened = ObservationStore(tmp_path / "s.psv")
         assert not reopened.add(obs())
         assert len(reopened) == 1
+        assert [p.name for p in tmp_path.iterdir()] == ["s.psv"]
+
+    def test_page_dedup_within_and_across_calls(self, tmp_path):
+        store = ObservationStore(tmp_path / "s.psv")
+        assert store.add(obs(price=2.0), obs(hour=13), obs(price=9.0)) == 2
+        assert store.add(obs(hour=13), obs(hour=14)) == 1
+        assert store.add() == 0
+        assert [o.price for o in store.load()] == [2.0, 2.3, 2.3]
+        assert len(store) == 3
+
+    def test_torn_tail_ignored_then_cut(self, tmp_path):
+        path = tmp_path / "s.psv"
+        complete = obs().to_line() + "\n" + obs(hour=13).to_line() + "\n"
+        tail = obs(hour=14).to_line()[:17]
+        path.write_text(complete + tail)
+        store = ObservationStore(path)
+        assert store.torn_bytes == len(tail)
+        assert len(store) == 2
+        assert [o.timestamp.hour for o in store.load()] == [12, 13]
+        assert store.add(obs(hour=13), obs(hour=15)) == 1
+        assert path.read_text() == complete + obs(hour=15).to_line() + "\n"
+        assert ObservationStore(path).torn_bytes == 0
+
+    def test_failed_write_is_undone_by_next_add(self, tmp_path, monkeypatch):
+        class TornFile:
+            def __init__(self, fh):
+                self.fh = fh
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.fh.close()
+
+            def truncate(self, size):
+                return self.fh.truncate(size)
+
+            def write(self, data):
+                self.fh.write(data[:10])
+                raise OSError("disk full")
+
+        store = ObservationStore(tmp_path / "s.psv")
+        store.add(obs())
+        monkeypatch.setattr(ingest, "open", lambda *a: TornFile(open(*a)), raising=False)
+        with pytest.raises(StoreWriteError):
+            store.add(obs(hour=13), obs(hour=14))
+        monkeypatch.delattr(ingest, "open")
+        assert (tmp_path / "s.psv").stat().st_size == len(obs().to_line()) + 1 + 10
+        assert store.add(obs(hour=14)) == 1
+        lines = (tmp_path / "s.psv").read_text().split("\n")
+        assert lines == [obs().to_line(), obs(hour=14).to_line(), ""]
+        assert [o.timestamp.hour for o in store.load()] == [12, 14]
 
 
 class _SlowSource:
@@ -176,6 +229,7 @@ class TestRunCollection:
         assert report.stored == 10
         assert source.peak <= 3
         assert report.peak_in_flight <= 3
+        assert [p.name for p in tmp_path.iterdir()] == ["s.psv"]
 
     def test_retry_contract(self, tmp_path):
         pages = self._pages(10)
@@ -230,8 +284,7 @@ class TestRunCollection:
 
     def test_store_write_failure_aborts(self, tmp_path):
         class BrokenStore(ObservationStore):
-            def add(self, record):
-                from fuelspatial.errors import StoreWriteError
+            def add(self, *records):
                 raise StoreWriteError("disk full")
 
         pages = self._pages(5)
