@@ -178,13 +178,13 @@ def cluster_robust_se(design, residuals, bread, clusters, k_total: int | None = 
 
 def county_regression(rows, covariate_set, cluster: str = "state") -> FeFit:
     """Eq.-(5)-style model: log county price on county covariates with state
-    fixed effects absorbed by within-state demeaning, and standard errors
-    clustered by ``cluster``: "state", or "county" (one cluster per county).
+    fixed effects absorbed by within-state demeaning and state-clustered SEs.
+    ``cluster`` must be "state"; any other value raises ``ValueError``.
 
     R^2 follows the convention that fitted values include the recovered state
     effects.
     """
-    if cluster not in ("state", "county"):
+    if cluster != "state":
         raise ValueError(f"unknown cluster level {cluster!r}")
     rows = list(rows)
     if not rows:
@@ -228,14 +228,11 @@ def county_regression(rows, covariate_set, cluster: str = "state") -> FeFit:
     # (X'X)^-1 = R^-1 R^-T from the QR factor above.
     r_inv = linalg.solve_triangular(r, np.eye(k))
     bread = r_inv @ r_inv.T
-    clusters, cluster_counts = ((states, state_counts) if cluster == "state"
-                                else group_index([r.county_fips for r in rows]))
-    se = cluster_robust_se(xd, residuals, bread, clusters, k_total=k + n_states)
+    se = cluster_robust_se(xd, residuals, bread, states, k_total=k + n_states)
     return FeFit(
         coefficients={name: float(b) for name, b in zip(covariate_set, beta)},
         standard_errors={name: float(s) for name, s in zip(covariate_set, se)},
-        r_squared=r2, n_observations=n, n_clusters=int(cluster_counts.size),
-        fe_level="state",
+        r_squared=r2, n_observations=n, n_clusters=int(n_states), fe_level="state",
     )
 
 

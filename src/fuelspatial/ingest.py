@@ -172,7 +172,9 @@ class ObservationStore:
     last ``|`` (``PriceObservation.dedup_key``), and only LF-terminated lines
     count. ``torn_bytes`` is the size of the unterminated tail found on open;
     ``load`` ignores it and the next append cuts it. The first-seen price
-    wins. Appends are serialized; safe for concurrent use.
+    wins. Appends are serialized across threads, not across instances or
+    processes: only one open store may write a file, since each append
+    truncates the file to the end this instance last wrote.
     """
 
     def __init__(self, path):

