@@ -123,10 +123,10 @@ def _kernel(name: str) -> KernelShape:
 
 
 def _load_filtered(cfg: RunConfig):
-    store = ing.ObservationStore(cfg.path("store", must_exist=True))
+    store_path = cfg.path("store", must_exist=True)
     stations = ing.load_station_registry(cfg.path("stations", must_exist=True))
     fuel = cfg.get("fuel")
-    obs = ing.filter_observations(store.load(), None if fuel == "all" else fuel)
+    obs = ing.filter_observations(ing.read_store(store_path), None if fuel == "all" else fuel)
     # Store line order depends on worker interleaving; sort for reproducible
     # float accumulation downstream.
     obs.sort(key=lambda o: (o.station_id, o.timestamp, o.fuel_type, o.payment_mode))

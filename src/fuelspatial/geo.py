@@ -1,8 +1,10 @@
 """Geographic primitives: points, great-circle distances, kernels, spatial weights.
 
 Distances are great-circle (haversine) on a sphere of mean radius 6371.0 km.
-Weight matrices are stored sparse; entries below ``WEIGHT_FLOOR`` are dropped,
-which bounds memory for kernels with unbounded support (exponential, gaussian).
+``SpatialWeights`` stores its matrix sparse; entries below ``WEIGHT_FLOOR`` are
+dropped, which bounds memory for kernels with unbounded support (exponential,
+gaussian). ``spatial_stats.moran_sweep`` applies the same floor to dense
+kernels.
 """
 
 from __future__ import annotations

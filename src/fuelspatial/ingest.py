@@ -165,6 +165,21 @@ def parse_price_record(raw: str, source_url: str = ""):
 # ---------------------------------------------------------------------------
 # Observation store
 
+def _complete_bytes(path: Path) -> tuple[bytes, int]:
+    """A store file's bytes and the offset just past its last LF."""
+    data = path.read_bytes() if path.exists() else b""
+    return data, data.rfind(b"\n") + 1
+
+
+def read_store(path) -> list[PriceObservation]:
+    """The observations on a store file's LF-terminated lines, read once; a
+    torn final line is ignored and an absent file holds none."""
+    path = Path(path)
+    data, end = _complete_bytes(path)
+    obs, _ = parse_price_record(data[:end].decode(), str(path))
+    return obs
+
+
 class ObservationStore:
     """Append-only file of record lines, deduplicated on the record key.
 
@@ -180,15 +195,10 @@ class ObservationStore:
     def __init__(self, path):
         self.path = Path(path)
         self._lock = threading.Lock()
-        data, self._end = self._read()
+        data, self._end = _complete_bytes(self.path)
         self.torn_bytes = len(data) - self._end
         self._seen = {line.rpartition("|")[0]
                       for line in data[:self._end].decode().splitlines()}
-
-    def _read(self) -> tuple[bytes, int]:
-        """The file's bytes and the offset just past its last LF."""
-        data = self.path.read_bytes() if self.path.exists() else b""
-        return data, data.rfind(b"\n") + 1
 
     def add(self, *observations: PriceObservation) -> int:
         """Append the observations with new keys in one write; returns how
@@ -222,9 +232,7 @@ class ObservationStore:
         return len(self._seen)
 
     def load(self) -> list[PriceObservation]:
-        data, end = self._read()
-        obs, _ = parse_price_record(data[:end].decode(), str(self.path))
-        return obs
+        return read_store(self.path)
 
 
 # ---------------------------------------------------------------------------

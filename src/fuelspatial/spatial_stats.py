@@ -6,6 +6,15 @@ Moran's I uses the classical cross-product form
     I = (n / sum_ij w_ij) * sum_ij w_ij (x_i - xbar)(x_j - xbar) / sum_i (x_i - xbar)^2
 
 with raw (not row-standardized) kernel weights by default.
+
+``moran_index`` with ``geo.build_weights`` is the one-window API, on sparse
+weights. ``moran_sweep`` evaluates many windows at once: it averages every
+(window, location) cell in one grouped pass, computes one haversine distance
+matrix over the locations of all evaluated windows and slices each window's
+block from it. Windows with the same location set share, per d0, one dense
+kernel (zero diagonal, entries below ``WEIGHT_FLOOR`` dropped, rows
+standardized when asked) and one product W @ Z whose columns give every
+window's cross product z'Wz.
 """
 
 from __future__ import annotations
@@ -22,7 +31,16 @@ from .errors import (
     ZeroVarianceColumnError,
     ZeroVarianceError,
 )
-from .geo import Bandwidth, GeoPoint, KernelShape, SpatialWeights, build_weights
+from .geo import (  # noqa: F401  build_weights + moran_index is the one-window API
+    WEIGHT_FLOOR,
+    Bandwidth,
+    GeoPoint,
+    KernelShape,
+    SpatialWeights,
+    build_weights,
+    distance_matrix,
+    kernel_weight,
+)
 from .groups import group_index, group_means
 
 
@@ -91,12 +109,18 @@ class MoranSweep:
                 ])
 
 
-def _window_start(day: dt.date, kind: str, anchor: dt.date) -> dt.date:
-    if kind == "daily":
-        return day
-    if kind == "weekly":
-        return anchor + dt.timedelta(days=((day - anchor).days // 7) * 7)
-    raise ValueError(f"unknown window kind {kind!r}")
+def _cross_products(dist: np.ndarray, z: np.ndarray, d0: float, shape: KernelShape,
+                    row_standardize: bool) -> tuple[float, np.ndarray]:
+    """Sum of weights and z_kᵀ W z_k for each column z_k of ``z``, where W is
+    the dense kernel at d0 with zero diagonal and entries below
+    ``WEIGHT_FLOOR`` dropped, as in ``build_weights``."""
+    w = kernel_weight(shape, dist, d0)
+    np.fill_diagonal(w, 0.0)
+    w[w < WEIGHT_FLOOR] = 0.0
+    if row_standardize:
+        sums = w.sum(axis=1)
+        w /= np.where(sums > 0, sums, 1.0)[:, None]
+    return float(w.sum()), np.einsum("ij,ij->j", z, w @ z)
 
 
 def moran_sweep(observations, locations: dict[object, GeoPoint], window_kind: str,
@@ -106,45 +130,79 @@ def moran_sweep(observations, locations: dict[object, GeoPoint], window_kind: st
 
     ``observations`` is an iterable of (location_id, date, value); values are
     averaged per location within each window before the index is computed.
-    Windows with fewer than 3 locations or a constant average are skipped.
+    Windows with fewer than 3 locations or a constant average are skipped, as
+    is a (window, d0) whose weights all fall below ``WEIGHT_FLOOR``. Rows and
+    skipped entries come in window order, then ``d0_list`` order.
     """
     obs = list(observations)
     if not obs:
         raise EmptyInputError("empty panel")
-    anchor = min(day for _, day, _ in obs)
+    if window_kind not in ("daily", "weekly"):
+        raise ValueError(f"unknown window kind {window_kind!r}")
+    d0_values = [Bandwidth.fixed_distance(d0).value for d0 in d0_list]
 
-    windows: dict[dt.date, dict[object, list[float]]] = {}
-    for loc, day, value in obs:
-        start = _window_start(day, window_kind, anchor)
-        windows.setdefault(start, {}).setdefault(loc, []).append(float(value))
+    # One group per (window, location) cell; locations are coded in str order,
+    # so each window's cells are its locations in the order of its index.
+    ids = sorted(dict.fromkeys(loc for loc, _, _ in obs), key=str)
+    position = {loc: i for i, loc in enumerate(ids)}
+    day = np.array([d.toordinal() for _, d, _ in obs])
+    if window_kind == "weekly":
+        day = day.min() + (day - day.min()) // 7 * 7
+    ordinals, window = np.unique(day, return_inverse=True)
+    starts = [dt.date.fromordinal(int(o)) for o in ordinals]
+    cell = window.ravel() * len(ids) + np.array([position[i] for i, _, _ in obs])
+    codes, counts = group_index(cell)
+    means = group_means(codes, counts, np.array([float(v) for _, _, v in obs]))
+    cell_label = np.empty(counts.size, dtype=cell.dtype)
+    cell_label[codes] = cell
+    cell_window, cell_loc = np.divmod(cell_label, len(ids))
+    bounds = np.searchsorted(cell_window, np.arange(len(starts) + 1))
+
+    skipped: dict[int, str] = {}
+    by_set: dict[bytes, list[int]] = {}
+    for w in range(len(starts)):
+        cells = slice(bounds[w], bounds[w + 1])
+        if cells.stop - cells.start < 3:
+            skipped[w] = "fewer than 3 locations"
+        elif np.ptp(means[cells]) == 0:
+            skipped[w] = "constant values"
+        else:
+            by_set.setdefault(cell_loc[cells].tobytes(), []).append(w)
+
+    # One distance matrix over every evaluated location; one kernel per
+    # (location set, d0) and one product for all windows on that set.
+    results: dict[tuple[int, int], MoranResult | None] = {}
+    if by_set:
+        evaluated = [w for members in by_set.values() for w in members]
+        used = np.unique(cell_loc[np.isin(cell_window, evaluated)])
+        dist = distance_matrix([locations[ids[i]] for i in used])
+    for members in by_set.values():
+        first = slice(bounds[members[0]], bounds[members[0] + 1])
+        block = np.searchsorted(used, cell_loc[first])
+        d = dist if block.size == used.size else dist[np.ix_(block, block)]
+        cols = [means[bounds[w]:bounds[w + 1]] for w in members]
+        cols = [x - x.mean() for x in cols]
+        denom = [float(x @ x) for x in cols]
+        z = np.column_stack(cols)
+        for j, d0 in enumerate(d0_values):
+            s0, cross = _cross_products(d, z, d0, shape, row_standardize)
+            for k, w in enumerate(members):
+                results[w, j] = None if s0 <= 0 else MoranResult(
+                    index=float((block.size / s0) * cross[k] / denom[k]),
+                    n=block.size, sum_weights=s0,
+                    window=starts[w].isoformat(), d0=d0)
 
     sweep = MoranSweep()
-    weight_cache: dict[tuple[tuple, float], SpatialWeights] = {}
-    for start in sorted(windows):
-        cell = windows[start]
-        ids = sorted(cell, key=str)
-        means = np.array([np.mean(cell[i]) for i in ids])
-        if len(ids) < 3:
-            sweep.skipped.append((start, "fewer than 3 locations"))
+    for w, start in enumerate(starts):
+        if w in skipped:
+            sweep.skipped.append((start, skipped[w]))
             continue
-        if np.ptp(means) == 0:
-            sweep.skipped.append((start, "constant values"))
-            continue
-        points = [locations[i] for i in ids]
-        key_ids = tuple(ids)
-        for d0 in d0_list:
-            cache_key = (key_ids, float(d0))
-            w = weight_cache.get(cache_key)
-            if w is None:
-                w = build_weights(points, shape, Bandwidth.fixed_distance(d0))
-                weight_cache[cache_key] = w
-            try:
-                res = moran_index(means, w, row_standardize=row_standardize,
-                                  window=start.isoformat(), d0=float(d0))
-            except EmptyWeightsError:
+        for j, d0 in enumerate(d0_list):
+            res = results[w, j]
+            if res is None:
                 sweep.skipped.append((start, f"all weights zero at d0={d0}"))
-                continue
-            sweep.rows.append(SweepRow(start, window_kind, float(d0), res))
+            else:
+                sweep.rows.append(SweepRow(start, window_kind, float(d0), res))
     return sweep
 
 

@@ -30,6 +30,7 @@ from fuelspatial.ingest import (
     load_covariate_table,
     load_station_registry,
     parse_price_record,
+    read_store,
     run_collection,
 )
 from fuelspatial.synth import make_mock_corpus
@@ -157,6 +158,15 @@ class TestStore:
         assert store.add(obs(hour=13), obs(hour=15)) == 1
         assert path.read_text() == complete + obs(hour=15).to_line() + "\n"
         assert ObservationStore(path).torn_bytes == 0
+
+    def test_read_store_matches_load_on_torn_tail(self, tmp_path):
+        path = tmp_path / "s.psv"
+        path.write_text(obs().to_line() + "\n" + obs(hour=13).to_line() + "\n"
+                        + obs(hour=14).to_line()[:17])
+        loaded = read_store(path)
+        assert loaded == ObservationStore(path).load()
+        assert [o.timestamp.hour for o in loaded] == [12, 13]
+        assert read_store(tmp_path / "absent.psv") == []
 
     def test_failed_write_is_undone_by_next_add(self, tmp_path, monkeypatch):
         class TornFile:

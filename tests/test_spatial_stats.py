@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from fuelspatial.errors import (
     EmptyInputError,
     EmptyWeightsError,
+    InvalidBandwidthError,
     ZeroVarianceColumnError,
     ZeroVarianceError,
 )
@@ -179,6 +180,141 @@ class TestMoranSweep:
         lines = path.read_text().splitlines()
         assert lines[0] == "window_start,window_kind,d0_km,moran_i,n,sum_weights"
         assert len(lines) == 3
+
+
+def sweep_oracle(observations, locations, window_kind, d0_list, shape, row_standardize):
+    """Per-window reference sweep: one ``np.mean`` per cell, ``build_weights``
+    and ``moran_index`` per (window, d0). Returns (rows, skipped) with rows as
+    (start, d0, MoranResult, weights)."""
+    anchor = min(day for _, day, _ in observations)
+    windows = {}
+    for loc, day, value in observations:
+        start = day if window_kind == "daily" else (
+            anchor + dt.timedelta(days=(day - anchor).days // 7 * 7))
+        windows.setdefault(start, {}).setdefault(loc, []).append(value)
+    rows, skipped = [], []
+    for start in sorted(windows):
+        ids = sorted(windows[start], key=str)
+        means = np.array([np.mean(windows[start][i]) for i in ids])
+        if len(ids) < 3:
+            skipped.append((start, "fewer than 3 locations"))
+            continue
+        if np.ptp(means) == 0:
+            skipped.append((start, "constant values"))
+            continue
+        for d0 in d0_list:
+            w = build_weights([locations[i] for i in ids], shape,
+                              Bandwidth.fixed_distance(d0))
+            try:
+                res = moran_index(means, w, row_standardize)
+            except EmptyWeightsError:
+                skipped.append((start, f"all weights zero at d0={d0}"))
+                continue
+            rows.append((start, float(d0), res, w, means))
+    return rows, skipped
+
+
+def assert_sweep_matches_oracle(sweep, expected_rows, expected_skipped, row_standardize):
+    """Same rows and skipped entries in the same order; I and sum_weights within
+    1e-12 relative. Rounding in the cross-product sum is relative to the size
+    of its terms, so I is compared at the scale max(|I|, sum_ij |w_ij z_i z_j|
+    scaled as I), which is |I| itself unless the sum cancels to near zero."""
+    assert sweep.skipped == expected_skipped
+    assert len(sweep.rows) == len(expected_rows)
+    for row, (start, d0, res, w, means) in zip(sweep.rows, expected_rows):
+        assert (row.window_start, row.d0_km, row.result.n) == (start, d0, res.n)
+        assert (row.result.window, row.result.d0) == (start.isoformat(), d0)
+        if row_standardize:
+            w = w.row_standardized()
+        z = means - means.mean()
+        terms = np.abs(w.data * z[w.rows] * z[w.cols]).sum()
+        scale = max(abs(res.index), (w.n / w.sum()) * terms / (z @ z))
+        assert abs(row.result.index - res.index) <= 1e-12 * scale
+        assert row.result.sum_weights == pytest.approx(res.sum_weights, rel=1e-12)
+
+
+def _varying_panel(ids, n_days, seed, repeats=1, block=1):
+    """A smooth field over ``ids`` with noise. Blocks of ``block`` days cycle
+    through all locations and two random subsets, so windows differ in their
+    location sets and every third block shares one; each (day, location)
+    holds ``repeats`` values."""
+    rng = np.random.default_rng(seed)
+    pts = _random_points(len(ids), seed=seed)
+    locations = dict(zip(ids, pts))
+    field_values = {i: np.sin(p.lon / 7.0) + 0.3 * np.cos(p.lat / 3.0)
+                    for i, p in locations.items()}
+    subsets = [ids] + [[i for i in ids if rng.random() < 0.75] for _ in range(2)]
+    panel = []
+    for d in range(n_days):
+        day = DAY0 + dt.timedelta(days=d)
+        for i in subsets[d // block % 3]:
+            for _ in range(repeats):
+                panel.append((i, day, float(field_values[i] + rng.normal(0, 0.05))))
+    order = rng.permutation(len(panel))
+    return [panel[k] for k in order], locations
+
+
+class TestMoranSweepOracle:
+    D0 = [5.0, 30.0, 300.0, 1500.0]
+
+    @pytest.mark.parametrize("row_standardize", [False, True])
+    @pytest.mark.parametrize("shape", list(KernelShape))
+    @pytest.mark.parametrize("window_kind,days,repeats,block",
+                             [("daily", 8, 1, 1), ("weekly", 26, 2, 7)])
+    def test_matches_per_window_oracle(self, shape, row_standardize, window_kind,
+                                       days, repeats, block):
+        ids = [f"c{i:02d}" for i in range(14)]
+        panel, locations = _varying_panel(ids, days, seed=21, repeats=repeats,
+                                          block=block)
+        sweep = moran_sweep(panel, locations, window_kind, self.D0, shape, row_standardize)
+        rows, skipped = sweep_oracle(panel, locations, window_kind, self.D0, shape,
+                                     row_standardize)
+        sizes = list({start: len(means) for start, _, _, _, means in rows}.values())
+        assert len(set(sizes)) > 1 and len(set(sizes)) < len(sizes)
+        assert_sweep_matches_oracle(sweep, rows, skipped, row_standardize)
+
+    def test_integer_ids_in_str_order(self):
+        ids = [2, 10, 33, 4, 100, 7, 58, 9]
+        assert sorted(ids, key=str) != sorted(ids)
+        panel, locations = _varying_panel(ids, 6, seed=5)
+        sweep = moran_sweep(panel, locations, "daily", [300.0, 1500.0],
+                            KernelShape.GAUSSIAN)
+        rows, skipped = sweep_oracle(panel, locations, "daily", [300.0, 1500.0],
+                                     KernelShape.GAUSSIAN, False)
+        assert_sweep_matches_oracle(sweep, rows, skipped, False)
+
+    def test_skipped_order(self):
+        pts = _random_points(5, seed=13)
+        locations = {str(i): p for i, p in enumerate(pts)}
+        rng = np.random.default_rng(13)
+        day = [DAY0 + dt.timedelta(days=d) for d in range(4)]
+        panel = [(str(i), day[0], float(rng.normal())) for i in range(2)]
+        panel += [(str(i), day[1], 2.0) for i in range(5)]
+        panel += [(str(i), day[2], float(rng.normal())) for i in range(5)]
+        panel += [(str(i), day[3], float(rng.normal())) for i in range(1, 5)]
+        sweep = moran_sweep(panel, locations, "daily", [0.001, 3000.0])
+        assert sweep.skipped == [
+            (day[0], "fewer than 3 locations"),
+            (day[1], "constant values"),
+            (day[2], "all weights zero at d0=0.001"),
+            (day[3], "all weights zero at d0=0.001"),
+        ]
+        assert [(r.window_start, r.d0_km, r.result.n) for r in sweep.rows] == [
+            (day[2], 3000.0, 5), (day[3], 3000.0, 4)]
+        rows, skipped = sweep_oracle(panel, locations, "daily", [0.001, 3000.0],
+                                     KernelShape.EXPONENTIAL, False)
+        assert_sweep_matches_oracle(sweep, rows, skipped, False)
+
+    @pytest.mark.parametrize("d0", [0.0, -5.0])
+    def test_non_positive_d0_raises(self, d0):
+        panel, locations = _varying_panel([f"c{i}" for i in range(5)], 2, seed=3)
+        with pytest.raises(InvalidBandwidthError):
+            moran_sweep(panel, locations, "daily", [100.0, d0])
+
+    def test_unknown_window_kind(self):
+        panel, locations = _varying_panel([f"c{i}" for i in range(5)], 2, seed=3)
+        with pytest.raises(ValueError, match="monthly"):
+            moran_sweep(panel, locations, "monthly", [100.0])
 
 
 class TestSpearman:
