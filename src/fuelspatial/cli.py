@@ -275,12 +275,7 @@ def cmd_gwr(cfg: RunConfig, enumerate_all: bool = False) -> int:
         best = report.best_entry()
         spec = gwrmod.GwrSpec(covariates=best.covariates, kernel=best.kernel,
                               bandwidth=best.bandwidth)
-        data_best = data if set(best.covariates) == set(names) else gwrmod.GwrDataset(
-            ids=data.ids, points=data.points,
-            covariates={n: data.covariates[n] for n in best.covariates},
-            response=data.response)
-        fit = gwrmod.gwr_fit(data_best, spec)
-        export_data = data_best
+        fit = gwrmod.gwr_fit(data, spec)
         print(f"gwr: best model {'+'.join(best.covariates)} kernel {best.kernel.value} "
               f"aicc {best.aicc:.2f} (median gap {report.median_aicc_gap:.2f})")
     else:
@@ -293,13 +288,12 @@ def cmd_gwr(cfg: RunConfig, enumerate_all: bool = False) -> int:
             bw = search.bandwidth
         spec = gwrmod.GwrSpec(covariates=tuple(names), kernel=kernel, bandwidth=bw)
         fit = gwrmod.gwr_fit(data, spec)
-        export_data = data
         print(f"gwr: kernel {kernel.value}, bandwidth {bw.mode} {bw.value:g}, "
               f"aicc {fit.aicc:.2f}, global R2 {fit.global_r2:.3f}")
-    gwrmod.fit_to_csv(fit, export_data, out / "gwr_fit.csv")
-    gwrmod.fit_to_geojson(fit, export_data, out / "gwr_fit.geojson")
+    gwrmod.fit_to_csv(fit, data, out / "gwr_fit.csv")
+    gwrmod.fit_to_geojson(fit, data, out / "gwr_fit.geojson")
     if fit.spec.bandwidth.is_adaptive:
-        scale = gwrmod.nearest_neighbor_scale(export_data.points,
+        scale = gwrmod.nearest_neighbor_scale(data.points,
                                               int(fit.spec.bandwidth.value))
         with open(out / "neighbor_scale.csv", "w", newline="") as fh:
             wr = csv.writer(fh, lineterminator="\n")

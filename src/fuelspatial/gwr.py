@@ -8,6 +8,15 @@ normal equations; near-singular local designs at small bandwidths are the
 expected failure mode and surface as explicit errors. All focal locations
 are solved together: one batched QR over the stacked sqrt(w_i) X, taken in
 blocks of ``FOCAL_BLOCK`` focal rows so that memory stays bounded at large n.
+
+The AICc bandwidth search and the reported fit take separate paths.
+``gwr_fit`` builds the full ``GwrFit`` (Q, local R^2, raw coefficients) for
+the model that is reported. The search reads only AICc, a function of
+(RSS, tr S), so it scores each bandwidth with ``_local_scores``, an R-only QR
+of the stacked sqrt(w_i) [X | y] on a design built once per search. An
+adaptive bisquare weight is exactly 0 at and beyond the k-th neighbour, so
+those searches stack only the k+1 nearest rows of each focal location
+(``GwrDataset.neighbor_order``) in place of all n.
 """
 
 from __future__ import annotations
@@ -75,6 +84,14 @@ class GwrDataset:
     def distances(self) -> np.ndarray:
         return distance_matrix(self.points)
 
+    @cached_property
+    def neighbor_order(self) -> np.ndarray:
+        """Row i orders all locations by distance from i: i itself first, then
+        ties in index order, so column j >= 1 is the j-th nearest neighbour."""
+        d = self.distances.copy()
+        np.fill_diagonal(d, -1.0)
+        return np.argsort(d, axis=1, kind="stable")
+
 
 @dataclass(frozen=True)
 class GwrSpec:
@@ -129,11 +146,11 @@ def aicc_score(n: int, rss: float, hat_trace: float) -> float:
             + n * (n + hat_trace) / (n - 2.0 - hat_trace))
 
 
-def _design(data: GwrDataset, spec: GwrSpec):
+def _design(data: GwrDataset, covariates, log_response: bool):
     """Standardized design matrix with intercept, plus de-normalization info."""
     cols = []
     means, scales = [], []
-    for name in spec.covariates:
+    for name in covariates:
         if name not in data.covariates:
             raise KeyError(f"unknown covariate {name!r}")
         col = data.covariates[name]
@@ -145,9 +162,15 @@ def _design(data: GwrDataset, spec: GwrSpec):
         scales.append(s)
     x = np.column_stack([np.ones(data.n)] + cols)
     y = np.asarray(data.response, dtype=float)
-    if spec.log_response:
+    if log_response:
         y = np.log(y)
     return x, y, np.array(means), np.array(scales)
+
+
+def _require_overdetermined(x: np.ndarray) -> None:
+    n, p1 = x.shape
+    if n <= p1 + 1:
+        raise ValueError(f"need n > p+2, got n={n}, p={p1 - 1}")
 
 
 def _weight_matrix(dist: np.ndarray, spec: GwrSpec) -> np.ndarray:
@@ -175,6 +198,24 @@ def _back_substitute(r: np.ndarray, b: np.ndarray) -> np.ndarray:
     return x
 
 
+def _forward_substitute_t(r: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Solve the stacked lower-triangular systems r[i]^T z[i] = b[i]."""
+    z = np.empty_like(b)
+    for j in range(b.shape[1]):
+        dot = np.einsum("ij,ij->i", r[:, :j, j], z[:, :j])
+        z[:, j] = (b[:, j] - dot) / r[:, j, j]
+    return z
+
+
+def _check_rank(r: np.ndarray, focal: np.ndarray) -> None:
+    """Raise SingularFitError for the first focal location whose R factor
+    (one per focal row of ``r``) marks its local design rank deficient."""
+    diag = np.abs(np.diagonal(r, axis1=1, axis2=2))
+    singular = diag.min(axis=1) <= 1e-10 * np.maximum(diag.max(axis=1), 1.0)
+    if singular.any():
+        raise SingularFitError(int(focal[np.argmax(singular)]))
+
+
 def _local_fits(x: np.ndarray, y: np.ndarray, w: np.ndarray):
     """Weighted least squares at focal locations 0..m-1, where row i of the
     (m, n) array ``w`` holds the weights of focal location i.
@@ -191,10 +232,7 @@ def _local_fits(x: np.ndarray, y: np.ndarray, w: np.ndarray):
         focal = np.arange(start, min(start + FOCAL_BLOCK, m))
         sw = np.sqrt(w[focal])
         q, r = np.linalg.qr(sw[:, :, None] * x)
-        diag = np.abs(np.diagonal(r, axis1=1, axis2=2))
-        singular = diag.min(axis=1) <= 1e-10 * np.maximum(diag.max(axis=1), 1.0)
-        if singular.any():
-            raise SingularFitError(int(focal[np.argmax(singular)]))
+        _check_rank(r, focal)
         qty = q.transpose(0, 2, 1) @ (sw * y)[:, :, None]
         betas[focal] = _back_substitute(r, qty[:, :, 0])
         own_q = q[np.arange(focal.size), focal]
@@ -202,12 +240,46 @@ def _local_fits(x: np.ndarray, y: np.ndarray, w: np.ndarray):
     return betas, hat_diag
 
 
+def _local_scores(xy: np.ndarray, w: np.ndarray, rows: np.ndarray | None = None):
+    """(RSS, tr S) of the local fits at focal locations 0..m-1, without Q.
+
+    ``xy`` is the design with the response as its last column. Row i of the
+    (m, n) weights ``w`` belongs to focal location i. With ``rows`` (m, r),
+    focal location i is solved over the columns ``rows[i]`` alone, which must
+    hold every column where its weight is nonzero.
+
+    An R-only QR of sqrt(w_i) [X | y] gives R of sqrt(w_i) X in its leading
+    block and Q^T sqrt(w_i) y in its last column, so beta_i is one back
+    substitution and s_ii = ||R^-T sqrt(w_ii) x_i||^2 one forward
+    substitution. Raises SingularFitError as ``_local_fits`` does.
+    """
+    m, p1 = w.shape[0], xy.shape[1] - 1
+    residuals = np.empty(m)
+    hat_diag = np.empty(m)
+    for start in range(0, m, FOCAL_BLOCK):
+        block = slice(start, min(start + FOCAL_BLOCK, m))
+        focal = np.arange(block.start, block.stop)
+        if rows is None:
+            stack = np.sqrt(w[block])[:, :, None] * xy
+        else:
+            stack = np.take(xy, rows[block], axis=0)
+            stack *= np.sqrt(np.take_along_axis(w[block], rows[block], axis=1))[:, :, None]
+        r = np.linalg.qr(stack, mode="r")
+        rx = r[:, :p1, :p1]
+        _check_rank(rx, focal)
+        betas = _back_substitute(rx, r[:, :p1, p1])
+        x_own = xy[block, :p1]
+        residuals[block] = xy[block, p1] - np.einsum("ij,ij->i", x_own, betas)
+        z = _forward_substitute_t(rx, np.sqrt(w[focal, focal])[:, None] * x_own)
+        hat_diag[block] = np.einsum("ij,ij->i", z, z)
+    return float(residuals @ residuals), float(hat_diag.sum())
+
+
 def gwr_fit(data: GwrDataset, spec: GwrSpec, compute_cv: bool = False) -> GwrFit:
     """Fit a GWR model, one weighted regression per location."""
-    x, y, means, scales = _design(data, spec)
-    n, p1 = x.shape
-    if n <= p1 + 1:
-        raise ValueError(f"need n > p+2, got n={n}, p={p1 - 1}")
+    x, y, means, scales = _design(data, spec.covariates, spec.log_response)
+    _require_overdetermined(x)
+    n = x.shape[0]
     w = _weight_matrix(data.distances, spec)
 
     betas, hat_diag = _local_fits(x, y, w)
@@ -258,7 +330,7 @@ def gwr_cv_score(data: GwrDataset, spec: GwrSpec) -> float:
     Locations are checked in order: the first one that is singular or left
     with fewer than p+1 in-range neighbors raises.
     """
-    x, y, _, _ = _design(data, spec)
+    x, y, _, _ = _design(data, spec.covariates, spec.log_response)
     n, p1 = x.shape
     w = _weight_matrix(data.distances, spec)
     np.fill_diagonal(w, 0.0)
@@ -281,17 +353,35 @@ class BandwidthSearchResult:
 
 def _criterion_fn(data: GwrDataset, covariates, kernel: KernelShape, criterion: str,
                   log_response: bool):
+    """The search objective: bandwidth -> AICc or LOO-CV, inf where infeasible.
+
+    AICc comes from ``_local_scores``, never from a ``GwrFit``. An adaptive
+    bisquare weight is 0 wherever u >= 1, i.e. at and beyond the k-th
+    neighbour, so those searches solve over the k+1 nearest rows only.
+    """
     criterion = criterion.lower()
     if criterion not in ("aicc", "cv"):
         raise ValueError(f"unknown criterion {criterion!r}")
+    if criterion == "aicc":
+        x, y, _, _ = _design(data, covariates, log_response)
+        _require_overdetermined(x)
+        xy = np.column_stack([x, y])
+
+    def score(spec: GwrSpec) -> float:
+        if criterion == "cv":
+            return gwr_cv_score(data, spec)
+        bw = spec.bandwidth
+        rows = None
+        if bw.is_adaptive and kernel is KernelShape.BISQUARE:
+            rows = data.neighbor_order[:, :int(bw.value) + 1]
+        rss, hat_trace = _local_scores(xy, _weight_matrix(data.distances, spec), rows)
+        return aicc_score(data.n, rss, hat_trace)
 
     def evaluate(bw: Bandwidth) -> float:
         spec = GwrSpec(covariates=tuple(covariates), kernel=kernel, bandwidth=bw,
                        log_response=log_response)
         try:
-            if criterion == "aicc":
-                return gwr_fit(data, spec).aicc
-            return gwr_cv_score(data, spec)
+            return score(spec)
         except (SingularFitError, InsufficientSupportError, OversaturatedModelError,
                 PerfectFitError, DegenerateBandwidthError):
             return float("inf")
@@ -466,9 +556,10 @@ def enumerate_models(data: GwrDataset, all_covariates, kernels=None,
                                             mode=mode, log_response=log_response)
                 spec = GwrSpec(covariates=subset, kernel=kernel,
                                bandwidth=search.bandwidth, log_response=log_response)
-                fit = gwr_fit(data, spec, compute_cv=(criterion.lower() == "cv"))
+                fit = gwr_fit(data, spec)
+                cv_score = search.score if criterion.lower() == "cv" else None
                 entries.append(ModelEntry(subset, kernel, search.bandwidth,
-                                          fit.aicc, fit.cv_score, fit.global_r2))
+                                          fit.aicc, cv_score, fit.global_r2))
             except (FuelSpatialError, np.linalg.LinAlgError) as exc:
                 entries.append(ModelEntry(subset, kernel, None, None, None, None,
                                           failure=f"{type(exc).__name__}: {exc}"))

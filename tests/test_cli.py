@@ -222,6 +222,22 @@ class TestGwrModes:
         assert float(row["median_km"]) > 0
         assert int(row["k"]) >= 1
 
+    def test_enumerate_bisquare_byte_identical(self, chain_dir, tmp_path):
+        data = chain_dir.parent / "data"
+        outs = [tmp_path / "a", tmp_path / "b"]
+        for out in outs:
+            assert run("gwr", "--out", str(out),
+                       "--store", str(chain_dir / "store.psv"),
+                       "--stations", str(data / "stations.csv"),
+                       "--covariates", str(data / "covariates.csv"),
+                       "--kernel", "bisquare", "--enumerate") == 0
+        with open(outs[0] / "model_selection.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert {r["kernel"] for r in rows} == {"bisquare"}
+        assert rows[0]["rank"] == "1"
+        for name in ("model_selection.csv", "gwr_fit.csv", "neighbor_scale.csv"):
+            assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
+
 
 class TestDeterminism:
     def test_two_runs_byte_identical(self, tmp_path):

@@ -5,6 +5,7 @@ import pytest
 
 from fuelspatial import gwr
 from fuelspatial.errors import (
+    DegenerateBandwidthError,
     InsufficientSupportError,
     InvalidBandwidthError,
     InvalidKError,
@@ -153,7 +154,7 @@ class TestGwrFit:
 def _lstsq_local_fits(data, spec):
     """Oracle: one least-squares solve per focal location. The hat diagonal
     s_ii is x_i . (sqrt(W_i) X)^+ sqrt(w_ii) e_i."""
-    x, y, _, _ = _design(data, spec)
+    x, y, _, _ = _design(data, spec.covariates, spec.log_response)
     w = _weight_matrix(data.distances, spec)
     betas, hat_trace = np.empty_like(x), 0.0
     for i in range(data.n):
@@ -238,6 +239,151 @@ class TestBatchedLocalFits:
             gwr_cv_score(_clustered_dataset(isolated=2, constant=4), STEP_10KM)
 
 
+def _scores(data, spec, rows=None):
+    x, y, _, _ = _design(data, spec.covariates, spec.log_response)
+    w = _weight_matrix(data.distances, spec)
+    return gwr._local_scores(np.column_stack([x, y]), w, rows)
+
+
+def _lattice_with_duplicates():
+    """A 6 x 6 lattice, 0.5 degrees apart, so many neighbours tie at h,
+    plus three points repeated exactly."""
+    pts = [GeoPoint(38.0 + 0.5 * i, -100.0 + 0.5 * j) for i in range(6) for j in range(6)]
+    pts += [pts[0], pts[14], pts[14]]
+    rng = np.random.default_rng(3)
+    x = rng.normal(0, 1, len(pts))
+    y = 2.0 + 0.5 * x + rng.normal(0, 0.2, len(pts))
+    return GwrDataset(ids=list(range(len(pts))), points=pts, covariates={"x": x},
+                      response=y)
+
+
+CAUGHT = (SingularFitError, InsufficientSupportError, OversaturatedModelError,
+          PerfectFitError, DegenerateBandwidthError)
+
+
+class TestSearchScorer:
+    @pytest.mark.parametrize("kernel", list(KernelShape))
+    @pytest.mark.parametrize("bandwidth, truncate", [
+        (Bandwidth.fixed_distance(1200.0), False),
+        (Bandwidth.adaptive_knn(15), False),
+        (Bandwidth.adaptive_knn(15), True),
+    ])
+    def test_matches_fit(self, kernel, bandwidth, truncate):
+        data = make_random_gwr_dataset(23, n=40, p=2)
+        spec = GwrSpec(tuple(data.covariates), kernel, bandwidth,
+                       truncate_adaptive=truncate)
+        fit = gwr_fit(data, spec)
+        rss, hat_trace = _scores(data, spec)
+        assert rss == pytest.approx(fit.rss, rel=1e-12)
+        assert hat_trace == pytest.approx(fit.hat_trace, rel=1e-12)
+
+    def test_blocks_match_fit(self, monkeypatch):
+        data = make_random_gwr_dataset(24, n=50, p=3)
+        spec = GwrSpec(tuple(data.covariates), KernelShape.BISQUARE,
+                       Bandwidth.adaptive_knn(20))
+        fit = gwr_fit(data, spec)
+        rows = data.neighbor_order[:, :21]
+        monkeypatch.setattr(gwr, "FOCAL_BLOCK", 7)
+        for scores in (_scores(data, spec), _scores(data, spec, rows)):
+            assert scores[0] == pytest.approx(fit.rss, rel=1e-12)
+            assert scores[1] == pytest.approx(fit.hat_trace, rel=1e-12)
+
+    @pytest.mark.parametrize("block", [256, 4])
+    def test_singular_names_first_location(self, monkeypatch, block):
+        monkeypatch.setattr(gwr, "FOCAL_BLOCK", block)
+        with pytest.raises(SingularFitError) as exc:
+            _scores(_clustered_dataset(isolated=3, constant=5), STEP_10KM)
+        assert exc.value.location == 9
+
+    def test_neighbor_order_starts_with_self(self):
+        data = _lattice_with_duplicates()
+        order = data.neighbor_order
+        assert np.array_equal(order[:, 0], np.arange(data.n))
+        d = np.take_along_axis(data.distances, order[:, 1:], axis=1)
+        assert np.all(np.diff(d, axis=1) >= 0)
+
+    @pytest.mark.parametrize("make", [
+        lambda: make_random_gwr_dataset(26, n=40, p=2),
+        _lattice_with_duplicates,
+    ])
+    def test_bisquare_rows_hold_all_weight(self, make):
+        data = make()
+        covs = tuple(data.covariates)
+        for k in range(len(covs) + 2, data.n):
+            spec = GwrSpec(covs, KernelShape.BISQUARE, Bandwidth.adaptive_knn(k))
+            try:
+                w = _weight_matrix(data.distances, spec)
+            except DegenerateBandwidthError:
+                continue
+            rows = data.neighbor_order[:, :k + 1]
+            outside = np.ones_like(w, dtype=bool)
+            np.put_along_axis(outside, rows, False, axis=1)
+            assert np.all(w[outside] == 0.0), k
+            try:
+                dense = _scores(data, spec)
+            except SingularFitError as exc:
+                with pytest.raises(SingularFitError) as compact:
+                    _scores(data, spec, rows)
+                assert compact.value.location == exc.location
+                continue
+            compact = _scores(data, spec, rows)
+            assert compact[0] == pytest.approx(dense[0], rel=1e-12), k
+            assert compact[1] == pytest.approx(dense[1], rel=1e-12), k
+
+    @pytest.mark.parametrize("kernel", list(KernelShape))
+    @pytest.mark.parametrize("mode", ["adaptive", "fixed"])
+    def test_search_scores_equal_fit_aicc(self, kernel, mode):
+        data = make_model_selection_dataset(101, n=40)
+        covs = ("income", "wage_per_job", "jobs")
+        res = optimize_bandwidth(data, covs, kernel, mode=mode)
+        for value, score in res.evaluations:
+            bw = (Bandwidth.adaptive_knn(value) if mode == "adaptive"
+                  else Bandwidth.fixed_distance(value))
+            try:
+                expected = gwr_fit(data, GwrSpec(covs, kernel, bw)).aicc
+            except CAUGHT:
+                expected = float("inf")
+            assert score == pytest.approx(expected, rel=1e-12), value
+
+    def test_infeasible_bandwidth_scores_inf(self):
+        data = _clustered_dataset(isolated=3, constant=5)
+        evaluate = gwr._criterion_fn(data, ("x",), KernelShape.STEP, "aicc", False)
+        with pytest.raises(SingularFitError):
+            gwr_fit(data, STEP_10KM)
+        assert evaluate(STEP_10KM.bandwidth) == float("inf")
+
+    def test_search_builds_no_fit(self, monkeypatch):
+        data = make_model_selection_dataset(7, n=40)
+        calls = []
+        real_fit = gwr.gwr_fit
+        monkeypatch.setattr(gwr, "gwr_fit", lambda *a, **k: calls.append(a) or real_fit(*a, **k))
+        for kernel in (KernelShape.GAUSSIAN, KernelShape.BISQUARE):
+            for mode in ("adaptive", "fixed"):
+                optimize_bandwidth(data, ["income", "jobs"], kernel, mode=mode)
+        assert calls == []
+        enumerate_models(data, ["income"], [KernelShape.BISQUARE])
+        assert len(calls) == 1
+
+    def test_small_n_raises_value_error(self):
+        data = make_random_gwr_dataset(27, n=4, p=2)
+        with pytest.raises(ValueError, match="need n > p"):
+            optimize_bandwidth(data, list(data.covariates), KernelShape.GAUSSIAN,
+                               mode="fixed")
+
+    def test_unknown_covariate_raises(self):
+        data = make_random_gwr_dataset(28, n=30, p=1)
+        for mode in ("adaptive", "fixed"):
+            with pytest.raises(KeyError, match="nope"):
+                optimize_bandwidth(data, ["x0", "nope"], KernelShape.BISQUARE, mode=mode)
+
+    @pytest.mark.parametrize("kernel", [KernelShape.GAUSSIAN, KernelShape.BISQUARE])
+    def test_invalid_bandwidth_raises(self, kernel):
+        data = make_random_gwr_dataset(29, n=30, p=1)
+        evaluate = gwr._criterion_fn(data, ("x0",), kernel, "aicc", False)
+        with pytest.raises(InvalidBandwidthError):
+            evaluate(Bandwidth.adaptive_knn(data.n))
+
+
 class TestAicc:
     def test_formula_oracle(self):
         data = make_random_gwr_dataset(7, n=20, p=2)
@@ -295,7 +441,7 @@ class TestCvScore:
                        Bandwidth.adaptive_knn(10))
         score = gwr_cv_score(data, spec)
         # oracle: refit each location from scratch with the self weight zeroed
-        x, y, _, _ = _design(data, spec)
+        x, y, _, _ = _design(data, spec.covariates, spec.log_response)
         w = _weight_matrix(data.distances, spec)
         oracle = 0.0
         for i in range(data.n):
@@ -373,6 +519,15 @@ class TestEnumerateModels:
         data = make_random_gwr_dataset(25, n=30, p=1)
         with pytest.raises(KeyError, match="nope"):
             enumerate_models(data, ["x0", "nope"], [KernelShape.GAUSSIAN])
+
+    def test_cv_entries_hold_search_score(self):
+        data = make_random_gwr_dataset(30, n=30, p=2)
+        report = enumerate_models(data, list(data.covariates), [KernelShape.GAUSSIAN],
+                                  criterion="cv")
+        for e in report.entries:
+            spec = GwrSpec(e.covariates, e.kernel, e.bandwidth)
+            assert e.cv_score == gwr_cv_score(data, spec)
+            assert e.aicc == gwr_fit(data, spec).aicc
 
     def test_csv_export(self, tmp_path):
         data = make_random_gwr_dataset(20, n=30, p=1)
