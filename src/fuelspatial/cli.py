@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import datetime as dt
 import hashlib
 import json
 import sys
@@ -24,6 +25,7 @@ from . import spatial_stats as stats
 from . import synth
 from .errors import FuelSpatialError
 from .geo import Bandwidth, GeoPoint, KernelShape
+from .groups import run_means, run_starts
 
 DEFAULTS = {
     "seed": "42",
@@ -122,23 +124,41 @@ def _kernel(name: str) -> KernelShape:
         raise FuelSpatialError(f"unknown kernel {name!r}") from None
 
 
-def _load_filtered(cfg: RunConfig):
+def _load_panel(cfg: RunConfig, command: str):
+    """The store's filtered records as columns in (station, timestamp, fuel,
+    mode) order, their station-day panel and the station registry."""
     store_path = cfg.path("store", must_exist=True)
     stations = ing.load_station_registry(cfg.path("stations", must_exist=True))
     fuel = cfg.get("fuel")
-    obs = ing.filter_observations(ing.read_store(store_path), None if fuel == "all" else fuel)
+    records = ing.read_store_columns(store_path)
+    records = records.take(records.filter_mask(None if fuel == "all" else fuel))
     # Store line order depends on worker interleaving; sort for reproducible
     # float accumulation downstream.
-    obs.sort(key=lambda o: (o.station_id, o.timestamp, o.fuel_type, o.payment_mode))
-    return obs, stations
+    records = records.take(records.sort_order())
+    panel, orphan = records.station_days(stations)
+    if orphan.any():
+        print(f"{command}: dropping {int(orphan.sum())} records of "
+              f"{np.unique(records.station[orphan]).size} station ids missing from "
+              f"{cfg.path('stations')}")
+    return records, panel, stations
+
+
+def _group_codes(panel, stations) -> dict:
+    """Each panel row's station, county and state code, codes in id order."""
+    return {"station": panel.station,
+            "county": panel.station_codes(stations, "county_fips")[1],
+            "state": panel.station_codes(stations, "state_id")[1]}
+
+
+def _complete_counties(cfg: RunConfig, panel, stations) -> list:
+    table = ing.load_covariate_table(cfg.path("covariates", must_exist=True))
+    return [a for a in ing.county_means(panel, stations, table) if not a.incomplete]
 
 
 def _county_dataset(cfg: RunConfig):
     """County aggregates joined with covariates, as a GWR dataset."""
-    obs, stations = _load_filtered(cfg)
-    panel, _ = ing.aggregate_daily(obs, stations)
-    table = ing.load_covariate_table(cfg.path("covariates", must_exist=True))
-    aggs = [a for a in ing.aggregate_county(panel, stations, table) if not a.incomplete]
+    _, panel, stations = _load_panel(cfg, "gwr")
+    aggs = _complete_counties(cfg, panel, stations)
     if not aggs:
         raise FuelSpatialError("no counties with complete covariates")
     names = cfg.get("gwr_covariates")
@@ -205,53 +225,49 @@ def cmd_ingest(cfg: RunConfig) -> int:
 
 def cmd_stats(cfg: RunConfig) -> int:
     out = _outdir(cfg)
-    obs, stations = _load_filtered(cfg)
-    if not obs:
+    records, panel, stations = _load_panel(cfg, "stats")
+    if not records.price.size:
         raise FuelSpatialError("no observations after filtering")
-    desc = ing.descriptive_stats([o.price for o in obs])
+    desc = ing.descriptive_stats(records.price)
     with open(out / "descriptives.csv", "w", newline="") as fh:
         wr = csv.writer(fh, lineterminator="\n")
         wr.writerow(sorted(desc))
         wr.writerow([f"{desc[k]:.6g}" for k in sorted(desc)])
 
-    panel, _ = ing.aggregate_daily(obs, stations)
-    values = np.array([r.price for r in panel])
     with open(out / "variance_decomposition.csv", "w", newline="") as fh:
         wr = csv.writer(fh, lineterminator="\n")
         wr.writerow(["grouping", "total", "between", "within", "between_share"])
-        for level, key in (("station", lambda r: r.station_id),
-                           ("county", lambda r: stations[r.station_id].county_fips),
-                           ("state", lambda r: stations[r.station_id].state_id)):
-            groups = [key(r) for r in panel]
-            vd = stats.variance_decomposition(values, groups, grouping=level)
+        for level, groups in _group_codes(panel, stations).items():
+            vd = stats.variance_decomposition(panel.price, groups, grouping=level)
             wr.writerow([level, f"{vd.total:.10g}", f"{vd.between:.10g}",
                          f"{vd.within:.10g}", f"{vd.between / vd.total:.10g}"])
     write_manifest(cfg, out, [out / "descriptives.csv",
                               out / "variance_decomposition.csv"])
-    print(f"stats: {len(obs)} observations, mean {desc['mean']:.3f}")
+    print(f"stats: {records.price.size} observations, mean {desc['mean']:.3f}")
     return 0
 
 
 def cmd_moran(cfg: RunConfig) -> int:
     out = _outdir(cfg)
-    obs, stations = _load_filtered(cfg)
-    panel, _ = ing.aggregate_daily(obs, stations)
+    _, panel, stations = _load_panel(cfg, "moran")
     table = ing.load_covariate_table(cfg.path("covariates", must_exist=True))
 
-    # County-day values; county location comes from the covariate table.
-    observations = []
+    # County-day means of the station-day prices, stations in id order within
+    # a cell; county location comes from the covariate table.
+    fips, county = panel.station_codes(stations, "county_fips")
+    order = np.lexsort((panel.station, panel.day, county))
+    county, day = county[order], panel.day[order]
+    starts = run_starts(county, day)
+    means = run_means(panel.price[order], starts)
     locations = {}
-    cells = {}
-    for r in panel:
-        fips = stations[r.station_id].county_fips
-        cells.setdefault((fips, r.day), []).append(r.price)
-    for (fips, day), prices in sorted(cells.items()):
-        if fips not in locations:
-            cov = table.get(fips)
-            if cov is None or "lat" not in cov:
-                continue
-            locations[fips] = GeoPoint(cov["lat"], cov["lon"])
-        observations.append((fips, day, float(np.mean(prices))))
+    for f in fips:
+        cov = table.get(f)
+        if cov is not None and "lat" in cov:
+            locations[f] = GeoPoint(cov["lat"], cov["lon"])
+    dates = {d: dt.date.fromordinal(d) for d in np.unique(panel.day).tolist()}
+    observations = [(fips[c], dates[d], m) for c, d, m in
+                    zip(county[starts].tolist(), day[starts].tolist(), means.tolist())
+                    if fips[c] in locations]
 
     d0_grid = [float(v) for v in cfg.get("d0_grid").split(",")]
     sweep = stats.moran_sweep(observations, locations, cfg.get("window"), d0_grid)
@@ -308,24 +324,18 @@ def cmd_gwr(cfg: RunConfig, enumerate_all: bool = False) -> int:
 
 def cmd_fe(cfg: RunConfig) -> int:
     out = _outdir(cfg)
-    obs, stations = _load_filtered(cfg)
-    panel_rows, _ = ing.aggregate_daily(obs, stations)
-    panel = [econ.PanelObservation(
-        station_id=r.station_id,
-        state_id=stations[r.station_id].state_id,
-        county_fips=stations[r.station_id].county_fips,
-        day=r.day, price=r.price) for r in panel_rows]
+    _, panel, stations = _load_panel(cfg, "fe")
+    groups = _group_codes(panel, stations)
 
     with open(out / "fe_variance.csv", "w", newline="") as fh:
         wr = csv.writer(fh, lineterminator="\n")
         wr.writerow(["level", "r_squared", "n_groups"])
         for level in ("state", "county", "station"):
-            res = econ.fe_variance_explained(panel, econ.FixedEffectSpec(level))
+            res = econ.fe_r_squared(panel.price, groups[level], panel.day,
+                                    econ.FixedEffectSpec(level))
             wr.writerow([level, f"{res['r_squared']:.10g}", res["n_groups"]])
 
-    table = ing.load_covariate_table(cfg.path("covariates", must_exist=True))
-    aggs = [a for a in ing.aggregate_county(panel_rows, stations, table)
-            if not a.incomplete]
+    aggs = _complete_counties(cfg, panel, stations)
     covariate_set = [n.strip() for n in cfg.get("fe_covariates").split(",")]
     rows = [econ.CountyModelRow(
         county_fips=a.county_fips, log_mean_price=float(np.log(a.mean_price)),

@@ -130,16 +130,24 @@ def fe_variance_explained(panel, spec: FixedEffectSpec) -> dict:
     """R^2 of regressing price on group dummies (plus day dummies when asked),
     computed by demeaning."""
     panel = list(panel)
-    if len(panel) < 2:
-        raise EmptyInputError("need at least 2 observations")
-    price = np.array([o.price for o in panel])
     key = {"state": "state_id", "county": "county_fips", "station": "station_id"}[spec.level]
-    groups, counts = group_index([getattr(o, key) for o in panel])
+    days = [o.day.toordinal() for o in panel] if spec.include_day_effect else None
+    return fe_r_squared(np.array([o.price for o in panel]),
+                        [getattr(o, key) for o in panel], days, spec)
+
+
+def fe_r_squared(price, groups, days, spec: FixedEffectSpec) -> dict:
+    """``fe_variance_explained`` on columns: each row's price, its group label
+    at ``spec.level`` and, when ``spec`` asks for a day effect, its day label."""
+    price = np.asarray(price, dtype=float)
+    if price.size < 2:
+        raise EmptyInputError("need at least 2 observations")
+    groups, counts = group_index(groups)
     if counts.size < 2:
         raise DegenerateGroupingError(f"only one {spec.level} group present")
     tss = float(np.sum((price - price.mean()) ** 2))
     if spec.include_day_effect:
-        days, _ = group_index([o.day.toordinal() for o in panel])
+        days, _ = group_index(days)
         within = _two_way_residual(price, groups, counts, days)
     else:
         within = demean(price, groups, counts)

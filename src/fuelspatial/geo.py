@@ -78,10 +78,27 @@ def distance_matrix(points: list[GeoPoint]) -> np.ndarray:
     """Full pairwise haversine distance matrix (km), vectorized."""
     lat = np.radians(np.array([p.lat for p in points]))
     lon = np.radians(np.array([p.lon for p in points]))
-    dlat = lat[:, None] - lat[None, :]
-    dlon = lon[:, None] - lon[None, :]
-    s = np.sin(dlat / 2.0) ** 2 + np.cos(lat)[:, None] * np.cos(lat)[None, :] * np.sin(dlon / 2.0) ** 2
-    return 2.0 * EARTH_RADIUS_KM * np.arcsin(np.sqrt(np.clip(s, 0.0, 1.0)))
+    # s = sin(dlat/2)^2 + cos(lat_i) cos(lat_j) sin(dlon/2)^2, evaluated in
+    # place in the formula's own order, so at most three n x n arrays live.
+    s = lat[:, None] - lat[None, :]
+    s /= 2.0
+    np.sin(s, out=s)
+    np.square(s, out=s)
+    cos = np.cos(lat)
+    term = cos[:, None] * cos[None, :]
+    half = lon[:, None] - lon[None, :]
+    half /= 2.0
+    np.sin(half, out=half)
+    np.square(half, out=half)
+    term *= half
+    del half
+    s += term
+    del term
+    np.clip(s, 0.0, 1.0, out=s)
+    np.sqrt(s, out=s)
+    np.arcsin(s, out=s)
+    s *= 2.0 * EARTH_RADIUS_KM
+    return s
 
 
 def kernel_weight(shape: KernelShape, d, h):

@@ -127,7 +127,6 @@ class GwrFit:
     rss: float
     aicc: float
     global_r2: float
-    cv_score: float | None = None
 
     @property
     def n(self) -> int:
@@ -275,7 +274,7 @@ def _local_scores(xy: np.ndarray, w: np.ndarray, rows: np.ndarray | None = None)
     return float(residuals @ residuals), float(hat_diag.sum())
 
 
-def gwr_fit(data: GwrDataset, spec: GwrSpec, compute_cv: bool = False) -> GwrFit:
+def gwr_fit(data: GwrDataset, spec: GwrSpec) -> GwrFit:
     """Fit a GWR model, one weighted regression per location."""
     x, y, means, scales = _design(data, spec.covariates, spec.log_response)
     _require_overdetermined(x)
@@ -308,15 +307,12 @@ def gwr_fit(data: GwrDataset, spec: GwrSpec, compute_cv: bool = False) -> GwrFit
     raw[:, 1:] = betas[:, 1:] / scales[None, :]
     raw[:, 0] = betas[:, 0] - betas[:, 1:] @ (means / scales)
 
-    fit = GwrFit(
+    return GwrFit(
         spec=spec, ids=list(data.ids), covariate_names=tuple(spec.covariates),
         local_coefficients=betas, local_coefficients_raw=raw,
         local_r2=local_r2, residuals=residuals, hat_trace=hat_trace,
         rss=rss, aicc=aicc, global_r2=global_r2,
     )
-    if compute_cv:
-        fit.cv_score = gwr_cv_score(data, spec)
-    return fit
 
 
 def gwr_aicc(fit: GwrFit) -> float:

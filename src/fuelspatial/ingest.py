@@ -20,6 +20,7 @@ import queue
 import threading
 import time
 from dataclasses import dataclass, field
+from itertools import repeat
 from pathlib import Path
 from urllib.parse import urlparse
 
@@ -33,6 +34,7 @@ from .errors import (
     StoreWriteError,
 )
 from .geo import GeoPoint
+from .groups import run_means, run_starts
 
 FUEL_TYPES = ("Diesel", "Regular", "Midgrade", "Premium")
 PAYMENT_MODES = ("Credit", "Cash", "Other")
@@ -171,13 +173,109 @@ def _complete_bytes(path: Path) -> tuple[bytes, int]:
     return data, data.rfind(b"\n") + 1
 
 
+def _store_text(path: Path) -> str:
+    """A store file's LF-terminated lines, decoded."""
+    data, end = _complete_bytes(path)
+    return data[:end].decode()
+
+
 def read_store(path) -> list[PriceObservation]:
     """The observations on a store file's LF-terminated lines, read once; a
     torn final line is ignored and an absent file holds none."""
-    path = Path(path)
-    data, end = _complete_bytes(path)
-    obs, _ = parse_price_record(data[:end].decode(), str(path))
+    obs, _ = parse_price_record(_store_text(Path(path)), str(path))
     return obs
+
+
+def _codes(labels) -> tuple[list, np.ndarray]:
+    """The sorted distinct labels and each label's index among them, so that
+    code order is label order."""
+    distinct = sorted(set(labels))
+    index = {label: i for i, label in enumerate(distinct)}
+    return distinct, np.fromiter(map(index.__getitem__, labels), np.intp, len(labels))
+
+
+# Fuel and mode codes index the sorted names, so code order is name order.
+_FUEL_CODE = {name: i for i, name in enumerate(sorted(FUEL_TYPES))}
+_MODE_CODE = {name: i for i, name in enumerate(sorted(PAYMENT_MODES))}
+_BLOCK_LINES = 4096
+
+
+@dataclass(frozen=True)
+class ObservationColumns:
+    """Observations as columns, one row per record.
+
+    ``station`` indexes ``station_ids`` (sorted; a label may have no row),
+    ``fuel`` and ``mode`` index the sorted ``FUEL_TYPES`` and
+    ``PAYMENT_MODES``, ``time_rank`` is the rank of the timestamp among the
+    distinct instants read (equal instants share a rank) and ``day`` is the
+    ordinal of the timestamp's own calendar date.
+    """
+
+    station_ids: list
+    station: np.ndarray
+    time_rank: np.ndarray
+    day: np.ndarray
+    fuel: np.ndarray
+    mode: np.ndarray
+    price: np.ndarray
+
+    def take(self, rows) -> "ObservationColumns":
+        return ObservationColumns(self.station_ids, self.station[rows], self.time_rank[rows],
+                                  self.day[rows], self.fuel[rows], self.mode[rows],
+                                  self.price[rows])
+
+    def filter_mask(self, fuel_type: str | None = "Regular") -> np.ndarray:
+        """The rows ``filter_observations`` keeps."""
+        keep = self.mode == _MODE_CODE["Credit"]
+        if fuel_type is not None:
+            keep &= self.fuel == _FUEL_CODE.get(fuel_type, -1)
+        return keep
+
+    def sort_order(self) -> np.ndarray:
+        """Row order by station id, timestamp, fuel type and payment mode,
+        ties in row order."""
+        return np.lexsort((self.mode, self.fuel, self.time_rank, self.station))
+
+    def station_days(self, stations: dict) -> tuple["StationDayColumns", np.ndarray]:
+        """``aggregate_daily`` on columns: the panel and the mask of rows
+        whose station is missing from the registry."""
+        return _station_days(self.station_ids, self.station, self.day, self.price, stations)
+
+
+def read_store_columns(path) -> ObservationColumns:
+    """The records on a store file's LF-terminated lines as columns, under
+    ``parse_price_record``'s rules: a malformed line raises its
+    ``ParseError``, and a record it would quarantine is dropped. A torn final
+    line is ignored and an absent file holds none."""
+    lines = [line for line in map(str.strip, _store_text(Path(path)).splitlines()) if line]
+    n = len(lines)
+    station, stamps, fuel, mode, price = [], [], [], [], []
+    try:
+        if list(map(str.count, lines, repeat("|"))).count(4) != n:
+            raise ValueError("a line without 5 fields")
+        # One split per block of lines bounds the field strings alive at once.
+        for start in range(0, n, _BLOCK_LINES):
+            fields = "|".join(lines[start:start + _BLOCK_LINES]).split("|")
+            station += fields[0::5]
+            stamps += map(dt.datetime.fromisoformat, fields[1::5])
+            fuel += map(_FUEL_CODE.get, fields[2::5], repeat(-1))
+            mode += map(_MODE_CODE.get, fields[3::5], repeat(-1))
+            price += map(float, fields[4::5])
+    except ValueError:
+        parse_price_record("\n".join(lines), str(path))  # raises the ParseError naming the line
+        raise
+    # Sorting compares datetimes as the per-record sort did, so a store that
+    # mixes naive and offset-aware timestamps raises TypeError here.
+    rank = {ts: i for i, ts in enumerate(sorted(set(stamps)))}
+    station_ids, station = _codes(station)
+    fuel, mode = np.array(fuel, dtype=np.intp), np.array(mode, dtype=np.intp)
+    price = np.array(price, dtype=float)
+    cols = ObservationColumns(
+        station_ids, station, np.fromiter(map(rank.__getitem__, stamps), np.intp, n),
+        np.fromiter(map(dt.datetime.toordinal, stamps), np.intp, n), fuel, mode, price)
+    keep = ((fuel >= 0) & (mode >= 0)
+            & (PRICE_BAND[0] < price) & (price < PRICE_BAND[1]))
+    return cols.take(keep)
 
 
 class ObservationStore:
@@ -428,22 +526,60 @@ class StationDay:
     n_prices: int
 
 
+@dataclass(frozen=True)
+class StationDayColumns:
+    """The station-day panel as columns, one row per (station, day) cell in
+    (station, day) order. ``station`` indexes ``station_ids``, the sorted ids
+    of the registered stations seen; ``day`` is a date ordinal."""
+
+    station_ids: list
+    station: np.ndarray
+    day: np.ndarray
+    price: np.ndarray
+    n_prices: np.ndarray
+
+    def station_codes(self, stations: dict, attribute: str) -> tuple[list, np.ndarray]:
+        """The sorted distinct values of a ``Station`` attribute (such as
+        ``county_fips``) over the panel's stations, and each row's index
+        among them."""
+        labels, of_station = _codes([getattr(stations[s], attribute)
+                                     for s in self.station_ids])
+        return labels, of_station[self.station]
+
+
+def _station_days(station_ids, station, day, price, stations):
+    """Station-day means of prices taken in row order within each cell, and
+    the mask of rows whose station is missing from the registry."""
+    registered = np.array([s in stations for s in station_ids], dtype=bool)
+    orphan = ~registered[station]
+    known = np.flatnonzero(~orphan)
+    order = known[np.lexsort((day[known], station[known]))]
+    recode = np.cumsum(registered) - 1
+    cell_station, cell_day = recode[station[order]], day[order]
+    starts = run_starts(cell_station, cell_day)
+    panel = StationDayColumns(
+        [s for s, ok in zip(station_ids, registered) if ok],
+        cell_station[starts], cell_day[starts], run_means(price[order], starts),
+        np.diff(np.append(starts, order.size)))
+    return panel, orphan
+
+
 def aggregate_daily(obs, stations: dict):
     """Station-day panel: the mean of each station's prices within a day.
 
     Returns (rows, orphans); observations whose station_id is missing from the
     registry are skipped and reported.
     """
-    cells: dict[tuple[str, dt.date], list[float]] = {}
-    orphans: list[str] = []
-    for o in obs:
-        if o.station_id not in stations:
-            orphans.append(o.station_id)
-            continue
-        cells.setdefault((o.station_id, o.timestamp.date()), []).append(o.price)
-    rows = [StationDay(sid, day, float(np.mean(prices)), len(prices))
-            for (sid, day), prices in sorted(cells.items())]
-    return rows, orphans
+    obs = list(obs)
+    station_ids, station = _codes([o.station_id for o in obs])
+    panel, orphan = _station_days(
+        station_ids, station,
+        np.array([o.timestamp.toordinal() for o in obs], dtype=np.int64),
+        np.array([o.price for o in obs], dtype=float), stations)
+    rows = [StationDay(panel.station_ids[s], dt.date.fromordinal(d), p, n)
+            for s, d, p, n in zip(panel.station.tolist(), panel.day.tolist(),
+                                  panel.price.tolist(), panel.n_prices.tolist())]
+    return rows, [o.station_id for o, lost in zip(obs, orphan.tolist()) if lost]
 
 
 @dataclass
@@ -458,6 +594,57 @@ class CountyAggregate:
     incomplete: bool = False
 
 
+def county_means(panel: StationDayColumns, stations: dict, covariate_table: dict,
+                 period: tuple | None = None, station_means: bool = False) -> list:
+    """``aggregate_county`` on a columnar panel; each county's rows are
+    averaged in panel order."""
+    rows = np.arange(panel.day.size)
+    if period is not None:
+        rows = rows[(period[0].toordinal() <= panel.day)
+                    & (panel.day <= period[1].toordinal())]
+    fips, county = panel.station_codes(stations, "county_fips")
+    rows = rows[np.argsort(county[rows], kind="stable")]
+    county, station, day, price = (county[rows], panel.station[rows], panel.day[rows],
+                                   panel.price[rows])
+    starts = run_starts(county)
+    # (county, station) groups; ``seen`` puts them in order of first appearance.
+    by_station = np.lexsort((station, county))
+    groups = run_starts(county[by_station], station[by_station])
+    seen = np.argsort(by_station[groups])
+    station_starts = run_starts(county[by_station[groups][seen]])
+    n_stations = np.diff(np.append(station_starts, groups.size))
+    if station_means:
+        mean_price = run_means(run_means(price[by_station], groups)[seen], station_starts)
+    else:
+        mean_price = run_means(price, starts)
+
+    out = []
+    ends = np.append(starts[1:], county.size)
+    for i, (start, stop) in enumerate(zip(starts.tolist(), ends.tolist())):
+        code = int(county[start])
+        cov = covariate_table.get(fips[code])
+        if cov is not None and "lat" in cov and "lon" in cov:
+            point = GeoPoint(cov["lat"], cov["lon"])
+        else:
+            pts = [stations[panel.station_ids[s]].point
+                   for s in np.unique(station[start:stop]).tolist()]
+            point = GeoPoint(float(np.mean([p.lat for p in pts])),
+                             float(np.mean([p.lon for p in pts])))
+        days = day[start:stop]
+        out.append(CountyAggregate(
+            county_fips=fips[code],
+            period=period or (dt.date.fromordinal(int(days.min())),
+                              dt.date.fromordinal(int(days.max()))),
+            mean_price=float(mean_price[i]),
+            n_observations=stop - start,
+            n_stations=int(n_stations[i]),
+            point=point,
+            covariates=cov,
+            incomplete=cov is None,
+        ))
+    return out
+
+
 def aggregate_county(panel, stations: dict, covariate_table: dict,
                      period: tuple | None = None,
                      station_means: bool = False) -> list:
@@ -467,45 +654,13 @@ def aggregate_county(panel, stations: dict, covariate_table: dict,
     switches to the mean of per-station means. Counties with no covariate row
     are flagged incomplete (kept for maps, excluded from regressions).
     """
-    by_county: dict[str, list[StationDay]] = {}
-    for row in panel:
-        st = stations.get(row.station_id)
-        if st is None:
-            continue
-        if period is not None and not (period[0] <= row.day <= period[1]):
-            continue
-        by_county.setdefault(st.county_fips, []).append(row)
-
-    out = []
-    for fips in sorted(by_county):
-        rows = by_county[fips]
-        if station_means:
-            per_station: dict[str, list[float]] = {}
-            for r in rows:
-                per_station.setdefault(r.station_id, []).append(r.price)
-            mean_price = float(np.mean([np.mean(v) for v in per_station.values()]))
-        else:
-            mean_price = float(np.mean([r.price for r in rows]))
-        station_ids = {r.station_id for r in rows}
-        cov = covariate_table.get(fips)
-        if cov is not None and "lat" in cov and "lon" in cov:
-            point = GeoPoint(cov["lat"], cov["lon"])
-        else:
-            pts = [stations[s].point for s in station_ids]
-            point = GeoPoint(float(np.mean([p.lat for p in pts])),
-                             float(np.mean([p.lon for p in pts])))
-        days = [r.day for r in rows]
-        out.append(CountyAggregate(
-            county_fips=fips,
-            period=period or (min(days), max(days)),
-            mean_price=mean_price,
-            n_observations=len(rows),
-            n_stations=len(station_ids),
-            point=point,
-            covariates=cov,
-            incomplete=cov is None,
-        ))
-    return out
+    rows = [r for r in panel if r.station_id in stations]
+    station_ids, station = _codes([r.station_id for r in rows])
+    columns = StationDayColumns(
+        station_ids, station, np.array([r.day.toordinal() for r in rows], dtype=np.int64),
+        np.array([r.price for r in rows], dtype=float),
+        np.array([r.n_prices for r in rows], dtype=np.int64))
+    return county_means(columns, stations, covariate_table, period, station_means)
 
 
 def descriptive_stats(values) -> dict:

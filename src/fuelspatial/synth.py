@@ -253,9 +253,14 @@ def make_county_panel(seed: int, n_counties: int = 300, corr_length_km: float = 
     lat = rng.uniform(30.0, 47.0, size=n_counties)
     lon = rng.uniform(-120.0, -75.0, size=n_counties)
     points = [GeoPoint(float(a), float(b)) for a, b in zip(lat, lon)]
-    d = distance_matrix(points)
-    cov = np.exp(-d / corr_length_km)
-    chol = np.linalg.cholesky(cov + 1e-8 * np.eye(n_counties))
+    # cov = exp(-d / L) + 1e-8 I, built in place in the distance matrix.
+    cov = distance_matrix(points)
+    np.negative(cov, out=cov)
+    cov /= corr_length_km
+    np.exp(cov, out=cov)
+    cov.flat[::n_counties + 1] += 1e-8
+    chol = np.linalg.cholesky(cov)
+    del cov
     field_values = base + amplitude * (chol @ rng.normal(0.0, 1.0, size=n_counties))
 
     locations = {f"{i:05d}": points[i] for i in range(n_counties)}

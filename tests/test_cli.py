@@ -9,7 +9,7 @@ import pytest
 from fuelspatial import cli
 from fuelspatial.errors import FuelSpatialError
 from fuelspatial.geo import Bandwidth, GeoPoint, KernelShape, build_weights
-from fuelspatial.ingest import ObservationStore
+from fuelspatial.ingest import ObservationStore, filter_observations, read_store
 from fuelspatial.spatial_stats import moran_index
 
 
@@ -163,6 +163,47 @@ class TestChainArtifacts:
     def test_report_flags_missing_artifacts(self, tmp_path):
         assert run("report", "--out", str(tmp_path)) == 0
         assert "missing artifacts" in (tmp_path / "summary.txt").read_text()
+
+
+def _inputs(chain_dir, out, store=None, stations=None):
+    data = chain_dir.parent / "data"
+    return ["--out", str(out), "--store", str(store or chain_dir / "store.psv"),
+            "--stations", str(stations or data / "stations.csv"),
+            "--covariates", str(data / "covariates.csv")]
+
+
+class TestStoreInput:
+    @pytest.mark.parametrize("command", ["stats", "moran", "gwr", "fe"])
+    def test_orphan_records_reported(self, chain_dir, tmp_path, capsys, command):
+        lines = (chain_dir.parent / "data" / "stations.csv").read_text().splitlines()
+        removed = lines.pop(1).split(",")[0]
+        registry = tmp_path / "stations.csv"
+        registry.write_text("\n".join(lines) + "\n")
+        dropped = sum(o.station_id == removed
+                      for o in filter_observations(read_store(chain_dir / "store.psv")))
+        assert dropped > 0
+        assert run(command, *_inputs(chain_dir, tmp_path / "out", stations=registry)) == 0
+        out = capsys.readouterr().out
+        assert f"{command}: dropping {dropped} records of 1 station ids missing from " \
+               f"{registry}" in out
+        assert run(command, *_inputs(chain_dir, tmp_path / "full")) == 0
+        assert "dropping" not in capsys.readouterr().out
+
+    def test_malformed_store_line_is_a_validation_error(self, chain_dir, tmp_path, capsys):
+        lines = (chain_dir / "store.psv").read_text().splitlines()
+        station, _, *rest = lines[5].split("|")
+        bad = lines[5] = "|".join([station, "2017-01-10 noon", *rest])
+        store = tmp_path / "store.psv"
+        store.write_text("\n".join(lines) + "\n")
+        assert run("stats", *_inputs(chain_dir, tmp_path / "out", store=store)) == 1
+        err = capsys.readouterr().err
+        assert f"bad field in line {bad!r}" in err and str(store) in err
+
+    def test_empty_store_has_no_observations(self, chain_dir, tmp_path, capsys):
+        store = tmp_path / "store.psv"
+        store.write_text("")
+        assert run("stats", *_inputs(chain_dir, tmp_path / "out", store=store)) == 1
+        assert "no observations after filtering" in capsys.readouterr().err
 
 
 class TestMoranCrossCheck:

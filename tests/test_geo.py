@@ -72,6 +72,19 @@ class TestHaversine:
                 assert m[i, j] == pytest.approx(haversine_distance(pts[i], pts[j]),
                                                 abs=1e-9)
 
+    def test_matrix_equals_whole_array_formula(self):
+        # The in-place evaluation must give the one-expression formula's bits.
+        rng = np.random.default_rng(5)
+        lat_deg, lon_deg = rng.uniform(-89, 89, 97), rng.uniform(-179, 179, 97)
+        pts = [GeoPoint(float(la), float(lo)) for la, lo in zip(lat_deg, lon_deg)]
+        lat, lon = np.radians(lat_deg), np.radians(lon_deg)
+        dlat = lat[:, None] - lat[None, :]
+        dlon = lon[:, None] - lon[None, :]
+        s = (np.sin(dlat / 2.0) ** 2
+             + np.cos(lat)[:, None] * np.cos(lat)[None, :] * np.sin(dlon / 2.0) ** 2)
+        want = 2.0 * EARTH_RADIUS_KM * np.arcsin(np.sqrt(np.clip(s, 0.0, 1.0)))
+        assert np.array_equal(distance_matrix(pts), want)
+
 
 class TestKernelWeight:
     def test_gaussian_at_zero(self):

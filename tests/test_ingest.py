@@ -15,6 +15,8 @@ from fuelspatial.errors import (
 )
 from fuelspatial.geo import GeoPoint
 from fuelspatial.ingest import (
+    FUEL_TYPES,
+    PAYMENT_MODES,
     CollectionPlan,
     MockSource,
     ObservationStore,
@@ -23,14 +25,17 @@ from fuelspatial.ingest import (
     ProxyPool,
     Station,
     StationDay,
+    StationDayColumns,
     aggregate_county,
     aggregate_daily,
+    county_means,
     descriptive_stats,
     filter_observations,
     load_covariate_table,
     load_station_registry,
     parse_price_record,
     read_store,
+    read_store_columns,
     run_collection,
 )
 from fuelspatial.synth import make_mock_corpus
@@ -437,6 +442,180 @@ class TestAggregateCounty:
                                   station_means=True)[0]
         assert flat.mean_price == pytest.approx((2.0 + 2.2 + 3.0) / 3)
         assert nested.mean_price == pytest.approx((2.1 + 3.0) / 2)
+
+
+def _record_order(o):
+    return (o.station_id, o.timestamp, o.fuel_type, o.payment_mode)
+
+
+def _object_daily(obs, stations):
+    """The per-record station-day means: a dict of price lists and one
+    ``np.mean`` per cell; the oracle for the columnar path."""
+    cells, orphans = {}, []
+    for o in obs:
+        if o.station_id not in stations:
+            orphans.append(o.station_id)
+            continue
+        cells.setdefault((o.station_id, o.timestamp.date()), []).append(o.price)
+    rows = [StationDay(sid, day, float(np.mean(prices)), len(prices))
+            for (sid, day), prices in sorted(cells.items())]
+    return rows, orphans
+
+
+def _object_county(panel, stations, table, period=None, station_means=False):
+    """The per-row county means, grouped with dicts; the oracle for
+    ``county_means`` (its fallback point averages stations in id order)."""
+    by_county = {}
+    for row in panel:
+        if row.station_id in stations and (period is None
+                                           or period[0] <= row.day <= period[1]):
+            by_county.setdefault(stations[row.station_id].county_fips, []).append(row)
+    out = []
+    for fips in sorted(by_county):
+        rows = by_county[fips]
+        per_station = {}
+        for r in rows:
+            per_station.setdefault(r.station_id, []).append(r.price)
+        if station_means:
+            mean = float(np.mean([np.mean(v) for v in per_station.values()]))
+        else:
+            mean = float(np.mean([r.price for r in rows]))
+        cov = table.get(fips)
+        if cov is not None and "lat" in cov and "lon" in cov:
+            point = GeoPoint(cov["lat"], cov["lon"])
+        else:
+            pts = [stations[s].point for s in sorted(per_station)]
+            point = GeoPoint(float(np.mean([p.lat for p in pts])),
+                             float(np.mean([p.lon for p in pts])))
+        days = [r.day for r in rows]
+        out.append((fips, period or (min(days), max(days)), mean, len(rows),
+                    len(per_station), point, cov is None))
+    return out
+
+
+def _random_store(path, seed, registered):
+    """A store file as ingest and crashes leave it: shuffled lines, blank and
+    padded lines, CRLF endings, records to quarantine, unregistered stations,
+    one timestamp in three spellings, a busy station-day of 12 prices and a
+    torn final line."""
+    rng = np.random.default_rng(seed)
+    ids = list(registered) + ["ghost1", "ghost2"]
+    fuels, modes = list(FUEL_TYPES) + ["Jetfuel"], list(PAYMENT_MODES) + ["Barter"]
+    lines = {}
+
+    def add(station, ts, fuel, mode, price):
+        lines.setdefault(f"{station}|{ts}|{fuel}|{mode}", f"{price:.3f}")
+
+    for _ in range(400):
+        ts = dt.datetime(2017, 1, int(rng.integers(10, 14)), int(rng.integers(0, 24)),
+                         int(rng.integers(0, 60)), int(rng.choice([0, 30])))
+        add(ids[rng.integers(len(ids))], ts.isoformat(), fuels[rng.integers(5)],
+            modes[rng.integers(4)], float(rng.uniform(0.3, 10.5)))
+    noon = dt.datetime(2017, 1, 12, 12)
+    for spelling in (noon.isoformat(), noon.isoformat(timespec="minutes"),
+                     noon.isoformat(sep=" ")):
+        add(ids[0], spelling, "Regular", "Credit", float(rng.uniform(2, 3)))
+    for minute in range(12):
+        add(ids[1], noon.replace(minute=minute).isoformat(), "Regular", "Credit",
+            float(rng.uniform(2, 3)))
+    text = [key + "|" + price for key, price in lines.items()]
+    text = [text[i] for i in rng.permutation(len(text))]
+    text = [pad for i, line in enumerate(text)
+            for pad in ([" "] if i % 29 == 0 else []) + [f"  {line} " if i % 17 == 0 else line]]
+    ends = ["\r\n" if i % 13 == 0 else "\n" for i in range(len(text))]
+    path.write_text("".join(line + end for line, end in zip(text, ends)) + "st1|2017-01-1",
+                    newline="")
+
+
+class TestReadStoreColumns:
+    """The columnar path against the per-record one it replaced: read_store,
+    filter_observations, the record sort and dict-of-lists means."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("fuel", ["Regular", None])
+    def test_matches_object_path(self, tmp_path, seed, fuel):
+        stations = _stations()
+        _random_store(tmp_path / "s.psv", seed, stations)
+        obs = filter_observations(read_store(tmp_path / "s.psv"), fuel)
+        obs.sort(key=_record_order)
+        cols = read_store_columns(tmp_path / "s.psv")
+        cols = cols.take(cols.filter_mask(fuel))
+        cols = cols.take(cols.sort_order())
+        assert [cols.station_ids[s] for s in cols.station] == [o.station_id for o in obs]
+        assert cols.day.tolist() == [o.timestamp.toordinal() for o in obs]
+        assert cols.price.tolist() == [o.price for o in obs]
+
+        panel, orphan = cols.station_days(stations)
+        rows, orphans = _object_daily(obs, stations)
+        assert max(r.n_prices for r in rows) >= 8
+        assert orphans and [cols.station_ids[s] for s in cols.station[orphan]] == orphans
+        assert [StationDay(panel.station_ids[s], dt.date.fromordinal(d), p, n)
+                for s, d, p, n in zip(panel.station.tolist(), panel.day.tolist(),
+                                      panel.price.tolist(), panel.n_prices.tolist())
+                ] == rows
+        assert aggregate_daily(obs, stations) == (rows, orphans)
+
+    def test_equal_instants_keep_store_order(self, tmp_path):
+        path = tmp_path / "s.psv"
+        path.write_text("st1|2017-01-10T13:00:00+01:00|Regular|Credit|2.100\n"
+                        "st1|2017-01-10T11:30:00+00:00|Regular|Credit|2.200\n"
+                        "st1|2017-01-10T12:00:00+00:00|Regular|Credit|2.300\n")
+        cols = read_store_columns(path)
+        cols = cols.take(cols.sort_order())
+        obs = sorted(read_store(path), key=_record_order)
+        assert cols.price.tolist() == [o.price for o in obs] == [2.2, 2.1, 2.3]
+
+    @pytest.mark.parametrize("bad", ["st1|2017-01-10T12:00:00|Regular|Credit",
+                                     "st1|2017-01-10T12:00:00|Regular|Credit|2.1|x",
+                                     "st1|2017-13-10T12:00:00|Regular|Credit|2.1",
+                                     "st1|2017-01-10T12:00:00|Jetfuel|Credit|two"])
+    def test_malformed_line_raises_the_same_parse_error(self, tmp_path, bad):
+        path = tmp_path / "s.psv"
+        path.write_text(obs().to_line() + "\n" + bad + "\n" + obs(hour=13).to_line()
+                        + "\n")
+        with pytest.raises(ParseError) as expected:
+            read_store(path)
+        with pytest.raises(ParseError) as got:
+            read_store_columns(path)
+        assert str(got.value) == str(expected.value)
+        assert repr(bad) in str(got.value) and str(path) in str(got.value)
+
+    def test_empty_and_absent_store(self, tmp_path):
+        (tmp_path / "s.psv").write_text("st1|2017-01-1")
+        for path in (tmp_path / "s.psv", tmp_path / "absent.psv"):
+            cols = read_store_columns(path)
+            assert cols.price.size == 0 and cols.station_ids == []
+            panel, orphan = cols.station_days(_stations())
+            assert panel.price.size == 0 and orphan.size == 0
+
+
+class TestCountyMeans:
+    """``county_means`` and ``aggregate_county`` against dict grouping."""
+
+    @pytest.mark.parametrize("station_means", [False, True])
+    @pytest.mark.parametrize("period", [None, (dt.date(2017, 1, 11), dt.date(2017, 1, 13))])
+    def test_matches_dict_grouping(self, period, station_means):
+        rng = np.random.default_rng(11)
+        stations = {f"s{i:02d}": Station(f"s{i:02d}", GeoPoint(40 + i / 10, -100), "c",
+                                         f"1000{i % 3}", "10") for i in range(20)}
+        panel = [StationDay(f"s{rng.integers(0, 22):02d}",
+                            dt.date(2017, 1, int(rng.integers(10, 15))),
+                            float(rng.uniform(2, 3)), 1) for _ in range(300)]
+        table = {"10000": {"lat": 40.0, "lon": -100.0}, "10001": {"lat": 41.0}}
+        got = [(a.county_fips, a.period, a.mean_price, a.n_observations, a.n_stations,
+                a.point, a.incomplete)
+               for a in aggregate_county(panel, stations, table, period, station_means)]
+        want = _object_county(panel, stations, table, period, station_means)
+        assert [g[3] for g in got] and min(g[3] for g in got) >= 8
+        assert got == want
+
+    def test_columns_in_panel_order(self):
+        panel = StationDayColumns(["st1", "st3"], np.array([0, 1, 0]),
+                                  np.array([736339, 736339, 736340]),
+                                  np.array([2.0, 3.0, 2.5]), np.ones(3, dtype=int))
+        aggs = county_means(panel, _stations(), {})
+        assert [(a.county_fips, a.mean_price, a.n_observations) for a in aggs] == [
+            ("10001", 2.25, 2), ("11001", 3.0, 1)]
 
 
 class TestDescriptiveStats:

@@ -423,3 +423,28 @@ class TestPcaVarianceExplained:
         with pytest.raises(ZeroVarianceColumnError) as exc:
             pca_variance_explained(m, normalize=True)
         assert exc.value.column == 0
+
+
+class TestCountyPanelFixture:
+    def test_field_equals_whole_array_covariance(self):
+        # make_county_panel builds exp(-d / L) + 1e-8 I in place; its values
+        # must equal those of the covariance built as separate arrays.
+        from fuelspatial.geo import distance_matrix
+        from fuelspatial.synth import START_DAY, make_county_panel, rng_for
+
+        n, days, length = 40, 2, 100.0
+        locations, obs = make_county_panel(3, n_counties=n, n_days=days,
+                                           corr_length_km=length)
+        rng = rng_for(3, "countypanel")
+        lat, lon = rng.uniform(30.0, 47.0, size=n), rng.uniform(-120.0, -75.0, size=n)
+        points = [GeoPoint(float(a), float(b)) for a, b in zip(lat, lon)]
+        cov = np.exp(-distance_matrix(points) / length)
+        chol = np.linalg.cholesky(cov + 1e-8 * np.eye(n))
+        field = 2.28 + 0.2 * (chol @ rng.normal(0.0, 1.0, size=n))
+        want = []
+        for day in range(days):
+            noise = rng.normal(0.0, 0.005, size=n)
+            want += [(f"{i:05d}", START_DAY + dt.timedelta(days=day),
+                      float(field[i] + noise[i])) for i in range(n)]
+        assert obs == want
+        assert list(locations.values()) == points
