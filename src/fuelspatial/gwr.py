@@ -3,20 +3,21 @@ kernel weights decaying in great-circle distance, AICc / leave-one-out CV
 scoring, bandwidth optimization, exhaustive model enumeration, and the
 nearest-neighbor spatial-scale statistic.
 
-Local solves go through a QR decomposition of sqrt(W) X rather than the
-normal equations; near-singular local designs at small bandwidths are the
-expected failure mode and surface as explicit errors. All focal locations
-are solved together: one batched QR over the stacked sqrt(w_i) X, taken in
-blocks of ``FOCAL_BLOCK`` focal rows so that memory stays bounded at large n.
+Local solves go through a QR decomposition rather than the normal equations;
+near-singular local designs at small bandwidths are the expected failure mode
+and surface as explicit errors. All focal locations are solved together by
+one local solver, ``_local_fits``: an R-only QR of the stacked
+sqrt(w_i) [X | y], taken in blocks of ``FOCAL_BLOCK`` focal rows so that
+memory stays bounded at large n. Its R factor gives beta_i by back
+substitution and the hat diagonal s_ii by forward substitution.
 
-The AICc bandwidth search and the reported fit take separate paths.
-``gwr_fit`` builds the full ``GwrFit`` (Q, local R^2, raw coefficients) for
-the model that is reported. The search reads only AICc, a function of
-(RSS, tr S), so it scores each bandwidth with ``_local_scores``, an R-only QR
-of the stacked sqrt(w_i) [X | y] on a design built once per search. An
-adaptive bisquare weight is exactly 0 at and beyond the k-th neighbour, so
-those searches stack only the k+1 nearest rows of each focal location
-(``GwrDataset.neighbor_order``) in place of all n.
+The reported fit (``gwr_fit``), the LOO-CV score (``gwr_cv_score``) and both
+bandwidth-search criteria call that solver on the same design and the same
+rows, so the AICc the search minimizes is the AICc of the fit it picks, bit
+for bit. An adaptive bisquare weight is exactly 0 at and beyond the k-th
+neighbour, so those fits stack only the k+1 nearest rows of each focal
+location (``GwrDataset.neighbor_order``); every other kernel and bandwidth
+stacks all n rows.
 """
 
 from __future__ import annotations
@@ -52,8 +53,8 @@ from .geo import (
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
-# Focal locations per batched QR. A block stacks FOCAL_BLOCK * n * (p+1)
-# floats (12 MB at n=1000, p=5), and its Q factor as many again.
+# Focal locations per batched QR. A block stacks FOCAL_BLOCK * n * (p+2)
+# floats (14 MB at n=1000, p=5), and the QR works on a copy of it.
 FOCAL_BLOCK = 256
 
 
@@ -104,9 +105,6 @@ class GwrSpec:
     covariates: tuple
     kernel: KernelShape
     bandwidth: Bandwidth
-    response: str = "price"
-    log_response: bool = False
-    truncate_adaptive: bool = False
 
     def __post_init__(self):
         # An empty tuple is the intercept-only model.
@@ -145,8 +143,9 @@ def aicc_score(n: int, rss: float, hat_trace: float) -> float:
             + n * (n + hat_trace) / (n - 2.0 - hat_trace))
 
 
-def _design(data: GwrDataset, covariates, log_response: bool):
-    """Standardized design matrix with intercept, plus de-normalization info."""
+def _design(data: GwrDataset, covariates):
+    """Standardized design with intercept and the response as its last column,
+    [X | y], plus de-normalization info. Raises ValueError unless n > p+2."""
     cols = []
     means, scales = [], []
     for name in covariates:
@@ -159,17 +158,11 @@ def _design(data: GwrDataset, covariates, log_response: bool):
         cols.append((col - m) / s)
         means.append(m)
         scales.append(s)
-    x = np.column_stack([np.ones(data.n)] + cols)
-    y = np.asarray(data.response, dtype=float)
-    if log_response:
-        y = np.log(y)
-    return x, y, np.array(means), np.array(scales)
-
-
-def _require_overdetermined(x: np.ndarray) -> None:
-    n, p1 = x.shape
+    xy = np.column_stack([np.ones(data.n)] + cols + [data.response])
+    n, p1 = xy.shape[0], xy.shape[1] - 1
     if n <= p1 + 1:
         raise ValueError(f"need n > p+2, got n={n}, p={p1 - 1}")
+    return xy, np.array(means), np.array(scales)
 
 
 def _weight_matrix(dist: np.ndarray, spec: GwrSpec) -> np.ndarray:
@@ -177,10 +170,19 @@ def _weight_matrix(dist: np.ndarray, spec: GwrSpec) -> np.ndarray:
     bw = spec.bandwidth
     if not bw.is_adaptive:
         return kernel_weight(spec.kernel, dist, bw.value)
-    w, h = adaptive_weights(dist, spec.kernel, int(bw.value))
-    if spec.truncate_adaptive:
-        w = np.where(dist <= h[:, None], w, 0.0)
-    return w
+    return adaptive_weights(dist, spec.kernel, int(bw.value))[0]
+
+
+def _support_rows(data: GwrDataset, spec: GwrSpec) -> np.ndarray | None:
+    """The rows each focal location is solved over, or None for all n.
+
+    An adaptive bisquare weight is 0 wherever u >= 1, i.e. at and beyond the
+    k-th neighbour, so its k+1 nearest rows hold every nonzero weight.
+    """
+    bw = spec.bandwidth
+    if bw.is_adaptive and spec.kernel is KernelShape.BISQUARE:
+        return data.neighbor_order[:, :int(bw.value) + 1]
+    return None
 
 
 def _back_substitute(r: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -215,45 +217,22 @@ def _check_rank(r: np.ndarray, focal: np.ndarray) -> None:
         raise SingularFitError(int(focal[np.argmax(singular)]))
 
 
-def _local_fits(x: np.ndarray, y: np.ndarray, w: np.ndarray):
+def _local_fits(xy: np.ndarray, w: np.ndarray, rows: np.ndarray | None = None):
     """Weighted least squares at focal locations 0..m-1, where row i of the
     (m, n) array ``w`` holds the weights of focal location i.
 
-    Each local fit is a QR of sqrt(w_i) X. Row i of Q is sqrt(w_ii) x_i^T R^-1,
-    so its squared norm is the hat diagonal s_ii = w_ii x_i^T (X^T W_i X)^-1 x_i.
-    Returns (betas, hat_diag). Raises SingularFitError for the first focal
-    location whose local design is rank deficient.
-    """
-    m = w.shape[0]
-    betas = np.empty((m, x.shape[1]))
-    hat_diag = np.empty(m)
-    for start in range(0, m, FOCAL_BLOCK):
-        focal = np.arange(start, min(start + FOCAL_BLOCK, m))
-        sw = np.sqrt(w[focal])
-        q, r = np.linalg.qr(sw[:, :, None] * x)
-        _check_rank(r, focal)
-        qty = q.transpose(0, 2, 1) @ (sw * y)[:, :, None]
-        betas[focal] = _back_substitute(r, qty[:, :, 0])
-        own_q = q[np.arange(focal.size), focal]
-        hat_diag[focal] = np.einsum("ij,ij->i", own_q, own_q)
-    return betas, hat_diag
-
-
-def _local_scores(xy: np.ndarray, w: np.ndarray, rows: np.ndarray | None = None):
-    """(RSS, tr S) of the local fits at focal locations 0..m-1, without Q.
-
-    ``xy`` is the design with the response as its last column. Row i of the
-    (m, n) weights ``w`` belongs to focal location i. With ``rows`` (m, r),
-    focal location i is solved over the columns ``rows[i]`` alone, which must
-    hold every column where its weight is nonzero.
+    ``xy`` is the design with the response as its last column. With ``rows``
+    (m, r), focal location i is solved over the rows ``rows[i]`` alone, which
+    must hold every row where its weight is nonzero.
 
     An R-only QR of sqrt(w_i) [X | y] gives R of sqrt(w_i) X in its leading
     block and Q^T sqrt(w_i) y in its last column, so beta_i is one back
     substitution and s_ii = ||R^-T sqrt(w_ii) x_i||^2 one forward
-    substitution. Raises SingularFitError as ``_local_fits`` does.
+    substitution. Returns (betas, hat_diag). Raises SingularFitError for the
+    first focal location whose local design is rank deficient.
     """
     m, p1 = w.shape[0], xy.shape[1] - 1
-    residuals = np.empty(m)
+    betas = np.empty((m, p1))
     hat_diag = np.empty(m)
     for start in range(0, m, FOCAL_BLOCK):
         block = slice(start, min(start + FOCAL_BLOCK, m))
@@ -266,25 +245,44 @@ def _local_scores(xy: np.ndarray, w: np.ndarray, rows: np.ndarray | None = None)
         r = np.linalg.qr(stack, mode="r")
         rx = r[:, :p1, :p1]
         _check_rank(rx, focal)
-        betas = _back_substitute(rx, r[:, :p1, p1])
-        x_own = xy[block, :p1]
-        residuals[block] = xy[block, p1] - np.einsum("ij,ij->i", x_own, betas)
-        z = _forward_substitute_t(rx, np.sqrt(w[focal, focal])[:, None] * x_own)
+        betas[block] = _back_substitute(rx, r[:, :p1, p1])
+        z = _forward_substitute_t(rx, np.sqrt(w[focal, focal])[:, None] * xy[block, :p1])
         hat_diag[block] = np.einsum("ij,ij->i", z, z)
-    return float(residuals @ residuals), float(hat_diag.sum())
+    return betas, hat_diag
+
+
+def _residuals(xy: np.ndarray, betas: np.ndarray) -> np.ndarray:
+    """y_i - x_i . beta_i for each location i."""
+    return xy[:, -1] - np.einsum("ij,ij->i", xy[:, :-1], betas)
+
+
+def _loo_rss(xy: np.ndarray, w: np.ndarray, rows: np.ndarray | None) -> float:
+    """Leave-one-out RSS behind ``gwr_cv_score`` and the CV search. Zeroes the
+    diagonal of ``w`` in place, so that no focal location sees its own
+    observation, then solves over ``rows`` as ``_local_fits`` does."""
+    n, p1 = xy.shape[0], xy.shape[1] - 1
+    np.fill_diagonal(w, 0.0)
+    short = np.flatnonzero(np.count_nonzero(w, axis=1) < p1)
+    first_short = int(short[0]) if short.size else n
+    betas, _ = _local_fits(xy, w[:first_short],
+                           None if rows is None else rows[:first_short])
+    if first_short < n:
+        raise InsufficientSupportError(
+            f"location {first_short} has fewer than {p1} in-range neighbors after self-removal")
+    residuals = _residuals(xy, betas)
+    return float(residuals @ residuals)
 
 
 def gwr_fit(data: GwrDataset, spec: GwrSpec) -> GwrFit:
     """Fit a GWR model, one weighted regression per location."""
-    x, y, means, scales = _design(data, spec.covariates, spec.log_response)
-    _require_overdetermined(x)
-    n = x.shape[0]
+    xy, means, scales = _design(data, spec.covariates)
+    x, y = xy[:, :-1], xy[:, -1]
+    n = xy.shape[0]
     w = _weight_matrix(data.distances, spec)
 
-    betas, hat_diag = _local_fits(x, y, w)
+    betas, hat_diag = _local_fits(xy, w, _support_rows(data, spec))
 
-    fitted = np.einsum("ij,ij->i", x, betas)
-    residuals = y - fitted
+    residuals = _residuals(xy, betas)
     rss = float(residuals @ residuals)
     hat_trace = float(hat_diag.sum())
 
@@ -315,29 +313,14 @@ def gwr_fit(data: GwrDataset, spec: GwrSpec) -> GwrFit:
     )
 
 
-def gwr_aicc(fit: GwrFit) -> float:
-    """AICc of a fit (recomputed from its stored RSS and hat trace)."""
-    return aicc_score(fit.n, fit.rss, fit.hat_trace)
-
-
 def gwr_cv_score(data: GwrDataset, spec: GwrSpec) -> float:
     """Leave-one-out CV: each focal weight for its own observation forced to 0.
 
     Locations are checked in order: the first one that is singular or left
     with fewer than p+1 in-range neighbors raises.
     """
-    x, y, _, _ = _design(data, spec.covariates, spec.log_response)
-    n, p1 = x.shape
-    w = _weight_matrix(data.distances, spec)
-    np.fill_diagonal(w, 0.0)
-    short = np.flatnonzero(np.count_nonzero(w, axis=1) < p1)
-    first_short = int(short[0]) if short.size else n
-    betas, _ = _local_fits(x, y, w[:first_short])
-    if first_short < n:
-        raise InsufficientSupportError(
-            f"location {first_short} has fewer than {p1} in-range neighbors after self-removal")
-    residuals = y - np.einsum("ij,ij->i", x, betas)
-    return float(residuals @ residuals)
+    xy, _, _ = _design(data, spec.covariates)
+    return _loo_rss(xy, _weight_matrix(data.distances, spec), _support_rows(data, spec))
 
 
 @dataclass
@@ -347,35 +330,30 @@ class BandwidthSearchResult:
     evaluations: list = field(default_factory=list)  # (bandwidth value, score)
 
 
-def _criterion_fn(data: GwrDataset, covariates, kernel: KernelShape, criterion: str,
-                  log_response: bool):
+def _criterion_fn(data: GwrDataset, covariates, kernel: KernelShape, criterion: str):
     """The search objective: bandwidth -> AICc or LOO-CV, inf where infeasible.
 
-    AICc comes from ``_local_scores``, never from a ``GwrFit``. An adaptive
-    bisquare weight is 0 wherever u >= 1, i.e. at and beyond the k-th
-    neighbour, so those searches solve over the k+1 nearest rows only.
+    The design is built once per search. Each evaluation solves as
+    ``gwr_fit`` or ``gwr_cv_score`` would, on the same rows, so its score
+    equals that fit's ``aicc`` or that CV score bit for bit; no ``GwrFit`` is
+    built.
     """
     criterion = criterion.lower()
     if criterion not in ("aicc", "cv"):
         raise ValueError(f"unknown criterion {criterion!r}")
-    if criterion == "aicc":
-        x, y, _, _ = _design(data, covariates, log_response)
-        _require_overdetermined(x)
-        xy = np.column_stack([x, y])
+    xy, _, _ = _design(data, covariates)
 
     def score(spec: GwrSpec) -> float:
+        w = _weight_matrix(data.distances, spec)
+        rows = _support_rows(data, spec)
         if criterion == "cv":
-            return gwr_cv_score(data, spec)
-        bw = spec.bandwidth
-        rows = None
-        if bw.is_adaptive and kernel is KernelShape.BISQUARE:
-            rows = data.neighbor_order[:, :int(bw.value) + 1]
-        rss, hat_trace = _local_scores(xy, _weight_matrix(data.distances, spec), rows)
-        return aicc_score(data.n, rss, hat_trace)
+            return _loo_rss(xy, w, rows)
+        betas, hat_diag = _local_fits(xy, w, rows)
+        residuals = _residuals(xy, betas)
+        return aicc_score(data.n, float(residuals @ residuals), float(hat_diag.sum()))
 
     def evaluate(bw: Bandwidth) -> float:
-        spec = GwrSpec(covariates=tuple(covariates), kernel=kernel, bandwidth=bw,
-                       log_response=log_response)
+        spec = GwrSpec(covariates=tuple(covariates), kernel=kernel, bandwidth=bw)
         try:
             return score(spec)
         except (SingularFitError, InsufficientSupportError, OversaturatedModelError,
@@ -439,8 +417,7 @@ def _golden_continuous(objective, lo: float, hi: float, rel_tol: float = 1e-3):
 
 def optimize_bandwidth(data: GwrDataset, covariates, kernel: KernelShape,
                        criterion: str = "aicc", mode: str = "adaptive",
-                       exhaustive: bool = False,
-                       log_response: bool = False) -> BandwidthSearchResult:
+                       exhaustive: bool = False) -> BandwidthSearchResult:
     """Minimize AICc or LOO-CV over the bandwidth.
 
     Adaptive mode searches integer k in [p+2, n-1] (golden section with a
@@ -453,7 +430,7 @@ def optimize_bandwidth(data: GwrDataset, covariates, kernel: KernelShape,
         lo, hi = p1 + 1, n - 1
         if lo > hi:
             raise NoFeasibleBandwidthError(f"no feasible k in [{lo}, {hi}]")
-        obj = _criterion_fn(data, covariates, kernel, criterion, log_response)
+        obj = _criterion_fn(data, covariates, kernel, criterion)
 
         def at_k(k):
             return obj(Bandwidth.adaptive_knn(k))
@@ -474,7 +451,7 @@ def optimize_bandwidth(data: GwrDataset, covariates, kernel: KernelShape,
         if positive.size == 0:
             raise NoFeasibleBandwidthError("all pairwise distances are zero")
         lo, hi = float(positive.min()), float(dist.max())
-        obj = _criterion_fn(data, covariates, kernel, criterion, log_response)
+        obj = _criterion_fn(data, covariates, kernel, criterion)
 
         def at_d(d):
             return obj(Bandwidth.fixed_distance(d))
@@ -537,8 +514,7 @@ def _subsets(names):
 
 
 def enumerate_models(data: GwrDataset, all_covariates, kernels=None,
-                     criterion: str = "aicc", mode: str = "adaptive",
-                     log_response: bool = False) -> ModelSelectionReport:
+                     criterion: str = "aicc", mode: str = "adaptive") -> ModelSelectionReport:
     """Exhaustive model search: every non-empty covariate subset x every kernel,
     each with its own optimized bandwidth. Configurations that fail with a
     package error or a LinAlgError are recorded and excluded from the ranking;
@@ -549,9 +525,8 @@ def enumerate_models(data: GwrDataset, all_covariates, kernels=None,
         for kernel in kernels:
             try:
                 search = optimize_bandwidth(data, subset, kernel, criterion=criterion,
-                                            mode=mode, log_response=log_response)
-                spec = GwrSpec(covariates=subset, kernel=kernel,
-                               bandwidth=search.bandwidth, log_response=log_response)
+                                            mode=mode)
+                spec = GwrSpec(covariates=subset, kernel=kernel, bandwidth=search.bandwidth)
                 fit = gwr_fit(data, spec)
                 cv_score = search.score if criterion.lower() == "cv" else None
                 entries.append(ModelEntry(subset, kernel, search.bandwidth,

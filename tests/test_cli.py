@@ -263,6 +263,19 @@ class TestGwrModes:
         assert float(row["median_km"]) > 0
         assert int(row["k"]) >= 1
 
+    def test_cv_criterion_run(self, chain_dir, tmp_path):
+        data = chain_dir.parent / "data"
+        out = tmp_path / "gwr"
+        assert run("gwr", "--out", str(out),
+                   "--store", str(chain_dir / "store.psv"),
+                   "--stations", str(data / "stations.csv"),
+                   "--covariates", str(data / "covariates.csv"),
+                   "--criterion", "cv") == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert "gwr_fit.csv" in manifest["artifacts"]
+        for name, digest in manifest["artifacts"].items():
+            assert cli._sha256(out / name) == digest, name
+
     def test_enumerate_bisquare_byte_identical(self, chain_dir, tmp_path):
         data = chain_dir.parent / "data"
         outs = [tmp_path / "a", tmp_path / "b"]

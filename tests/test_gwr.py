@@ -21,7 +21,6 @@ from fuelspatial.gwr import (
     _weight_matrix,
     aicc_score,
     enumerate_models,
-    gwr_aicc,
     gwr_cv_score,
     gwr_fit,
     nearest_neighbor_scale,
@@ -154,7 +153,8 @@ class TestGwrFit:
 def _lstsq_local_fits(data, spec):
     """Oracle: one least-squares solve per focal location. The hat diagonal
     s_ii is x_i . (sqrt(W_i) X)^+ sqrt(w_ii) e_i."""
-    x, y, _, _ = _design(data, spec.covariates, spec.log_response)
+    xy, _, _ = _design(data, spec.covariates)
+    x, y = xy[:, :-1], xy[:, -1]
     w = _weight_matrix(data.distances, spec)
     betas, hat_trace = np.empty_like(x), 0.0
     for i in range(data.n):
@@ -189,15 +189,13 @@ STEP_10KM = GwrSpec(("x",), KernelShape.STEP, Bandwidth.fixed_distance(10.0))
 
 class TestBatchedLocalFits:
     @pytest.mark.parametrize("kernel", list(KernelShape))
-    @pytest.mark.parametrize("bandwidth, truncate", [
-        (Bandwidth.fixed_distance(1200.0), False),
-        (Bandwidth.adaptive_knn(15), False),
-        (Bandwidth.adaptive_knn(15), True),
+    @pytest.mark.parametrize("bandwidth", [
+        Bandwidth.fixed_distance(1200.0),
+        Bandwidth.adaptive_knn(15),
     ])
-    def test_matches_lstsq_oracle(self, kernel, bandwidth, truncate):
+    def test_matches_lstsq_oracle(self, kernel, bandwidth):
         data = make_random_gwr_dataset(23, n=40, p=2)
-        spec = GwrSpec(tuple(data.covariates), kernel, bandwidth,
-                       truncate_adaptive=truncate)
+        spec = GwrSpec(tuple(data.covariates), kernel, bandwidth)
         fit = gwr_fit(data, spec)
         betas, hat_trace = _lstsq_local_fits(data, spec)
         assert np.max(np.abs(fit.local_coefficients - betas)) < 1e-10
@@ -240,9 +238,11 @@ class TestBatchedLocalFits:
 
 
 def _scores(data, spec, rows=None):
-    x, y, _, _ = _design(data, spec.covariates, spec.log_response)
-    w = _weight_matrix(data.distances, spec)
-    return gwr._local_scores(np.column_stack([x, y]), w, rows)
+    """(RSS, tr S) of the local fits, solved over ``rows`` (default: all)."""
+    xy, _, _ = _design(data, spec.covariates)
+    betas, hat_diag = gwr._local_fits(xy, _weight_matrix(data.distances, spec), rows)
+    residuals = xy[:, -1] - np.einsum("ij,ij->i", xy[:, :-1], betas)
+    return float(residuals @ residuals), float(hat_diag.sum())
 
 
 def _lattice_with_duplicates():
@@ -263,15 +263,13 @@ CAUGHT = (SingularFitError, InsufficientSupportError, OversaturatedModelError,
 
 class TestSearchScorer:
     @pytest.mark.parametrize("kernel", list(KernelShape))
-    @pytest.mark.parametrize("bandwidth, truncate", [
-        (Bandwidth.fixed_distance(1200.0), False),
-        (Bandwidth.adaptive_knn(15), False),
-        (Bandwidth.adaptive_knn(15), True),
+    @pytest.mark.parametrize("bandwidth", [
+        Bandwidth.fixed_distance(1200.0),
+        Bandwidth.adaptive_knn(15),
     ])
-    def test_matches_fit(self, kernel, bandwidth, truncate):
+    def test_matches_fit(self, kernel, bandwidth):
         data = make_random_gwr_dataset(23, n=40, p=2)
-        spec = GwrSpec(tuple(data.covariates), kernel, bandwidth,
-                       truncate_adaptive=truncate)
+        spec = GwrSpec(tuple(data.covariates), kernel, bandwidth)
         fit = gwr_fit(data, spec)
         rss, hat_trace = _scores(data, spec)
         assert rss == pytest.approx(fit.rss, rel=1e-12)
@@ -343,11 +341,26 @@ class TestSearchScorer:
                 expected = gwr_fit(data, GwrSpec(covs, kernel, bw)).aicc
             except CAUGHT:
                 expected = float("inf")
-            assert score == pytest.approx(expected, rel=1e-12), value
+            assert score == expected, value
+
+    @pytest.mark.parametrize("kernel", list(KernelShape))
+    @pytest.mark.parametrize("mode", ["adaptive", "fixed"])
+    def test_cv_search_scores_equal_cv_score(self, kernel, mode):
+        data = make_model_selection_dataset(101, n=40)
+        covs = ("income", "wage_per_job", "jobs")
+        res = optimize_bandwidth(data, covs, kernel, criterion="cv", mode=mode)
+        for value, score in res.evaluations:
+            bw = (Bandwidth.adaptive_knn(value) if mode == "adaptive"
+                  else Bandwidth.fixed_distance(value))
+            try:
+                expected = gwr_cv_score(data, GwrSpec(covs, kernel, bw))
+            except CAUGHT:
+                expected = float("inf")
+            assert score == expected, value
 
     def test_infeasible_bandwidth_scores_inf(self):
         data = _clustered_dataset(isolated=3, constant=5)
-        evaluate = gwr._criterion_fn(data, ("x",), KernelShape.STEP, "aicc", False)
+        evaluate = gwr._criterion_fn(data, ("x",), KernelShape.STEP, "aicc")
         with pytest.raises(SingularFitError):
             gwr_fit(data, STEP_10KM)
         assert evaluate(STEP_10KM.bandwidth) == float("inf")
@@ -364,11 +377,12 @@ class TestSearchScorer:
         enumerate_models(data, ["income"], [KernelShape.BISQUARE])
         assert len(calls) == 1
 
-    def test_small_n_raises_value_error(self):
+    @pytest.mark.parametrize("criterion", ["aicc", "cv"])
+    def test_small_n_raises_value_error(self, criterion):
         data = make_random_gwr_dataset(27, n=4, p=2)
         with pytest.raises(ValueError, match="need n > p"):
             optimize_bandwidth(data, list(data.covariates), KernelShape.GAUSSIAN,
-                               mode="fixed")
+                               criterion=criterion, mode="fixed")
 
     def test_unknown_covariate_raises(self):
         data = make_random_gwr_dataset(28, n=30, p=1)
@@ -379,7 +393,7 @@ class TestSearchScorer:
     @pytest.mark.parametrize("kernel", [KernelShape.GAUSSIAN, KernelShape.BISQUARE])
     def test_invalid_bandwidth_raises(self, kernel):
         data = make_random_gwr_dataset(29, n=30, p=1)
-        evaluate = gwr._criterion_fn(data, ("x0",), kernel, "aicc", False)
+        evaluate = gwr._criterion_fn(data, ("x0",), kernel, "aicc")
         with pytest.raises(InvalidBandwidthError):
             evaluate(Bandwidth.adaptive_knn(data.n))
 
@@ -393,7 +407,6 @@ class TestAicc:
         sigma = math.sqrt(rss / n)
         expected = (2 * n * math.log(sigma) + n * math.log(2 * math.pi)
                     + n * (n + tr) / (n - 2 - tr))
-        assert gwr_aicc(fit) == pytest.approx(expected, abs=1e-9)
         assert fit.aicc == pytest.approx(expected, abs=1e-9)
 
     def test_ols_limit_known_trace(self):
@@ -435,13 +448,18 @@ class TestCvScore:
                                            Bandwidth.adaptive_knn(8)))
         assert score < 1e-10
 
-    def test_matches_naive_loo_oracle(self):
+    @pytest.mark.parametrize("kernel, bandwidth", [
+        (KernelShape.GAUSSIAN, Bandwidth.adaptive_knn(10)),
+        (KernelShape.BISQUARE, Bandwidth.adaptive_knn(10)),
+        (KernelShape.BISQUARE, Bandwidth.fixed_distance(1200.0)),
+    ])
+    def test_matches_naive_loo_oracle(self, kernel, bandwidth):
         data = make_random_gwr_dataset(11, n=25, p=2)
-        spec = GwrSpec(tuple(data.covariates), KernelShape.GAUSSIAN,
-                       Bandwidth.adaptive_knn(10))
+        spec = GwrSpec(tuple(data.covariates), kernel, bandwidth)
         score = gwr_cv_score(data, spec)
         # oracle: refit each location from scratch with the self weight zeroed
-        x, y, _, _ = _design(data, spec.covariates, spec.log_response)
+        xy, _, _ = _design(data, spec.covariates)
+        x, y = xy[:, :-1], xy[:, -1]
         w = _weight_matrix(data.distances, spec)
         oracle = 0.0
         for i in range(data.n):
@@ -451,6 +469,12 @@ class TestCvScore:
             beta, *_ = np.linalg.lstsq(xm, np.sqrt(wi) * y, rcond=None)
             oracle += (y[i] - x[i] @ beta) ** 2
         assert score == pytest.approx(oracle, abs=1e-9)
+
+    def test_small_n_raises_value_error(self):
+        data = make_random_gwr_dataset(27, n=4, p=2)
+        with pytest.raises(ValueError, match="need n > p"):
+            gwr_cv_score(data, GwrSpec(tuple(data.covariates), KernelShape.GAUSSIAN,
+                                       Bandwidth.fixed_distance(1000.0)))
 
     def test_step_insufficient_support(self):
         data = make_random_gwr_dataset(12, n=30, p=2)
@@ -522,8 +546,8 @@ class TestEnumerateModels:
 
     def test_cv_entries_hold_search_score(self):
         data = make_random_gwr_dataset(30, n=30, p=2)
-        report = enumerate_models(data, list(data.covariates), [KernelShape.GAUSSIAN],
-                                  criterion="cv")
+        report = enumerate_models(data, list(data.covariates),
+                                  [KernelShape.GAUSSIAN, KernelShape.BISQUARE], criterion="cv")
         for e in report.entries:
             spec = GwrSpec(e.covariates, e.kernel, e.bandwidth)
             assert e.cv_score == gwr_cv_score(data, spec)
