@@ -24,7 +24,7 @@ from . import ingest as ing
 from . import spatial_stats as stats
 from . import synth
 from .errors import FuelSpatialError
-from .geo import Bandwidth, GeoPoint, KernelShape
+from .geo import Bandwidth, KernelShape
 from .groups import run_means, run_starts
 
 DEFAULTS = {
@@ -130,12 +130,12 @@ def _load_panel(cfg: RunConfig, command: str):
     store_path = cfg.path("store", must_exist=True)
     stations = ing.load_station_registry(cfg.path("stations", must_exist=True))
     fuel = cfg.get("fuel")
-    records = ing.read_store_columns(store_path)
-    records = records.take(records.filter_mask(None if fuel == "all" else fuel))
+    records = ing.filter_observations(ing.read_store(store_path),
+                                      None if fuel == "all" else fuel)
     # Store line order depends on worker interleaving; sort for reproducible
     # float accumulation downstream.
     records = records.take(records.sort_order())
-    panel, orphan = records.station_days(stations)
+    panel, orphan = ing.aggregate_daily(records, stations)
     if orphan.any():
         print(f"{command}: dropping {int(orphan.sum())} records of "
               f"{np.unique(records.station[orphan]).size} station ids missing from "
@@ -152,7 +152,7 @@ def _group_codes(panel, stations) -> dict:
 
 def _complete_counties(cfg: RunConfig, panel, stations) -> list:
     table = ing.load_covariate_table(cfg.path("covariates", must_exist=True))
-    return [a for a in ing.county_means(panel, stations, table) if not a.incomplete]
+    return [a for a in ing.aggregate_county(panel, stations, table) if not a.incomplete]
 
 
 def _county_dataset(cfg: RunConfig):
@@ -259,11 +259,8 @@ def cmd_moran(cfg: RunConfig) -> int:
     county, day = county[order], panel.day[order]
     starts = run_starts(county, day)
     means = run_means(panel.price[order], starts)
-    locations = {}
-    for f in fips:
-        cov = table.get(f)
-        if cov is not None and "lat" in cov:
-            locations[f] = GeoPoint(cov["lat"], cov["lon"])
+    points = {f: ing.county_point(table.get(f)) for f in fips}
+    locations = {f: p for f, p in points.items() if p is not None}
     dates = {d: dt.date.fromordinal(d) for d in np.unique(panel.day).tolist()}
     observations = [(fips[c], dates[d], m) for c, d, m in
                     zip(county[starts].tolist(), day[starts].tolist(), means.tolist())
@@ -273,7 +270,8 @@ def cmd_moran(cfg: RunConfig) -> int:
     sweep = stats.moran_sweep(observations, locations, cfg.get("window"), d0_grid)
     sweep.to_csv(out / "moran_sweep.csv")
     write_manifest(cfg, out, [out / "moran_sweep.csv"])
-    print(f"moran: {len(sweep.rows)} (window, d0) cells, {len(sweep.skipped)} skipped")
+    print(f"moran: {len(sweep.rows)} (window, d0) cells, {len(sweep.skipped)} skipped, "
+          f"{len(fips) - len(locations)} counties left out without coordinates")
     return 0
 
 

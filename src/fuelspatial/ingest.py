@@ -179,13 +179,6 @@ def _store_text(path: Path) -> str:
     return data[:end].decode()
 
 
-def read_store(path) -> list[PriceObservation]:
-    """The observations on a store file's LF-terminated lines, read once; a
-    torn final line is ignored and an absent file holds none."""
-    obs, _ = parse_price_record(_store_text(Path(path)), str(path))
-    return obs
-
-
 def _codes(labels) -> tuple[list, np.ndarray]:
     """The sorted distinct labels and each label's index among them, so that
     code order is label order."""
@@ -224,25 +217,13 @@ class ObservationColumns:
                                   self.day[rows], self.fuel[rows], self.mode[rows],
                                   self.price[rows])
 
-    def filter_mask(self, fuel_type: str | None = "Regular") -> np.ndarray:
-        """The rows ``filter_observations`` keeps."""
-        keep = self.mode == _MODE_CODE["Credit"]
-        if fuel_type is not None:
-            keep &= self.fuel == _FUEL_CODE.get(fuel_type, -1)
-        return keep
-
     def sort_order(self) -> np.ndarray:
         """Row order by station id, timestamp, fuel type and payment mode,
         ties in row order."""
         return np.lexsort((self.mode, self.fuel, self.time_rank, self.station))
 
-    def station_days(self, stations: dict) -> tuple["StationDayColumns", np.ndarray]:
-        """``aggregate_daily`` on columns: the panel and the mask of rows
-        whose station is missing from the registry."""
-        return _station_days(self.station_ids, self.station, self.day, self.price, stations)
 
-
-def read_store_columns(path) -> ObservationColumns:
+def read_store(path) -> ObservationColumns:
     """The records on a store file's LF-terminated lines as columns, under
     ``parse_price_record``'s rules: a malformed line raises its
     ``ParseError``, and a record it would quarantine is dropped. A torn final
@@ -329,7 +310,7 @@ class ObservationStore:
     def __len__(self) -> int:
         return len(self._seen)
 
-    def load(self) -> list[PriceObservation]:
+    def load(self) -> ObservationColumns:
         return read_store(self.path)
 
 
@@ -510,20 +491,13 @@ def run_collection(plan: CollectionPlan, source, pool: ProxyPool,
 # ---------------------------------------------------------------------------
 # Filtering and aggregation
 
-def filter_observations(obs, fuel_type: str | None = "Regular"):
-    """Keep credit-card observations, optionally restricted to one fuel type."""
-    out = [o for o in obs if o.payment_mode == "Credit"]
+def filter_observations(records: ObservationColumns,
+                        fuel_type: str | None = "Regular") -> ObservationColumns:
+    """Keep credit-card rows, optionally restricted to one fuel type."""
+    keep = records.mode == _MODE_CODE["Credit"]
     if fuel_type is not None:
-        out = [o for o in out if o.fuel_type == fuel_type]
-    return out
-
-
-@dataclass(frozen=True)
-class StationDay:
-    station_id: str
-    day: dt.date
-    price: float
-    n_prices: int
+        keep &= records.fuel == _FUEL_CODE.get(fuel_type, -1)
+    return records.take(keep)
 
 
 @dataclass(frozen=True)
@@ -547,9 +521,12 @@ class StationDayColumns:
         return labels, of_station[self.station]
 
 
-def _station_days(station_ids, station, day, price, stations):
-    """Station-day means of prices taken in row order within each cell, and
-    the mask of rows whose station is missing from the registry."""
+def aggregate_daily(records: ObservationColumns,
+                    stations: dict) -> tuple[StationDayColumns, np.ndarray]:
+    """Station-day panel: the mean of each station's prices within a day,
+    taken in row order within each cell, and the mask of rows whose station
+    is missing from the registry (those rows are skipped)."""
+    station_ids, station, day = records.station_ids, records.station, records.day
     registered = np.array([s in stations for s in station_ids], dtype=bool)
     orphan = ~registered[station]
     known = np.flatnonzero(~orphan)
@@ -559,108 +536,63 @@ def _station_days(station_ids, station, day, price, stations):
     starts = run_starts(cell_station, cell_day)
     panel = StationDayColumns(
         [s for s, ok in zip(station_ids, registered) if ok],
-        cell_station[starts], cell_day[starts], run_means(price[order], starts),
+        cell_station[starts], cell_day[starts], run_means(records.price[order], starts),
         np.diff(np.append(starts, order.size)))
     return panel, orphan
-
-
-def aggregate_daily(obs, stations: dict):
-    """Station-day panel: the mean of each station's prices within a day.
-
-    Returns (rows, orphans); observations whose station_id is missing from the
-    registry are skipped and reported.
-    """
-    obs = list(obs)
-    station_ids, station = _codes([o.station_id for o in obs])
-    panel, orphan = _station_days(
-        station_ids, station,
-        np.array([o.timestamp.toordinal() for o in obs], dtype=np.int64),
-        np.array([o.price for o in obs], dtype=float), stations)
-    rows = [StationDay(panel.station_ids[s], dt.date.fromordinal(d), p, n)
-            for s, d, p, n in zip(panel.station.tolist(), panel.day.tolist(),
-                                  panel.price.tolist(), panel.n_prices.tolist())]
-    return rows, [o.station_id for o, lost in zip(obs, orphan.tolist()) if lost]
 
 
 @dataclass
 class CountyAggregate:
     county_fips: str
-    period: tuple
     mean_price: float
     n_observations: int
-    n_stations: int
     point: GeoPoint
     covariates: dict | None = None
     incomplete: bool = False
 
 
-def county_means(panel: StationDayColumns, stations: dict, covariate_table: dict,
-                 period: tuple | None = None, station_means: bool = False) -> list:
-    """``aggregate_county`` on a columnar panel; each county's rows are
-    averaged in panel order."""
-    rows = np.arange(panel.day.size)
-    if period is not None:
-        rows = rows[(period[0].toordinal() <= panel.day)
-                    & (panel.day <= period[1].toordinal())]
-    fips, county = panel.station_codes(stations, "county_fips")
-    rows = rows[np.argsort(county[rows], kind="stable")]
-    county, station, day, price = (county[rows], panel.station[rows], panel.day[rows],
-                                   panel.price[rows])
-    starts = run_starts(county)
-    # (county, station) groups; ``seen`` puts them in order of first appearance.
-    by_station = np.lexsort((station, county))
-    groups = run_starts(county[by_station], station[by_station])
-    seen = np.argsort(by_station[groups])
-    station_starts = run_starts(county[by_station[groups][seen]])
-    n_stations = np.diff(np.append(station_starts, groups.size))
-    if station_means:
-        mean_price = run_means(run_means(price[by_station], groups)[seen], station_starts)
-    else:
-        mean_price = run_means(price, starts)
+def county_point(cov: dict | None) -> GeoPoint | None:
+    """A county's location from its covariate row: only a row with both
+    ``lat`` and ``lon`` has one."""
+    if cov is not None and "lat" in cov and "lon" in cov:
+        return GeoPoint(cov["lat"], cov["lon"])
+    return None
 
-    out = []
+
+def aggregate_county(panel: StationDayColumns, stations: dict,
+                     covariate_table: dict) -> list:
+    """County mean prices with covariates joined by FIPS; every station-day
+    row weighs equally and each county's rows are averaged in panel order.
+
+    A county without coordinates in its covariate row sits at the mean of its
+    stations' points (in id order). Counties with no covariate row are
+    flagged incomplete (kept for maps, excluded from regressions).
+    """
+    fips, county = panel.station_codes(stations, "county_fips")
+    rows = np.argsort(county, kind="stable")
+    county, station = county[rows], panel.station[rows]
+    starts = run_starts(county)
     ends = np.append(starts[1:], county.size)
-    for i, (start, stop) in enumerate(zip(starts.tolist(), ends.tolist())):
+    out = []
+    for start, stop, mean_price in zip(starts.tolist(), ends.tolist(),
+                                       run_means(panel.price[rows], starts).tolist()):
         code = int(county[start])
         cov = covariate_table.get(fips[code])
-        if cov is not None and "lat" in cov and "lon" in cov:
-            point = GeoPoint(cov["lat"], cov["lon"])
-        else:
+        point = county_point(cov)
+        if point is None:
             pts = [stations[panel.station_ids[s]].point
                    for s in np.unique(station[start:stop]).tolist()]
             point = GeoPoint(float(np.mean([p.lat for p in pts])),
                              float(np.mean([p.lon for p in pts])))
-        days = day[start:stop]
         out.append(CountyAggregate(
             county_fips=fips[code],
-            period=period or (dt.date.fromordinal(int(days.min())),
-                              dt.date.fromordinal(int(days.max()))),
-            mean_price=float(mean_price[i]),
+            mean_price=mean_price,
             n_observations=stop - start,
-            n_stations=int(n_stations[i]),
             point=point,
             covariates=cov,
             incomplete=cov is None,
         ))
     return out
-
-
-def aggregate_county(panel, stations: dict, covariate_table: dict,
-                     period: tuple | None = None,
-                     station_means: bool = False) -> list:
-    """County mean prices over a period with covariates joined by FIPS.
-
-    Every station-day row weighs equally by default; ``station_means``
-    switches to the mean of per-station means. Counties with no covariate row
-    are flagged incomplete (kept for maps, excluded from regressions).
-    """
-    rows = [r for r in panel if r.station_id in stations]
-    station_ids, station = _codes([r.station_id for r in rows])
-    columns = StationDayColumns(
-        station_ids, station, np.array([r.day.toordinal() for r in rows], dtype=np.int64),
-        np.array([r.price for r in rows], dtype=float),
-        np.array([r.n_prices for r in rows], dtype=np.int64))
-    return county_means(columns, stations, covariate_table, period, station_means)
 
 
 def descriptive_stats(values) -> dict:

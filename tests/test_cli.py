@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from fuelspatial import cli
+from fuelspatial import ingest as ing
 from fuelspatial.errors import FuelSpatialError
 from fuelspatial.geo import Bandwidth, GeoPoint, KernelShape, build_weights
 from fuelspatial.ingest import ObservationStore, filter_observations, read_store
@@ -135,7 +136,7 @@ class TestChainArtifacts:
         truth = json.loads((chain_dir.parent / "data" / "synth_truth.json").read_text())
         reopened = ObservationStore(store)
         assert reopened.torn_bytes == 0
-        assert len(reopened.load()) == len(reopened) == truth["unique_records"]
+        assert reopened.load().price.size == len(reopened) == truth["unique_records"]
 
     def test_fe_variance_nested_groupings_monotone(self, chain_dir):
         with open(chain_dir / "fe_variance.csv", newline="") as fh:
@@ -165,11 +166,11 @@ class TestChainArtifacts:
         assert "missing artifacts" in (tmp_path / "summary.txt").read_text()
 
 
-def _inputs(chain_dir, out, store=None, stations=None):
+def _inputs(chain_dir, out, store=None, stations=None, covariates=None):
     data = chain_dir.parent / "data"
     return ["--out", str(out), "--store", str(store or chain_dir / "store.psv"),
             "--stations", str(stations or data / "stations.csv"),
-            "--covariates", str(data / "covariates.csv")]
+            "--covariates", str(covariates or data / "covariates.csv")]
 
 
 class TestStoreInput:
@@ -179,8 +180,8 @@ class TestStoreInput:
         removed = lines.pop(1).split(",")[0]
         registry = tmp_path / "stations.csv"
         registry.write_text("\n".join(lines) + "\n")
-        dropped = sum(o.station_id == removed
-                      for o in filter_observations(read_store(chain_dir / "store.psv")))
+        records = filter_observations(read_store(chain_dir / "store.psv"))
+        dropped = int(np.sum(records.station == records.station_ids.index(removed)))
         assert dropped > 0
         assert run(command, *_inputs(chain_dir, tmp_path / "out", stations=registry)) == 0
         out = capsys.readouterr().out
@@ -198,6 +199,47 @@ class TestStoreInput:
         assert run("stats", *_inputs(chain_dir, tmp_path / "out", store=store)) == 1
         err = capsys.readouterr().err
         assert f"bad field in line {bad!r}" in err and str(store) in err
+
+    @pytest.mark.parametrize("command", ["stats", "moran", "gwr", "fe"])
+    def test_reads_through_the_public_names(self, chain_dir, tmp_path, monkeypatch,
+                                            command):
+        calls = {}
+
+        def counted(name):
+            inner = getattr(ing, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] = calls.get(name, 0) + 1
+                return inner(*args, **kwargs)
+            return wrapper
+
+        names = ["read_store", "filter_observations", "aggregate_daily", "aggregate_county"]
+        for name in names:
+            monkeypatch.setattr(ing, name, counted(name))
+        assert run(command, *_inputs(chain_dir, tmp_path / "out")) == 0
+        county = 1 if command in ("gwr", "fe") else 0
+        assert [calls.get(name, 0) for name in names] == [1, 1, 1, county]
+
+    def test_moran_leaves_out_a_county_without_longitude(self, chain_dir, tmp_path, capsys):
+        data = chain_dir.parent / "data"
+        with open(data / "stations.csv", newline="") as fh:
+            station_counties = {row["county_fips"] for row in csv.DictReader(fh)}
+        with open(data / "covariates.csv", newline="") as fh:
+            reader = csv.DictReader(fh)
+            fields, rows = reader.fieldnames, list(reader)
+        target = next(r for r in rows if r["county_fips"] in station_counties)
+        target["lon"] = ""
+        covariates = tmp_path / "covariates.csv"
+        with open(covariates, "w", newline="") as fh:
+            wr = csv.DictWriter(fh, fields, lineterminator="\n")
+            wr.writeheader()
+            wr.writerows(rows)
+        argv = _inputs(chain_dir, tmp_path / "out", covariates=covariates)
+        assert run("moran", *argv) == 0
+        assert "1 counties left out without coordinates" in capsys.readouterr().out
+        with open(tmp_path / "out" / "moran_sweep.csv", newline="") as fh:
+            assert list(csv.DictReader(fh))
+        assert run("gwr", *argv) == 0
 
     def test_empty_store_has_no_observations(self, chain_dir, tmp_path, capsys):
         store = tmp_path / "store.psv"

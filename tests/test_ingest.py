@@ -1,6 +1,7 @@
 import datetime as dt
 import threading
 import time
+from collections import namedtuple
 
 import numpy as np
 import pytest
@@ -24,25 +25,74 @@ from fuelspatial.ingest import (
     ProxyEndpoint,
     ProxyPool,
     Station,
-    StationDay,
     StationDayColumns,
     aggregate_county,
     aggregate_daily,
-    county_means,
+    county_point,
     descriptive_stats,
     filter_observations,
     load_covariate_table,
     load_station_registry,
     parse_price_record,
     read_store,
-    read_store_columns,
     run_collection,
 )
 from fuelspatial.synth import make_mock_corpus
 
+# A station-day cell, as the per-record oracles below build them.
+Cell = namedtuple("Cell", "station_id day price n_prices")
+
 
 def obs(station="st1", day=10, hour=12, fuel="Regular", mode="Credit", price=2.3):
     return PriceObservation(station, dt.datetime(2017, 1, day, hour), fuel, mode, price)
+
+
+def _columns(path, records):
+    """``read_store`` of a store file holding the records' lines in order."""
+    path.write_text("".join(o.to_line() + "\n" for o in records))
+    return read_store(path)
+
+
+def _rows(cols):
+    """The columns' rows as (station id, time rank, day ordinal, fuel, mode,
+    price)."""
+    fuels, modes = sorted(FUEL_TYPES), sorted(PAYMENT_MODES)
+    return list(zip([cols.station_ids[s] for s in cols.station.tolist()],
+                    cols.time_rank.tolist(), cols.day.tolist(),
+                    [fuels[f] for f in cols.fuel.tolist()],
+                    [modes[m] for m in cols.mode.tolist()], cols.price.tolist()))
+
+
+def _record_rows(records):
+    """The same rows of records, ranking their distinct timestamps."""
+    rank = {ts: i for i, ts in enumerate(sorted({o.timestamp for o in records}))}
+    return [(o.station_id, rank[o.timestamp], o.timestamp.toordinal(), o.fuel_type,
+             o.payment_mode, o.price) for o in records]
+
+
+def _parsed(path):
+    """``parse_price_record``'s records of a store file's complete lines."""
+    text = path.read_bytes().decode()
+    return parse_price_record(text[:text.rfind("\n") + 1], str(path))[0]
+
+
+def _cells(panel):
+    """The station-day panel's rows as cells."""
+    return [Cell(panel.station_ids[s], dt.date.fromordinal(d), p, n)
+            for s, d, p, n in zip(panel.station.tolist(), panel.day.tolist(),
+                                  panel.price.tolist(), panel.n_prices.tolist())]
+
+
+def _panel(cells, stations):
+    """The registered stations' cells as a station-day panel, in the given
+    order."""
+    cells = [c for c in cells if c.station_id in stations]
+    ids = sorted({c.station_id for c in cells})
+    return StationDayColumns(
+        ids, np.array([ids.index(c.station_id) for c in cells], dtype=np.intp),
+        np.array([c.day.toordinal() for c in cells], dtype=np.int64),
+        np.array([c.price for c in cells], dtype=float),
+        np.array([c.n_prices for c in cells], dtype=np.int64))
 
 
 class TestProxyPool:
@@ -131,9 +181,7 @@ class TestStore:
         store = ObservationStore(tmp_path / "s.psv")
         assert store.add(obs(price=2.0))
         assert not store.add(obs(price=9.0))  # same key, different price
-        loaded = store.load()
-        assert len(loaded) == 1
-        assert loaded[0].price == 2.0
+        assert _rows(store.load()) == _record_rows([obs(price=2.0)])
 
     def test_persistent_index(self, tmp_path):
         store = ObservationStore(tmp_path / "s.psv")
@@ -148,7 +196,8 @@ class TestStore:
         assert store.add(obs(price=2.0), obs(hour=13), obs(price=9.0)) == 2
         assert store.add(obs(hour=13), obs(hour=14)) == 1
         assert store.add() == 0
-        assert [o.price for o in store.load()] == [2.0, 2.3, 2.3]
+        assert _rows(store.load()) == _record_rows([obs(price=2.0), obs(hour=13),
+                                                    obs(hour=14)])
         assert len(store) == 3
 
     def test_torn_tail_ignored_then_cut(self, tmp_path):
@@ -159,7 +208,7 @@ class TestStore:
         store = ObservationStore(path)
         assert store.torn_bytes == len(tail)
         assert len(store) == 2
-        assert [o.timestamp.hour for o in store.load()] == [12, 13]
+        assert _rows(store.load()) == _record_rows([obs(), obs(hour=13)])
         assert store.add(obs(hour=13), obs(hour=15)) == 1
         assert path.read_text() == complete + obs(hour=15).to_line() + "\n"
         assert ObservationStore(path).torn_bytes == 0
@@ -168,10 +217,9 @@ class TestStore:
         path = tmp_path / "s.psv"
         path.write_text(obs().to_line() + "\n" + obs(hour=13).to_line() + "\n"
                         + obs(hour=14).to_line()[:17])
-        loaded = read_store(path)
-        assert loaded == ObservationStore(path).load()
-        assert [o.timestamp.hour for o in loaded] == [12, 13]
-        assert read_store(tmp_path / "absent.psv") == []
+        assert _rows(read_store(path)) == _rows(ObservationStore(path).load()) \
+            == _record_rows([obs(), obs(hour=13)])
+        assert read_store(tmp_path / "absent.psv").price.size == 0
 
     def test_failed_write_is_undone_by_next_add(self, tmp_path, monkeypatch):
         class TornFile:
@@ -201,7 +249,7 @@ class TestStore:
         assert store.add(obs(hour=14)) == 1
         lines = (tmp_path / "s.psv").read_text().split("\n")
         assert lines == [obs().to_line(), obs(hour=14).to_line(), ""]
-        assert [o.timestamp.hour for o in store.load()] == [12, 14]
+        assert _rows(store.load()) == _record_rows([obs(), obs(hour=14)])
 
 
 class _SlowSource:
@@ -314,29 +362,26 @@ class TestRunCollection:
 
 
 class TestFilterAndAggregate:
-    def test_mode_filter(self):
+    def test_mode_filter(self, tmp_path):
         records = [obs(hour=h) for h in range(10)] + [obs(mode="Cash", hour=11)]
-        assert len(filter_observations(records, None)) == 10
+        assert filter_observations(_columns(tmp_path / "s.psv", records), None).price.size == 10
 
-    def test_all_cash_empty(self):
-        assert filter_observations([obs(mode="Cash")]) == []
+    def test_all_cash_empty(self, tmp_path):
+        cash = _columns(tmp_path / "s.psv", [obs(mode="Cash")])
+        assert filter_observations(cash).price.size == 0
 
-    def test_fuel_filter_default_regular(self):
+    def test_fuel_filter_default_regular(self, tmp_path):
         records = [obs(fuel="Regular"), obs(fuel="Diesel", hour=13)]
-        kept = filter_observations(records)
-        assert len(kept) == 1 and kept[0].fuel_type == "Regular"
+        kept = _rows(filter_observations(_columns(tmp_path / "s.psv", records)))
+        assert len(kept) == 1 and kept[0][3] == "Regular"
 
     def test_generator_counts(self, tmp_path):
         truth = make_mock_corpus(2, tmp_path)
-        records = []
+        store = ObservationStore(tmp_path / "s.psv")
         for page in (tmp_path / "pages").iterdir():
             recs, _ = parse_price_record(page.read_text())
-            records.extend(recs)
-        store_like = {}
-        for r in records:  # dedup as the store would
-            store_like.setdefault(r.dedup_key(), r)
-        kept = filter_observations(list(store_like.values()))
-        assert len(kept) == truth.credit_regular
+            store.add(*recs)  # dedup as ingest does
+        assert filter_observations(store.load()).price.size == truth.credit_regular
 
 
 def _stations():
@@ -348,52 +393,58 @@ def _stations():
 
 
 class TestAggregateDaily:
-    def test_mean_of_two(self):
-        rows, orphans = aggregate_daily(
-            [obs(price=2.00), obs(price=2.10, hour=14)], _stations())
-        assert not orphans
-        assert len(rows) == 1
-        assert rows[0].price == pytest.approx(2.05)
-        assert rows[0].n_prices == 2
+    def test_mean_of_two(self, tmp_path):
+        cols = _columns(tmp_path / "s.psv", [obs(price=2.00), obs(price=2.10, hour=14)])
+        panel, orphan = aggregate_daily(cols, _stations())
+        assert not orphan.any()
+        (cell,) = _cells(panel)
+        assert cell.price == pytest.approx(2.05)
+        assert cell.n_prices == 2
 
-    def test_single_observation_identity(self):
-        rows, _ = aggregate_daily([obs(price=2.34)], _stations())
-        assert rows[0].price == 2.34
+    def test_single_observation_identity(self, tmp_path):
+        panel, _ = aggregate_daily(_columns(tmp_path / "s.psv", [obs(price=2.34)]), _stations())
+        assert panel.price.tolist() == [2.34]
 
-    def test_orphan_station_skipped(self):
-        rows, orphans = aggregate_daily([obs(station="ghost")], _stations())
-        assert not rows
-        assert orphans == ["ghost"]
+    def test_orphan_station_skipped(self, tmp_path):
+        cols = _columns(tmp_path / "s.psv", [obs(station="ghost")])
+        panel, orphan = aggregate_daily(cols, _stations())
+        assert panel.price.size == 0
+        assert [cols.station_ids[s] for s in cols.station[orphan]] == ["ghost"]
 
-    def test_matches_group_by_oracle(self):
+    def test_matches_group_by_oracle(self, tmp_path):
         rng = np.random.default_rng(7)
         records = []
         for _ in range(200):
             records.append(obs(station=f"st{rng.integers(1, 4)}",
                                day=int(rng.integers(10, 15)),
                                hour=int(rng.integers(0, 24)),
-                               price=float(rng.uniform(2, 3))))
+                               price=float(f"{rng.uniform(2, 3):.3f}")))
         # drop key collisions the store would have removed
         unique = {}
         for r in records:
             unique.setdefault(r.dedup_key(), r)
         records = list(unique.values())
-        rows, _ = aggregate_daily(records, _stations())
+        panel, _ = aggregate_daily(_columns(tmp_path / "s.psv", records), _stations())
         oracle = {}
         for r in records:
             oracle.setdefault((r.station_id, r.timestamp.date()), []).append(r.price)
-        for row in rows:
-            assert row.price == pytest.approx(
-                np.mean(oracle[(row.station_id, row.day)]), abs=1e-12)
+        cells = _cells(panel)
+        assert {(c.station_id, c.day) for c in cells} == set(oracle)
+        for cell in cells:
+            assert cell.price == pytest.approx(
+                np.mean(oracle[(cell.station_id, cell.day)]), abs=1e-12)
 
-    def test_order_invariance(self):
+    def test_order_invariance(self, tmp_path):
         rng = np.random.default_rng(8)
         records = [obs(station=f"st{1 + i % 3}", day=10 + i % 3, hour=i % 24,
                        price=float(rng.uniform(2, 3))) for i in range(50)]
-        rows_a, _ = aggregate_daily(records, _stations())
+        cells_a = _cells(aggregate_daily(_columns(tmp_path / "a.psv", records),
+                                         _stations())[0])
         shuffled = [records[i] for i in rng.permutation(len(records))]
-        rows_b, _ = aggregate_daily(shuffled, _stations())
-        for a, b in zip(rows_a, rows_b):
+        cells_b = _cells(aggregate_daily(_columns(tmp_path / "b.psv", shuffled),
+                                         _stations())[0])
+        assert len(cells_a) == len(cells_b)
+        for a, b in zip(cells_a, cells_b):
             assert a.station_id == b.station_id and a.day == b.day
             assert a.price == pytest.approx(b.price, abs=1e-12)
 
@@ -403,45 +454,43 @@ class TestAggregateCounty:
         return {"10001": {"lat": 40.0, "lon": -100.0, "poverty": 0.1},
                 "11001": {"lat": 44.0, "lon": -90.0, "poverty": 0.2}}
 
+    def _aggregate(self, cells, table):
+        return aggregate_county(_panel(cells, _stations()), _stations(), table)
+
     def test_flat_mean(self):
-        panel = [StationDay("st1", dt.date(2017, 1, 10), 2.0, 1),
-                 StationDay("st2", dt.date(2017, 1, 10), 3.0, 1)]
-        aggs = aggregate_county(panel, _stations(), self._cov())
+        aggs = self._aggregate([Cell("st1", dt.date(2017, 1, 10), 2.0, 1),
+                                Cell("st2", dt.date(2017, 1, 10), 3.0, 1)], self._cov())
         assert len(aggs) == 1
         assert aggs[0].mean_price == pytest.approx(2.5)
-        assert aggs[0].n_stations == 2
+        assert aggs[0].n_observations == 2
 
     def test_county_without_stations_absent(self):
-        panel = [StationDay("st1", dt.date(2017, 1, 10), 2.0, 1)]
-        aggs = aggregate_county(panel, _stations(), self._cov())
+        aggs = self._aggregate([Cell("st1", dt.date(2017, 1, 10), 2.0, 1)], self._cov())
         assert [a.county_fips for a in aggs] == ["10001"]
 
     def test_missing_covariates_flagged(self):
-        panel = [StationDay("st3", dt.date(2017, 1, 10), 2.0, 1)]
-        aggs = aggregate_county(panel, _stations(), {})
+        aggs = self._aggregate([Cell("st3", dt.date(2017, 1, 10), 2.0, 1)], {})
         assert aggs[0].incomplete
+
+    def test_point_needs_both_coordinates(self):
+        assert county_point({"lat": 41.0}) is None and county_point(None) is None
+        assert county_point({"lat": 41.0, "lon": -99.0}) == GeoPoint(41.0, -99.0)
+        aggs = self._aggregate([Cell("st1", dt.date(2017, 1, 10), 2.0, 1),
+                                Cell("st2", dt.date(2017, 1, 10), 3.0, 1)],
+                               {"10001": {"lat": 41.0}})
+        assert aggs[0].point == GeoPoint(40.05, -100.05) and not aggs[0].incomplete
 
     def test_mean_matches_panel_restriction(self):
         rng = np.random.default_rng(9)
-        panel = [StationDay(f"st{1 + i % 3}", dt.date(2017, 1, 10 + i % 4),
-                            float(rng.uniform(2, 3)), 1) for i in range(40)]
-        aggs = aggregate_county(panel, _stations(), self._cov())
+        panel = [Cell(f"st{1 + i % 3}", dt.date(2017, 1, 10 + i % 4),
+                      float(rng.uniform(2, 3)), 1) for i in range(40)]
+        aggs = self._aggregate(panel, self._cov())
         stations = _stations()
         for agg in aggs:
             prices = [r.price for r in panel
                       if stations[r.station_id].county_fips == agg.county_fips]
             assert agg.mean_price == pytest.approx(np.mean(prices), abs=1e-12)
-            assert agg.n_observations >= agg.n_stations >= 1
-
-    def test_station_mean_of_means_option(self):
-        panel = [StationDay("st1", dt.date(2017, 1, 10), 2.0, 1),
-                 StationDay("st1", dt.date(2017, 1, 11), 2.2, 1),
-                 StationDay("st2", dt.date(2017, 1, 10), 3.0, 1)]
-        flat = aggregate_county(panel, _stations(), self._cov())[0]
-        nested = aggregate_county(panel, _stations(), self._cov(),
-                                  station_means=True)[0]
-        assert flat.mean_price == pytest.approx((2.0 + 2.2 + 3.0) / 3)
-        assert nested.mean_price == pytest.approx((2.1 + 3.0) / 2)
+            assert agg.n_observations == len(prices)
 
 
 def _record_order(o):
@@ -457,39 +506,30 @@ def _object_daily(obs, stations):
             orphans.append(o.station_id)
             continue
         cells.setdefault((o.station_id, o.timestamp.date()), []).append(o.price)
-    rows = [StationDay(sid, day, float(np.mean(prices)), len(prices))
+    rows = [Cell(sid, day, float(np.mean(prices)), len(prices))
             for (sid, day), prices in sorted(cells.items())]
     return rows, orphans
 
 
-def _object_county(panel, stations, table, period=None, station_means=False):
+def _object_county(panel, stations, table):
     """The per-row county means, grouped with dicts; the oracle for
-    ``county_means`` (its fallback point averages stations in id order)."""
+    ``aggregate_county`` (its fallback point averages stations in id order)."""
     by_county = {}
     for row in panel:
-        if row.station_id in stations and (period is None
-                                           or period[0] <= row.day <= period[1]):
+        if row.station_id in stations:
             by_county.setdefault(stations[row.station_id].county_fips, []).append(row)
     out = []
     for fips in sorted(by_county):
         rows = by_county[fips]
-        per_station = {}
-        for r in rows:
-            per_station.setdefault(r.station_id, []).append(r.price)
-        if station_means:
-            mean = float(np.mean([np.mean(v) for v in per_station.values()]))
-        else:
-            mean = float(np.mean([r.price for r in rows]))
         cov = table.get(fips)
         if cov is not None and "lat" in cov and "lon" in cov:
             point = GeoPoint(cov["lat"], cov["lon"])
         else:
-            pts = [stations[s].point for s in sorted(per_station)]
+            pts = [stations[s].point for s in sorted({r.station_id for r in rows})]
             point = GeoPoint(float(np.mean([p.lat for p in pts])),
                              float(np.mean([p.lon for p in pts])))
-        days = [r.day for r in rows]
-        out.append((fips, period or (min(days), max(days)), mean, len(rows),
-                    len(per_station), point, cov is None))
+        out.append((fips, float(np.mean([r.price for r in rows])), len(rows), point,
+                    cov is None))
     return out
 
 
@@ -528,41 +568,39 @@ def _random_store(path, seed, registered):
 
 
 class TestReadStoreColumns:
-    """The columnar path against the per-record one it replaced: read_store,
-    filter_observations, the record sort and dict-of-lists means."""
+    """The columnar read, filter and station-day means against the records
+    ``parse_price_record`` makes of the file's complete lines, filtered,
+    sorted and averaged with a dict of lists."""
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     @pytest.mark.parametrize("fuel", ["Regular", None])
     def test_matches_object_path(self, tmp_path, seed, fuel):
         stations = _stations()
-        _random_store(tmp_path / "s.psv", seed, stations)
-        obs = filter_observations(read_store(tmp_path / "s.psv"), fuel)
-        obs.sort(key=_record_order)
-        cols = read_store_columns(tmp_path / "s.psv")
-        cols = cols.take(cols.filter_mask(fuel))
+        path = tmp_path / "s.psv"
+        _random_store(path, seed, stations)
+        obs = sorted((o for o in _parsed(path)
+                      if o.payment_mode == "Credit" and fuel in (None, o.fuel_type)),
+                     key=_record_order)
+        cols = filter_observations(read_store(path), fuel)
         cols = cols.take(cols.sort_order())
         assert [cols.station_ids[s] for s in cols.station] == [o.station_id for o in obs]
         assert cols.day.tolist() == [o.timestamp.toordinal() for o in obs]
         assert cols.price.tolist() == [o.price for o in obs]
 
-        panel, orphan = cols.station_days(stations)
+        panel, orphan = aggregate_daily(cols, stations)
         rows, orphans = _object_daily(obs, stations)
         assert max(r.n_prices for r in rows) >= 8
         assert orphans and [cols.station_ids[s] for s in cols.station[orphan]] == orphans
-        assert [StationDay(panel.station_ids[s], dt.date.fromordinal(d), p, n)
-                for s, d, p, n in zip(panel.station.tolist(), panel.day.tolist(),
-                                      panel.price.tolist(), panel.n_prices.tolist())
-                ] == rows
-        assert aggregate_daily(obs, stations) == (rows, orphans)
+        assert _cells(panel) == rows
 
     def test_equal_instants_keep_store_order(self, tmp_path):
         path = tmp_path / "s.psv"
         path.write_text("st1|2017-01-10T13:00:00+01:00|Regular|Credit|2.100\n"
                         "st1|2017-01-10T11:30:00+00:00|Regular|Credit|2.200\n"
                         "st1|2017-01-10T12:00:00+00:00|Regular|Credit|2.300\n")
-        cols = read_store_columns(path)
+        cols = read_store(path)
         cols = cols.take(cols.sort_order())
-        obs = sorted(read_store(path), key=_record_order)
+        obs = sorted(_parsed(path), key=_record_order)
         assert cols.price.tolist() == [o.price for o in obs] == [2.2, 2.1, 2.3]
 
     @pytest.mark.parametrize("bad", ["st1|2017-01-10T12:00:00|Regular|Credit",
@@ -574,46 +612,43 @@ class TestReadStoreColumns:
         path.write_text(obs().to_line() + "\n" + bad + "\n" + obs(hour=13).to_line()
                         + "\n")
         with pytest.raises(ParseError) as expected:
-            read_store(path)
+            _parsed(path)
         with pytest.raises(ParseError) as got:
-            read_store_columns(path)
+            read_store(path)
         assert str(got.value) == str(expected.value)
         assert repr(bad) in str(got.value) and str(path) in str(got.value)
 
     def test_empty_and_absent_store(self, tmp_path):
         (tmp_path / "s.psv").write_text("st1|2017-01-1")
         for path in (tmp_path / "s.psv", tmp_path / "absent.psv"):
-            cols = read_store_columns(path)
+            cols = read_store(path)
             assert cols.price.size == 0 and cols.station_ids == []
-            panel, orphan = cols.station_days(_stations())
+            panel, orphan = aggregate_daily(cols, _stations())
             assert panel.price.size == 0 and orphan.size == 0
 
 
 class TestCountyMeans:
-    """``county_means`` and ``aggregate_county`` against dict grouping."""
+    """``aggregate_county`` against dict grouping."""
 
-    @pytest.mark.parametrize("station_means", [False, True])
-    @pytest.mark.parametrize("period", [None, (dt.date(2017, 1, 11), dt.date(2017, 1, 13))])
-    def test_matches_dict_grouping(self, period, station_means):
+    def test_matches_dict_grouping(self):
         rng = np.random.default_rng(11)
         stations = {f"s{i:02d}": Station(f"s{i:02d}", GeoPoint(40 + i / 10, -100), "c",
                                          f"1000{i % 3}", "10") for i in range(20)}
-        panel = [StationDay(f"s{rng.integers(0, 22):02d}",
-                            dt.date(2017, 1, int(rng.integers(10, 15))),
-                            float(rng.uniform(2, 3)), 1) for _ in range(300)]
+        panel = [Cell(f"s{rng.integers(0, 22):02d}",
+                      dt.date(2017, 1, int(rng.integers(10, 15))),
+                      float(rng.uniform(2, 3)), 1) for _ in range(300)]
         table = {"10000": {"lat": 40.0, "lon": -100.0}, "10001": {"lat": 41.0}}
-        got = [(a.county_fips, a.period, a.mean_price, a.n_observations, a.n_stations,
-                a.point, a.incomplete)
-               for a in aggregate_county(panel, stations, table, period, station_means)]
-        want = _object_county(panel, stations, table, period, station_means)
-        assert [g[3] for g in got] and min(g[3] for g in got) >= 8
+        got = [(a.county_fips, a.mean_price, a.n_observations, a.point, a.incomplete)
+               for a in aggregate_county(_panel(panel, stations), stations, table)]
+        want = _object_county(panel, stations, table)
+        assert [g[2] for g in got] and min(g[2] for g in got) >= 8
         assert got == want
 
     def test_columns_in_panel_order(self):
         panel = StationDayColumns(["st1", "st3"], np.array([0, 1, 0]),
                                   np.array([736339, 736339, 736340]),
                                   np.array([2.0, 3.0, 2.5]), np.ones(3, dtype=int))
-        aggs = county_means(panel, _stations(), {})
+        aggs = aggregate_county(panel, _stations(), {})
         assert [(a.county_fips, a.mean_price, a.n_observations) for a in aggs] == [
             ("10001", 2.25, 2), ("11001", 3.0, 1)]
 
