@@ -49,7 +49,7 @@ class Bandwidth:
 
     @classmethod
     def fixed_distance(cls, d0_km: float) -> "Bandwidth":
-        if d0_km <= 0:
+        if not d0_km > 0:
             raise InvalidBandwidthError(f"fixed bandwidth must be > 0, got {d0_km}")
         return cls("fixed", float(d0_km))
 
@@ -109,7 +109,7 @@ def kernel_weight(shape: KernelShape, d, h):
     All shapes equal 1 at d = 0 and are non-increasing in d.
     """
     h = np.asarray(h, dtype=float)
-    if np.any(h <= 0):
+    if not np.all(h > 0):
         raise InvalidBandwidthError(f"kernel bandwidth must be > 0, got {h.min()}")
     d = np.asarray(d, dtype=float)
     u = d / h
@@ -144,15 +144,6 @@ class SpatialWeights:
         w = np.zeros((self.n, self.n))
         w[self.rows, self.cols] = self.data
         return w
-
-    def row_sums(self) -> np.ndarray:
-        return np.bincount(self.rows, weights=self.data, minlength=self.n)
-
-    def row_standardized(self) -> "SpatialWeights":
-        sums = self.row_sums()
-        nonzero = sums[self.rows] > 0
-        data = np.where(nonzero, self.data / np.where(sums[self.rows] > 0, sums[self.rows], 1.0), 0.0)
-        return SpatialWeights(self.n, self.rows, self.cols, data, self.shape, self.bandwidth)
 
 
 def adaptive_bandwidths(dist: np.ndarray, k: int) -> np.ndarray:

@@ -416,12 +416,12 @@ def _golden_continuous(objective, lo: float, hi: float, rel_tol: float = 1e-3):
 
 
 def optimize_bandwidth(data: GwrDataset, covariates, kernel: KernelShape,
-                       criterion: str = "aicc", mode: str = "adaptive",
-                       exhaustive: bool = False) -> BandwidthSearchResult:
+                       criterion: str = "aicc",
+                       mode: str = "adaptive") -> BandwidthSearchResult:
     """Minimize AICc or LOO-CV over the bandwidth.
 
     Adaptive mode searches integer k in [p+2, n-1] (golden section with a
-    final exhaustive sweep of the bracket; ``exhaustive`` scans every k).
+    final exhaustive sweep of the bracket).
     Fixed mode searches d0 in [min positive NN distance, study-area diameter].
     """
     p1 = len(covariates) + 1
@@ -435,11 +435,7 @@ def optimize_bandwidth(data: GwrDataset, covariates, kernel: KernelShape,
         def at_k(k):
             return obj(Bandwidth.adaptive_knn(k))
 
-        if exhaustive:
-            evals = [(k, at_k(k)) for k in range(lo, hi + 1)]
-            best_k, best_v = min(evals, key=lambda kv: (kv[1], kv[0]))
-        else:
-            best_k, best_v, evals = _golden_integer(at_k, lo, hi)
+        best_k, best_v, evals = _golden_integer(at_k, lo, hi)
         if not math.isfinite(best_v):
             raise NoFeasibleBandwidthError("criterion failed across the entire k range")
         return BandwidthSearchResult(Bandwidth.adaptive_knn(best_k), best_v, evals)

@@ -5,16 +5,16 @@ Moran's I uses the classical cross-product form
 
     I = (n / sum_ij w_ij) * sum_ij w_ij (x_i - xbar)(x_j - xbar) / sum_i (x_i - xbar)^2
 
-with raw (not row-standardized) kernel weights by default.
+with raw (not row-standardized) kernel weights.
 
 ``moran_index`` with ``geo.build_weights`` is the one-window API, on sparse
-weights. ``moran_sweep`` evaluates many windows at once: it averages every
-(window, location) cell in one grouped pass, computes one haversine distance
-matrix over the locations of all evaluated windows and slices each window's
-block from it. Windows with the same location set share, per d0, one dense
-kernel (zero diagonal, entries below ``WEIGHT_FLOOR`` dropped, rows
-standardized when asked) and one product W @ Z whose columns give every
-window's cross product z'Wz.
+weights. ``moran_sweep`` evaluates many windows at once on one location
+universe, the locations of all evaluated windows: it averages every (window,
+location) cell in one grouped pass and computes one haversine distance matrix.
+Each window contributes its centred means, zero at absent locations, and its
+presence mask m. Per d0 one dense kernel W (zero diagonal, entries below
+``WEIGHT_FLOOR`` dropped) and one product give every window's cross product
+z'Wz and weight sum s0 = m'Wm.
 """
 
 from __future__ import annotations
@@ -61,14 +61,11 @@ class VarianceDecomposition:
     grouping: str
 
 
-def moran_index(values, w: SpatialWeights, row_standardize: bool = False,
-                window: str | None = None, d0: float | None = None) -> MoranResult:
+def moran_index(values, w: SpatialWeights) -> MoranResult:
     """Global Moran's I of ``values`` under weights ``w``."""
     x = np.asarray(values, dtype=float)
     if x.shape[0] != w.n:
         raise ValueError(f"values length {x.shape[0]} != weight dimension {w.n}")
-    if row_standardize:
-        w = w.row_standardized()
     s0 = w.sum()
     if s0 <= 0:
         raise EmptyWeightsError("all spatial weights are zero")
@@ -78,7 +75,7 @@ def moran_index(values, w: SpatialWeights, row_standardize: bool = False,
         raise ZeroVarianceError("constant value vector")
     cross = float(np.sum(w.data * z[w.rows] * z[w.cols]))
     i = (w.n / s0) * cross / denom
-    return MoranResult(index=i, n=w.n, sum_weights=s0, window=window, d0=d0)
+    return MoranResult(index=i, n=w.n, sum_weights=s0)
 
 
 @dataclass(frozen=True)
@@ -109,23 +106,19 @@ class MoranSweep:
                 ])
 
 
-def _cross_products(dist: np.ndarray, z: np.ndarray, d0: float, shape: KernelShape,
-                    row_standardize: bool) -> tuple[float, np.ndarray]:
-    """Sum of weights and z_kᵀ W z_k for each column z_k of ``z``, where W is
-    the dense kernel at d0 with zero diagonal and entries below
-    ``WEIGHT_FLOOR`` dropped, as in ``build_weights``."""
+def _quadratic_forms(dist: np.ndarray, cols: np.ndarray, d0: float,
+                     shape: KernelShape) -> np.ndarray:
+    """c_kᵀ W c_k for each column c_k of ``cols``, where W is the dense kernel
+    at d0 with zero diagonal and entries below ``WEIGHT_FLOOR`` dropped, as in
+    ``build_weights``."""
     w = kernel_weight(shape, dist, d0)
     np.fill_diagonal(w, 0.0)
     w[w < WEIGHT_FLOOR] = 0.0
-    if row_standardize:
-        sums = w.sum(axis=1)
-        w /= np.where(sums > 0, sums, 1.0)[:, None]
-    return float(w.sum()), np.einsum("ij,ij->j", z, w @ z)
+    return np.einsum("ij,ij->j", cols, w @ cols)
 
 
 def moran_sweep(observations, locations: dict[object, GeoPoint], window_kind: str,
-                d0_list, shape: KernelShape = KernelShape.EXPONENTIAL,
-                row_standardize: bool = False) -> MoranSweep:
+                d0_list, shape: KernelShape = KernelShape.EXPONENTIAL) -> MoranSweep:
     """Moran's I per (time window, decay distance d0).
 
     ``observations`` is an iterable of (location_id, date, value); values are
@@ -159,7 +152,7 @@ def moran_sweep(observations, locations: dict[object, GeoPoint], window_kind: st
     bounds = np.searchsorted(cell_window, np.arange(len(starts) + 1))
 
     skipped: dict[int, str] = {}
-    by_set: dict[bytes, list[int]] = {}
+    evaluated: list[int] = []
     for w in range(len(starts)):
         cells = slice(bounds[w], bounds[w + 1])
         if cells.stop - cells.start < 3:
@@ -167,42 +160,43 @@ def moran_sweep(observations, locations: dict[object, GeoPoint], window_kind: st
         elif np.ptp(means[cells]) == 0:
             skipped[w] = "constant values"
         else:
-            by_set.setdefault(cell_loc[cells].tobytes(), []).append(w)
+            evaluated.append(w)
 
-    # One distance matrix over every evaluated location; one kernel per
-    # (location set, d0) and one product for all windows on that set.
-    results: dict[tuple[int, int], MoranResult | None] = {}
-    if by_set:
-        evaluated = [w for members in by_set.values() for w in members]
-        used = np.unique(cell_loc[np.isin(cell_window, evaluated)])
-        dist = distance_matrix([locations[ids[i]] for i in used])
-    for members in by_set.values():
-        first = slice(bounds[members[0]], bounds[members[0] + 1])
-        block = np.searchsorted(used, cell_loc[first])
-        d = dist if block.size == used.size else dist[np.ix_(block, block)]
-        cols = [means[bounds[w]:bounds[w + 1]] for w in members]
-        cols = [x - x.mean() for x in cols]
-        denom = [float(x @ x) for x in cols]
-        z = np.column_stack(cols)
-        for j, d0 in enumerate(d0_values):
-            s0, cross = _cross_products(d, z, d0, shape, row_standardize)
-            for k, w in enumerate(members):
-                results[w, j] = None if s0 <= 0 else MoranResult(
-                    index=float((block.size / s0) * cross[k] / denom[k]),
-                    n=block.size, sum_weights=s0,
-                    window=starts[w].isoformat(), d0=d0)
+    # One location universe for the K = n_eval evaluated windows: column k
+    # holds window k's centred means, zero where a location is absent, and
+    # column K + k its presence mask m_k. Per d0 one kernel and one product
+    # give every cross product z_kᵀWz_k and every weight sum s0 = m_kᵀWm_k.
+    n_eval = len(evaluated)
+    column = {w: k for k, w in enumerate(evaluated)}
+    used = np.unique(cell_loc[np.isin(cell_window, evaluated)])
+    cols = np.zeros((used.size, 2 * n_eval))
+    sizes, denom = [], []
+    for k, w in enumerate(evaluated):
+        cells = slice(bounds[w], bounds[w + 1])
+        rows = np.searchsorted(used, cell_loc[cells])
+        z = means[cells] - means[cells].mean()
+        cols[rows, k] = z
+        cols[rows, n_eval + k] = 1.0
+        sizes.append(rows.size)
+        denom.append(float(z @ z))
+    dist = distance_matrix([locations[ids[i]] for i in used])
+    forms = [_quadratic_forms(dist, cols, d0, shape) for d0 in d0_values]
 
     sweep = MoranSweep()
     for w, start in enumerate(starts):
         if w in skipped:
             sweep.skipped.append((start, skipped[w]))
             continue
-        for j, d0 in enumerate(d0_list):
-            res = results[w, j]
-            if res is None:
+        k = column[w]
+        for d0, q in zip(d0_list, forms):
+            s0 = float(q[n_eval + k])
+            if s0 <= 0:
                 sweep.skipped.append((start, f"all weights zero at d0={d0}"))
-            else:
-                sweep.rows.append(SweepRow(start, window_kind, float(d0), res))
+                continue
+            res = MoranResult(index=float((sizes[k] / s0) * q[k] / denom[k]),
+                              n=sizes[k], sum_weights=s0,
+                              window=start.isoformat(), d0=float(d0))
+            sweep.rows.append(SweepRow(start, window_kind, float(d0), res))
     return sweep
 
 

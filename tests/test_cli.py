@@ -93,6 +93,12 @@ class TestExitCodes:
                    "--store", str(tmp_path / "absent.psv"),
                    "--stations", str(tmp_path / "absent.csv")) == 1
 
+    def test_nan_decay_distance_is_one(self, tmp_path, chain_dir, capsys):
+        argv = _inputs(chain_dir, tmp_path / "out")
+        assert run("moran", *argv, "--d0-grid", "10,nan") == 1
+        assert "fixed bandwidth must be > 0, got nan" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "moran_sweep.csv").exists()
+
     def test_runtime_error_is_two(self, tmp_path, chain_dir):
         bad = tmp_path / "stations.csv"
         # fips/state mismatch makes registry loading blow up mid-run

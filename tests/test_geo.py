@@ -123,7 +123,7 @@ class TestKernelWeight:
         expected = np.vstack([kernel_weight(shape, d[i], h[i]) for i in range(12)])
         assert np.array_equal(kernel_weight(shape, d, h[:, None]), expected)
 
-    @pytest.mark.parametrize("bad", [0.0, -5.0])
+    @pytest.mark.parametrize("bad", [0.0, -5.0, float("nan")])
     def test_non_positive_entry_in_bandwidth_array(self, bad):
         h = np.array([[10.0], [bad], [20.0]])
         with pytest.raises(InvalidBandwidthError):
@@ -134,6 +134,10 @@ class TestBandwidth:
     def test_fixed_positive(self):
         with pytest.raises(InvalidBandwidthError):
             Bandwidth.fixed_distance(0.0)
+
+    def test_fixed_nan(self):
+        with pytest.raises(InvalidBandwidthError):
+            Bandwidth.fixed_distance(float("nan"))
 
     def test_adaptive_positive_integer(self):
         with pytest.raises(InvalidBandwidthError):

@@ -12,7 +12,8 @@ from fuelspatial.errors import (
     ZeroVarianceColumnError,
     ZeroVarianceError,
 )
-from fuelspatial.geo import Bandwidth, GeoPoint, KernelShape, build_weights
+from fuelspatial import spatial_stats
+from fuelspatial.geo import Bandwidth, GeoPoint, KernelShape, build_weights, kernel_weight
 from fuelspatial.spatial_stats import (
     MoranResult,
     moran_index,
@@ -94,16 +95,6 @@ class TestMoranIndex:
         assert moran_index(x, scaled).index == pytest.approx(
             moran_index(x, w).index, abs=1e-9)
 
-    def test_row_standardized_option(self):
-        pts = _random_points(5, seed=2)
-        w = build_weights(pts, KernelShape.EXPONENTIAL, Bandwidth.fixed_distance(200.0))
-        x = np.random.default_rng(2).normal(0, 1, 5)
-        raw = moran_index(x, w).index
-        std = moran_index(x, w, row_standardize=True).index
-        assert std == pytest.approx(moran_oracle(x, w.row_standardized().to_dense()),
-                                    abs=1e-12)
-        assert std != raw  # generically different
-
 
 class TestMoranSweep:
     def _panel(self, values, day=DAY0):
@@ -182,7 +173,7 @@ class TestMoranSweep:
         assert len(lines) == 3
 
 
-def sweep_oracle(observations, locations, window_kind, d0_list, shape, row_standardize):
+def sweep_oracle(observations, locations, window_kind, d0_list, shape):
     """Per-window reference sweep: one ``np.mean`` per cell, ``build_weights``
     and ``moran_index`` per (window, d0). Returns (rows, skipped) with rows as
     (start, d0, MoranResult, weights)."""
@@ -206,7 +197,7 @@ def sweep_oracle(observations, locations, window_kind, d0_list, shape, row_stand
             w = build_weights([locations[i] for i in ids], shape,
                               Bandwidth.fixed_distance(d0))
             try:
-                res = moran_index(means, w, row_standardize)
+                res = moran_index(means, w)
             except EmptyWeightsError:
                 skipped.append((start, f"all weights zero at d0={d0}"))
                 continue
@@ -214,7 +205,7 @@ def sweep_oracle(observations, locations, window_kind, d0_list, shape, row_stand
     return rows, skipped
 
 
-def assert_sweep_matches_oracle(sweep, expected_rows, expected_skipped, row_standardize):
+def assert_sweep_matches_oracle(sweep, expected_rows, expected_skipped):
     """Same rows and skipped entries in the same order; I and sum_weights within
     1e-12 relative. Rounding in the cross-product sum is relative to the size
     of its terms, so I is compared at the scale max(|I|, sum_ij |w_ij z_i z_j|
@@ -224,8 +215,6 @@ def assert_sweep_matches_oracle(sweep, expected_rows, expected_skipped, row_stan
     for row, (start, d0, res, w, means) in zip(sweep.rows, expected_rows):
         assert (row.window_start, row.d0_km, row.result.n) == (start, d0, res.n)
         assert (row.result.window, row.result.d0) == (start.isoformat(), d0)
-        if row_standardize:
-            w = w.row_standardized()
         z = means - means.mean()
         terms = np.abs(w.data * z[w.rows] * z[w.cols]).sum()
         scale = max(abs(res.index), (w.n / w.sum()) * terms / (z @ z))
@@ -257,21 +246,35 @@ def _varying_panel(ids, n_days, seed, repeats=1, block=1):
 class TestMoranSweepOracle:
     D0 = [5.0, 30.0, 300.0, 1500.0]
 
-    @pytest.mark.parametrize("row_standardize", [False, True])
     @pytest.mark.parametrize("shape", list(KernelShape))
     @pytest.mark.parametrize("window_kind,days,repeats,block",
                              [("daily", 8, 1, 1), ("weekly", 26, 2, 7)])
-    def test_matches_per_window_oracle(self, shape, row_standardize, window_kind,
-                                       days, repeats, block):
+    def test_matches_per_window_oracle(self, shape, window_kind, days, repeats, block):
         ids = [f"c{i:02d}" for i in range(14)]
         panel, locations = _varying_panel(ids, days, seed=21, repeats=repeats,
                                           block=block)
-        sweep = moran_sweep(panel, locations, window_kind, self.D0, shape, row_standardize)
-        rows, skipped = sweep_oracle(panel, locations, window_kind, self.D0, shape,
-                                     row_standardize)
+        sweep = moran_sweep(panel, locations, window_kind, self.D0, shape)
+        rows, skipped = sweep_oracle(panel, locations, window_kind, self.D0, shape)
         sizes = list({start: len(means) for start, _, _, _, means in rows}.values())
         assert len(set(sizes)) > 1 and len(set(sizes)) < len(sizes)
-        assert_sweep_matches_oracle(sweep, rows, skipped, row_standardize)
+        assert_sweep_matches_oracle(sweep, rows, skipped)
+
+    def test_one_kernel_per_d0_across_location_sets(self, monkeypatch):
+        ids = [f"c{i:02d}" for i in range(14)]
+        panel, locations = _varying_panel(ids, 9, seed=21)
+        sets = {frozenset(loc for loc, day, _ in panel if day == d)
+                for d in {day for _, day, _ in panel}}
+        assert len(sets) == 3
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return kernel_weight(*args, **kwargs)
+
+        monkeypatch.setattr(spatial_stats, "kernel_weight", counting)
+        sweep = moran_sweep(panel, locations, "daily", self.D0)
+        assert len({r.window_start for r in sweep.rows}) == 9
+        assert len(calls) == len(self.D0)
 
     def test_integer_ids_in_str_order(self):
         ids = [2, 10, 33, 4, 100, 7, 58, 9]
@@ -280,8 +283,8 @@ class TestMoranSweepOracle:
         sweep = moran_sweep(panel, locations, "daily", [300.0, 1500.0],
                             KernelShape.GAUSSIAN)
         rows, skipped = sweep_oracle(panel, locations, "daily", [300.0, 1500.0],
-                                     KernelShape.GAUSSIAN, False)
-        assert_sweep_matches_oracle(sweep, rows, skipped, False)
+                                     KernelShape.GAUSSIAN)
+        assert_sweep_matches_oracle(sweep, rows, skipped)
 
     def test_skipped_order(self):
         pts = _random_points(5, seed=13)
@@ -302,10 +305,10 @@ class TestMoranSweepOracle:
         assert [(r.window_start, r.d0_km, r.result.n) for r in sweep.rows] == [
             (day[2], 3000.0, 5), (day[3], 3000.0, 4)]
         rows, skipped = sweep_oracle(panel, locations, "daily", [0.001, 3000.0],
-                                     KernelShape.EXPONENTIAL, False)
-        assert_sweep_matches_oracle(sweep, rows, skipped, False)
+                                     KernelShape.EXPONENTIAL)
+        assert_sweep_matches_oracle(sweep, rows, skipped)
 
-    @pytest.mark.parametrize("d0", [0.0, -5.0])
+    @pytest.mark.parametrize("d0", [0.0, -5.0, float("nan")])
     def test_non_positive_d0_raises(self, d0):
         panel, locations = _varying_panel([f"c{i}" for i in range(5)], 2, seed=3)
         with pytest.raises(InvalidBandwidthError):
