@@ -259,6 +259,28 @@ class TestMoranSweepOracle:
         assert len(set(sizes)) > 1 and len(set(sizes)) < len(sizes)
         assert_sweep_matches_oracle(sweep, rows, skipped)
 
+    @pytest.mark.parametrize("shape", list(KernelShape))
+    def test_disjoint_and_nested_location_sets(self, shape):
+        # Windows on disjoint halves, on a subset of one half, on all
+        # locations, and a skipped window whose only other location is in no
+        # evaluated window. Pairs across the halves carry weight at the larger
+        # d0, so a zero-filled absent location that leaked into z'Wz or into
+        # s0 = m'Wm would move I away from the per-window oracle.
+        ids = [f"c{i:02d}" for i in range(12)]
+        pts = _random_points(len(ids) + 1, seed=8)
+        locations = dict(zip(ids + ["lone"], pts))
+        rng = np.random.default_rng(8)
+        day = [DAY0 + dt.timedelta(days=d) for d in range(5)]
+        members = [ids[:6], ids[6:], ids[1:5], ids, ["lone", "c00"]]
+        panel = [(i, d, float(rng.normal())) for d, ids_d in zip(day, members)
+                 for i in ids_d]
+        sweep = moran_sweep(panel, locations, "daily", self.D0, shape)
+        rows, skipped = sweep_oracle(panel, locations, "daily", self.D0, shape)
+        assert {r.window_start: r.result.n for r in sweep.rows} == dict(
+            zip(day, [6, 6, 4, 12]))
+        assert sweep.skipped[-1] == (day[4], "fewer than 3 locations")
+        assert_sweep_matches_oracle(sweep, rows, skipped)
+
     def test_one_kernel_per_d0_across_location_sets(self, monkeypatch):
         ids = [f"c{i:02d}" for i in range(14)]
         panel, locations = _varying_panel(ids, 9, seed=21)
