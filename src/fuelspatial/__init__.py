@@ -14,8 +14,6 @@ from .geo import (
 from .spatial_stats import (
     moran_index,
     moran_sweep,
-    pca_variance_explained,
-    spearman_rank,
     variance_decomposition,
 )
 from .gwr import (
@@ -38,8 +36,7 @@ from .econometrics import (
 __all__ = [
     "Bandwidth", "GeoPoint", "KernelShape", "SpatialWeights", "build_weights",
     "haversine_distance", "kernel_weight",
-    "moran_index", "moran_sweep", "pca_variance_explained", "spearman_rank",
-    "variance_decomposition",
+    "moran_index", "moran_sweep", "variance_decomposition",
     "GwrDataset", "GwrFit", "GwrSpec", "enumerate_models", "gwr_cv_score",
     "gwr_fit", "nearest_neighbor_scale", "optimize_bandwidth",
     "cluster_robust_se", "county_regression", "fe_variance_explained", "ols",

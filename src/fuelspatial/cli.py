@@ -45,6 +45,15 @@ DEFAULTS = {
 GWR_ALL = list(econ.GWR_COVARIATES)
 
 
+def _number(key: str, text: str, kind):
+    """``kind(text)``; a malformed value is a validation error naming the key."""
+    try:
+        return kind(text)
+    except ValueError:
+        raise FuelSpatialError(
+            f"config value {key!r} is not a valid {kind.__name__}: {text!r}") from None
+
+
 @dataclass
 class RunConfig:
     values: dict = field(default_factory=dict)
@@ -53,11 +62,11 @@ class RunConfig:
         v = self.values.get(key, DEFAULTS.get(key, default))
         return v
 
-    def get_int(self, key: str):
-        return int(self.get(key))
+    def get_int(self, key: str) -> int:
+        return _number(key, self.get(key), int)
 
-    def get_float(self, key: str):
-        return float(self.get(key))
+    def get_float(self, key: str) -> float:
+        return _number(key, self.get(key), float)
 
     def path(self, key: str, must_exist: bool = False) -> Path:
         v = self.get(key)
@@ -266,7 +275,7 @@ def cmd_moran(cfg: RunConfig) -> int:
                     zip(county[starts].tolist(), day[starts].tolist(), means.tolist())
                     if fips[c] in locations]
 
-    d0_grid = [float(v) for v in cfg.get("d0_grid").split(",")]
+    d0_grid = [_number("d0_grid", v, float) for v in cfg.get("d0_grid").split(",")]
     sweep = stats.moran_sweep(observations, locations, cfg.get("window"), d0_grid)
     sweep.to_csv(out / "moran_sweep.csv")
     write_manifest(cfg, out, [out / "moran_sweep.csv"])
@@ -294,9 +303,8 @@ def cmd_gwr(cfg: RunConfig, enumerate_all: bool = False) -> int:
               f"aicc {best.aicc:.2f} (median gap {report.median_aicc_gap:.2f})")
     else:
         kernel = _kernel(kernel_cfg)
-        k_cfg = cfg.get("bandwidth_k")
-        if k_cfg:
-            bw = Bandwidth.adaptive_knn(int(k_cfg))
+        if cfg.get("bandwidth_k"):
+            bw = Bandwidth.adaptive_knn(cfg.get_int("bandwidth_k"))
         else:
             search = gwrmod.optimize_bandwidth(data, names, kernel, criterion=criterion)
             bw = search.bandwidth

@@ -21,12 +21,6 @@ class ZeroVarianceError(FuelSpatialError):
     pass
 
 
-class ZeroVarianceColumnError(ZeroVarianceError):
-    def __init__(self, column):
-        self.column = column
-        super().__init__(f"column {column!r} has zero variance")
-
-
 class EmptyWeightsError(FuelSpatialError):
     pass
 

@@ -6,19 +6,21 @@ Record wire format (one price entry per line, pipe-separated, UTF-8, LF):
 
     station_id|iso8601_timestamp|fuel_type|payment_mode|price
 
+Fetched pages and the store go through one parser, ``parse_price_record``,
+into ``ObservationColumns``; ``record_line`` writes a record's canonical line.
 The store is one file of such lines and nothing else. A record's dedup key is
-its line up to the last ``|``, so the set of stored keys is rebuilt from the
-file on open. Only LF-terminated lines count: an unterminated final line (a
-crash mid-append) is ignored when reading and cut by the next append.
+its canonical line up to the last ``|``, so the set of stored keys is rebuilt
+from the file on open. Only LF-terminated lines count: an unterminated final
+line (a crash mid-append) is ignored when reading and cut by the next append.
 """
 
 from __future__ import annotations
 
 import csv
 import datetime as dt
-import queue
 import threading
 import time
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from itertools import repeat
 from pathlib import Path
@@ -41,22 +43,11 @@ PAYMENT_MODES = ("Credit", "Cash", "Other")
 PRICE_BAND = (0.5, 10.0)
 
 
-@dataclass(frozen=True)
-class PriceObservation:
-    station_id: str
-    timestamp: dt.datetime
-    fuel_type: str
-    payment_mode: str
-    price: float
-    source_url: str = ""
-
-    def dedup_key(self) -> str:
-        return "|".join([self.station_id, self.timestamp.isoformat(),
-                         self.fuel_type, self.payment_mode])
-
-    def to_line(self) -> str:
-        return "|".join([self.station_id, self.timestamp.isoformat(),
-                         self.fuel_type, self.payment_mode, f"{self.price:.3f}"])
+def record_line(station_id: str, timestamp: dt.datetime, fuel: str, mode: str,
+                price: float) -> str:
+    """A record's canonical line: ``isoformat()`` timestamp, price to three
+    decimals, no line end."""
+    return f"{station_id}|{timestamp.isoformat()}|{fuel}|{mode}|{price:.3f}"
 
 
 @dataclass(frozen=True)
@@ -128,40 +119,116 @@ class ProxyPool:
 # ---------------------------------------------------------------------------
 # Parsing
 
-def parse_price_record(raw: str, source_url: str = ""):
-    """Parse a fetched document into observations.
+# Fuel and mode codes index the sorted names, so code order is name order.
+_FUEL_NAMES, _MODE_NAMES = sorted(FUEL_TYPES), sorted(PAYMENT_MODES)
+_FUEL_CODE = {name: i for i, name in enumerate(_FUEL_NAMES)}
+_MODE_CODE = {name: i for i, name in enumerate(_MODE_NAMES)}
+_BLOCK_LINES = 4096
+# Quarantine reasons by rule, in priority order (known fuel, known mode, not
+# below the price band, under its top); formatted with the line's fields.
+_REASONS = ("unknown fuel type {2!r}", "unknown payment mode {3!r}",
+            "below plausibility band", "above plausibility band")
 
-    Returns (observations, quarantined) where quarantined is a list of
-    (line, reason) pairs. Structural problems raise ParseError.
+
+def _codes(labels) -> tuple[list, np.ndarray]:
+    """The sorted distinct labels and each label's index among them, so that
+    code order is label order."""
+    distinct = sorted(set(labels))
+    index = {label: i for i, label in enumerate(distinct)}
+    return distinct, np.fromiter(map(index.__getitem__, labels), np.intp, len(labels))
+
+
+@dataclass(frozen=True)
+class ObservationColumns:
+    """Observations as columns, one row per record.
+
+    ``station`` indexes ``station_ids`` (sorted; a label may have no row),
+    ``timestamp`` holds the parsed datetimes, ``fuel`` and ``mode`` index the
+    sorted ``FUEL_TYPES`` and ``PAYMENT_MODES`` and ``day`` is the ordinal of
+    the timestamp's own calendar date.
     """
-    observations: list[PriceObservation] = []
-    quarantined: list[tuple[str, str]] = []
-    for line in raw.splitlines():
-        line = line.strip()
-        if not line:
-            continue
-        parts = line.split("|")
-        if len(parts) != 5:
-            raise ParseError(source_url, f"expected 5 fields, got {len(parts)}: {line!r}")
-        station_id, ts, fuel, mode, price_s = parts
-        try:
-            timestamp = dt.datetime.fromisoformat(ts)
-            price = float(price_s)
-        except ValueError as exc:
-            raise ParseError(source_url, f"bad field in line {line!r}: {exc}") from exc
-        if fuel not in FUEL_TYPES:
-            quarantined.append((line, f"unknown fuel type {fuel!r}"))
-            continue
-        if mode not in PAYMENT_MODES:
-            quarantined.append((line, f"unknown payment mode {mode!r}"))
-            continue
-        if not PRICE_BAND[0] < price < PRICE_BAND[1]:
-            side = "below" if price <= PRICE_BAND[0] else "above"
-            quarantined.append((line, f"{side} plausibility band"))
-            continue
-        observations.append(PriceObservation(station_id, timestamp, fuel, mode, price,
-                                             source_url))
-    return observations, quarantined
+
+    station_ids: list
+    station: np.ndarray
+    timestamp: np.ndarray
+    day: np.ndarray
+    fuel: np.ndarray
+    mode: np.ndarray
+    price: np.ndarray
+
+    def __len__(self) -> int:
+        return self.price.size
+
+    def take(self, rows) -> "ObservationColumns":
+        return ObservationColumns(self.station_ids, self.station[rows], self.timestamp[rows],
+                                  self.day[rows], self.fuel[rows], self.mode[rows],
+                                  self.price[rows])
+
+    def sort_order(self) -> np.ndarray:
+        """Row order by station id, timestamp, fuel type and payment mode,
+        ties in row order. Equal instants tie; timestamps that mix naive and
+        offset-aware datetimes raise TypeError."""
+        time_rank = np.unique(self.timestamp, return_inverse=True)[1]
+        return np.lexsort((self.mode, self.fuel, time_rank, self.station))
+
+    def lines(self) -> list:
+        """Each row's canonical line, in row order."""
+        return list(map(record_line, map(self.station_ids.__getitem__, self.station.tolist()),
+                        self.timestamp, map(_FUEL_NAMES.__getitem__, self.fuel.tolist()),
+                        map(_MODE_NAMES.__getitem__, self.mode.tolist()),
+                        self.price.tolist()))
+
+
+def parse_price_record(raw: str, source_url: str = ""):
+    """Parse a fetched document or store text into columns.
+
+    Returns (records, quarantined): the kept rows as ``ObservationColumns``
+    and the (line, reason) pairs of lines with an unknown fuel type, an
+    unknown payment mode or a price outside ``PRICE_BAND`` (the first rule
+    that fails names the reason), in line order. Blank lines are skipped. A
+    line without 5 fields or with an unreadable timestamp or price raises
+    ParseError naming the first such line.
+    """
+    lines = [line for line in map(str.strip, raw.splitlines()) if line]
+    n = len(lines)
+    station, stamps, fuel, mode, price = [], [], [], [], []
+    try:
+        if list(map(str.count, lines, repeat("|"))).count(4) != n:
+            raise ValueError("a line without 5 fields")
+        # One split per block of lines bounds the field strings alive at once.
+        for start in range(0, n, _BLOCK_LINES):
+            fields = "|".join(lines[start:start + _BLOCK_LINES]).split("|")
+            station += fields[0::5]
+            stamps += map(dt.datetime.fromisoformat, fields[1::5])
+            fuel += map(_FUEL_CODE.get, fields[2::5], repeat(-1))
+            mode += map(_MODE_CODE.get, fields[3::5], repeat(-1))
+            price += map(float, fields[4::5])
+    except ValueError:
+        for line in lines:
+            parts = line.split("|")
+            if len(parts) != 5:
+                raise ParseError(source_url,
+                                 f"expected 5 fields, got {len(parts)}: {line!r}") from None
+            try:
+                dt.datetime.fromisoformat(parts[1])
+                float(parts[4])
+            except ValueError as exc:
+                raise ParseError(source_url, f"bad field in line {line!r}: {exc}") from exc
+        raise
+    station_ids, station = _codes(station)
+    fuel, mode = np.array(fuel, dtype=np.intp), np.array(mode, dtype=np.intp)
+    price = np.array(price, dtype=float)
+    cols = ObservationColumns(
+        station_ids, station, np.fromiter(stamps, object, n),
+        np.fromiter(map(dt.datetime.toordinal, stamps), np.intp, n), fuel, mode, price)
+    # One mask per rule of _REASONS; a row's reason is the first rule it
+    # fails, so a NaN price, which fails only the last, is above the band.
+    passed = np.array([fuel >= 0, mode >= 0, ~(price <= PRICE_BAND[0]),
+                       price < PRICE_BAND[1]])
+    keep, rule = passed.all(axis=0), passed.argmin(axis=0)
+    quarantined = [(lines[i], _REASONS[rule[i]].format(*lines[i].split("|")))
+                   for i in np.flatnonzero(~keep).tolist()]
+    return cols.take(keep), quarantined
 
 
 # ---------------------------------------------------------------------------
@@ -179,91 +246,19 @@ def _store_text(path: Path) -> str:
     return data[:end].decode()
 
 
-def _codes(labels) -> tuple[list, np.ndarray]:
-    """The sorted distinct labels and each label's index among them, so that
-    code order is label order."""
-    distinct = sorted(set(labels))
-    index = {label: i for i, label in enumerate(distinct)}
-    return distinct, np.fromiter(map(index.__getitem__, labels), np.intp, len(labels))
-
-
-# Fuel and mode codes index the sorted names, so code order is name order.
-_FUEL_CODE = {name: i for i, name in enumerate(sorted(FUEL_TYPES))}
-_MODE_CODE = {name: i for i, name in enumerate(sorted(PAYMENT_MODES))}
-_BLOCK_LINES = 4096
-
-
-@dataclass(frozen=True)
-class ObservationColumns:
-    """Observations as columns, one row per record.
-
-    ``station`` indexes ``station_ids`` (sorted; a label may have no row),
-    ``fuel`` and ``mode`` index the sorted ``FUEL_TYPES`` and
-    ``PAYMENT_MODES``, ``time_rank`` is the rank of the timestamp among the
-    distinct instants read (equal instants share a rank) and ``day`` is the
-    ordinal of the timestamp's own calendar date.
-    """
-
-    station_ids: list
-    station: np.ndarray
-    time_rank: np.ndarray
-    day: np.ndarray
-    fuel: np.ndarray
-    mode: np.ndarray
-    price: np.ndarray
-
-    def take(self, rows) -> "ObservationColumns":
-        return ObservationColumns(self.station_ids, self.station[rows], self.time_rank[rows],
-                                  self.day[rows], self.fuel[rows], self.mode[rows],
-                                  self.price[rows])
-
-    def sort_order(self) -> np.ndarray:
-        """Row order by station id, timestamp, fuel type and payment mode,
-        ties in row order."""
-        return np.lexsort((self.mode, self.fuel, self.time_rank, self.station))
-
-
 def read_store(path) -> ObservationColumns:
-    """The records on a store file's LF-terminated lines as columns, under
-    ``parse_price_record``'s rules: a malformed line raises its
-    ``ParseError``, and a record it would quarantine is dropped. A torn final
-    line is ignored and an absent file holds none."""
-    lines = [line for line in map(str.strip, _store_text(Path(path)).splitlines()) if line]
-    n = len(lines)
-    station, stamps, fuel, mode, price = [], [], [], [], []
-    try:
-        if list(map(str.count, lines, repeat("|"))).count(4) != n:
-            raise ValueError("a line without 5 fields")
-        # One split per block of lines bounds the field strings alive at once.
-        for start in range(0, n, _BLOCK_LINES):
-            fields = "|".join(lines[start:start + _BLOCK_LINES]).split("|")
-            station += fields[0::5]
-            stamps += map(dt.datetime.fromisoformat, fields[1::5])
-            fuel += map(_FUEL_CODE.get, fields[2::5], repeat(-1))
-            mode += map(_MODE_CODE.get, fields[3::5], repeat(-1))
-            price += map(float, fields[4::5])
-    except ValueError:
-        parse_price_record("\n".join(lines), str(path))  # raises the ParseError naming the line
-        raise
-    # Sorting compares datetimes as the per-record sort did, so a store that
-    # mixes naive and offset-aware timestamps raises TypeError here.
-    rank = {ts: i for i, ts in enumerate(sorted(set(stamps)))}
-    station_ids, station = _codes(station)
-    fuel, mode = np.array(fuel, dtype=np.intp), np.array(mode, dtype=np.intp)
-    price = np.array(price, dtype=float)
-    cols = ObservationColumns(
-        station_ids, station, np.fromiter(map(rank.__getitem__, stamps), np.intp, n),
-        np.fromiter(map(dt.datetime.toordinal, stamps), np.intp, n), fuel, mode, price)
-    keep = ((fuel >= 0) & (mode >= 0)
-            & (PRICE_BAND[0] < price) & (price < PRICE_BAND[1]))
-    return cols.take(keep)
+    """The records on a store file's LF-terminated lines as columns, parsed by
+    ``parse_price_record``: a malformed line raises its ``ParseError`` and a
+    record it would quarantine is dropped. A torn final line is ignored and an
+    absent file holds none."""
+    return parse_price_record(_store_text(Path(path)), str(path))[0]
 
 
 class ObservationStore:
     """Append-only file of record lines, deduplicated on the record key.
 
-    The file is the only state: the dedup key of a line is the line up to its
-    last ``|`` (``PriceObservation.dedup_key``), and only LF-terminated lines
+    The file is the only state: the dedup key of a record is its canonical
+    line (``record_line``) up to the last ``|``, and only LF-terminated lines
     count. ``torn_bytes`` is the size of the unterminated tail found on open;
     ``load`` ignores it and the next append cuts it. The first-seen price
     wins. Appends are serialized across threads, not across instances or
@@ -279,15 +274,16 @@ class ObservationStore:
         self._seen = {line.rpartition("|")[0]
                       for line in data[:self._end].decode().splitlines()}
 
-    def add(self, *observations: PriceObservation) -> int:
-        """Append the observations with new keys in one write; returns how
-        many were new (duplicates within the call count once).
+    def add(self, records: ObservationColumns) -> int:
+        """Append the canonical lines of the records with new keys in one
+        write; returns how many were new (duplicates within the call count
+        once).
 
         Each write first truncates the file to the end of its last complete
         line, which cuts a torn tail and any bytes of an earlier write that
         raised ``StoreWriteError``.
         """
-        lines = [obs.to_line() for obs in observations]
+        lines = records.lines()
         with self._lock:
             fresh = {}
             for line in lines:
@@ -407,27 +403,37 @@ def run_collection(plan: CollectionPlan, source, pool: ProxyPool,
                    store: ObservationStore) -> CollectionReport:
     """Run a collection plan with bounded concurrency.
 
-    Worker tasks share a URL queue; each URL is attempted up to retries+1
-    times; per-host delay is enforced across workers; each parsed page goes
-    to the deduplicating store in one append.
+    ``plan.max_in_flight`` pool threads take the URLs in order; each URL is
+    attempted up to retries+1 times; per-host delay is enforced across
+    threads; each parsed page goes to the deduplicating store in one append.
+    A failed append or an exhausted proxy pool aborts the run: URLs not yet
+    started are skipped. Any other exception is raised from here.
     """
     report = CollectionReport()
     throttle = _HostThrottle(plan.per_host_delay_ms / 1000.0)
-    url_queue: queue.Queue = queue.Queue()
-    for url in plan.urls:
-        url_queue.put(url)
-
     lock = threading.Lock()
     in_flight = [0]
     stop = threading.Event()
 
+    def abort(url: str, exc: Exception) -> None:
+        with lock:
+            report.aborted = True
+            report.errors.append((url, str(exc)))
+        stop.set()
+
     def handle(url: str) -> None:
+        if stop.is_set():
+            return
         host = urlparse(url).netloc or url
         for attempt in range(plan.retries + 1):
             with lock:
                 report.attempts[url] = report.attempts.get(url, 0) + 1
             throttle.wait(host)
-            proxy = pool.next()
+            try:
+                proxy = pool.next()
+            except PoolExhaustedError as exc:
+                abort(url, exc)
+                return
             with lock:
                 in_flight[0] += 1
                 report.peak_in_flight = max(report.peak_in_flight, in_flight[0])
@@ -448,43 +454,26 @@ def run_collection(plan: CollectionPlan, source, pool: ProxyPool,
                 in_flight[0] -= 1
                 report.fetched += 1
             try:
-                observations, quarantined = parse_price_record(page, url)
+                records, quarantined = parse_price_record(page, url)
             except ParseError as exc:
                 with lock:
                     report.failed += 1
                     report.errors.append((url, str(exc)))
                 return
             try:
-                stored = store.add(*observations)
+                stored = store.add(records)
             except StoreWriteError as exc:
-                with lock:
-                    report.aborted = True
-                    report.errors.append((url, str(exc)))
-                stop.set()
+                abort(url, exc)
                 return
             with lock:
-                report.parsed += len(observations)
+                report.parsed += len(records)
                 report.quarantined += len(quarantined)
                 report.stored += stored
-                report.duplicates_dropped += len(observations) - stored
+                report.duplicates_dropped += len(records) - stored
             return
 
-    def worker() -> None:
-        while not stop.is_set():
-            try:
-                url = url_queue.get_nowait()
-            except queue.Empty:
-                return
-            try:
-                handle(url)
-            finally:
-                url_queue.task_done()
-
-    threads = [threading.Thread(target=worker) for _ in range(plan.max_in_flight)]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join()
+    with ThreadPoolExecutor(plan.max_in_flight) as executor:
+        list(executor.map(handle, plan.urls))
     return report
 
 

@@ -1,5 +1,5 @@
-"""Descriptive spatial statistics: Moran's I, sweeps over decay/time, Spearman
-rank persistence, variance decomposition and PCA variance-explained.
+"""Descriptive spatial statistics: Moran's I, sweeps over decay/time and
+variance decomposition.
 
 Moran's I uses the classical cross-product form
 
@@ -28,7 +28,6 @@ import numpy as np
 from .errors import (
     EmptyInputError,
     EmptyWeightsError,
-    ZeroVarianceColumnError,
     ZeroVarianceError,
 )
 from .geo import (  # noqa: F401  build_weights + moran_index is the one-window API
@@ -200,36 +199,6 @@ def moran_sweep(observations, locations: dict[object, GeoPoint], window_kind: st
     return sweep
 
 
-def _average_ranks(x: np.ndarray) -> np.ndarray:
-    """Ranks 1..n, ties given the mean of the ranks they span; all NaN when
-    ``x`` holds a NaN (as ``scipy.stats.rankdata`` does)."""
-    n = x.shape[0]
-    if np.isnan(x).any():
-        return np.full(n, np.nan)
-    order = np.argsort(x, kind="mergesort")
-    xs = x[order]
-    starts = np.flatnonzero(np.r_[True, xs[1:] != xs[:-1]])
-    ends = np.r_[starts[1:], n]
-    ranks = np.empty(n)
-    ranks[order] = np.repeat(0.5 * (starts + 1 + ends), ends - starts)
-    return ranks
-
-
-def spearman_rank(x, y) -> float:
-    """Spearman rank correlation, tie-aware (Pearson on average ranks)."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if x.shape != y.shape or x.ndim != 1 or x.shape[0] < 2:
-        raise ValueError("need two equal-length vectors of length >= 2")
-    rx = _average_ranks(x)
-    ry = _average_ranks(y)
-    if np.ptp(rx) == 0 or np.ptp(ry) == 0:
-        raise ZeroVarianceError("all ranks tied in one argument")
-    rx = rx - rx.mean()
-    ry = ry - ry.mean()
-    return float(rx @ ry / np.sqrt((rx @ rx) * (ry @ ry)))
-
-
 def variance_decomposition(values, groups, grouping: str = "group") -> VarianceDecomposition:
     """Split total sum of squares into between-group and within-group parts."""
     x = np.asarray(values, dtype=float)
@@ -246,27 +215,3 @@ def variance_decomposition(values, groups, grouping: str = "group") -> VarianceD
     within = float(np.sum((x - means[codes]) ** 2))
     return VarianceDecomposition(total=total, between=between, within=within,
                                  grouping=grouping)
-
-
-def pca_variance_explained(matrix, normalize: bool = False) -> np.ndarray:
-    """Fractions of variance along principal axes, sorted non-increasing.
-
-    With ``normalize`` the columns are centered and scaled to unit variance
-    (eigenvalues of the correlation matrix); constant columns are rejected.
-    """
-    m = np.asarray(matrix, dtype=float)
-    if m.ndim != 2:
-        raise ValueError("matrix must be 2-D")
-    n, p = m.shape
-    if not n > p or p < 1:
-        raise ValueError(f"need n > p >= 1, got n={n}, p={p}")
-    centered = m - m.mean(axis=0)
-    if normalize:
-        sd = centered.std(axis=0, ddof=1)
-        for j in np.nonzero(sd == 0)[0]:
-            raise ZeroVarianceColumnError(int(j))
-        centered = centered / sd
-    cov = centered.T @ centered / (n - 1)
-    eig = np.linalg.eigvalsh(cov)[::-1]
-    eig = np.clip(eig, 0.0, None)
-    return eig / eig.sum()

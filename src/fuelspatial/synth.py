@@ -17,7 +17,7 @@ import numpy as np
 from .econometrics import CountyModelRow, PanelObservation
 from .geo import GeoPoint, distance_matrix
 from .gwr import GwrDataset
-from .ingest import PriceObservation, Station, save_station_registry
+from .ingest import Station, record_line, save_station_registry
 
 START_DAY = dt.date(2017, 1, 10)
 
@@ -141,12 +141,12 @@ def make_mock_corpus(seed: int, out_dir, n_pages: int = 120, n_days: int = 14,
                     + (0.12 if fuel == "Midgrade" else 0.0) \
                     + (0.24 if fuel == "Premium" else 0.0) \
                     + float(rng.normal(0.0, 0.04))
-                obs = PriceObservation(st.station_id, ts, fuel, mode, round(price, 3))
-                key = obs.dedup_key()
+                line = record_line(st.station_id, ts, fuel, mode, round(price, 3))
+                key = line.rpartition("|")[0]
                 if key in seen_keys:
                     continue
                 seen_keys.add(key)
-                lines.append(obs.to_line())
+                lines.append(line)
                 truth.total_records += 1
                 if mode == "Credit" and fuel == "Regular":
                     truth.credit_regular += 1

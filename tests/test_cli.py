@@ -99,6 +99,27 @@ class TestExitCodes:
         assert "fixed bandwidth must be > 0, got nan" in capsys.readouterr().err
         assert not (tmp_path / "out" / "moran_sweep.csv").exists()
 
+    @pytest.mark.parametrize("grid", ["10,abc", "10,,30"])
+    def test_malformed_decay_grid_is_one(self, tmp_path, chain_dir, capsys, grid):
+        argv = _inputs(chain_dir, tmp_path / "out")
+        assert run("moran", *argv, "--d0-grid", grid) == 1
+        assert "config value 'd0_grid' is not a valid float" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "moran_sweep.csv").exists()
+
+    @pytest.mark.parametrize("command, key", [("synth", "seed"), ("ingest", "max_in_flight"),
+                                              ("ingest", "per_host_delay_ms"),
+                                              ("gwr", "bandwidth_k")])
+    def test_malformed_numeric_config_value_is_one(self, tmp_path, chain_dir, capsys,
+                                                   command, key):
+        cfg_file = tmp_path / "run.cfg"
+        cfg_file.write_text(f"{key} = x\n")
+        argv = _inputs(chain_dir, tmp_path / "out")
+        if command == "ingest":
+            argv = ["--out", str(tmp_path / "out"), "--store", str(tmp_path / "s.psv"),
+                    "--pages", str(chain_dir.parent / "data" / "pages")]
+        assert run("--config", str(cfg_file), command, *argv) == 1
+        assert f"config value {key!r} is not a valid" in capsys.readouterr().err
+
     def test_runtime_error_is_two(self, tmp_path, chain_dir):
         bad = tmp_path / "stations.csv"
         # fips/state mismatch makes registry loading blow up mid-run
@@ -246,6 +267,17 @@ class TestStoreInput:
         with open(tmp_path / "out" / "moran_sweep.csv", newline="") as fh:
             assert list(csv.DictReader(fh))
         assert run("gwr", *argv) == 0
+
+    def test_mixed_naive_and_aware_timestamps_are_a_runtime_error(self, chain_dir, tmp_path,
+                                                                   capsys):
+        lines = (chain_dir / "store.psv").read_text().splitlines()
+        i = next(i for i, line in enumerate(lines) if "|Regular|Credit|" in line)
+        station, ts, *rest = lines[i].split("|")
+        lines[i] = "|".join([station, ts + "+00:00", *rest])
+        store = tmp_path / "store.psv"
+        store.write_text("\n".join(lines) + "\n")
+        assert run("stats", *_inputs(chain_dir, tmp_path / "out", store=store)) == 2
+        assert "runtime error: TypeError" in capsys.readouterr().err
 
     def test_empty_store_has_no_observations(self, chain_dir, tmp_path, capsys):
         store = tmp_path / "store.psv"

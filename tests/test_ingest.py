@@ -1,4 +1,5 @@
 import datetime as dt
+import sys
 import threading
 import time
 from collections import namedtuple
@@ -18,10 +19,10 @@ from fuelspatial.geo import GeoPoint
 from fuelspatial.ingest import (
     FUEL_TYPES,
     PAYMENT_MODES,
+    PRICE_BAND,
     CollectionPlan,
     MockSource,
     ObservationStore,
-    PriceObservation,
     ProxyEndpoint,
     ProxyPool,
     Station,
@@ -35,6 +36,7 @@ from fuelspatial.ingest import (
     load_station_registry,
     parse_price_record,
     read_store,
+    record_line,
     run_collection,
 )
 from fuelspatial.synth import make_mock_corpus
@@ -43,37 +45,79 @@ from fuelspatial.synth import make_mock_corpus
 Cell = namedtuple("Cell", "station_id day price n_prices")
 
 
+class Record(namedtuple("Record", "station_id timestamp fuel_type payment_mode price")):
+    """One record, as the reference parser makes it."""
+
+    def line(self) -> str:
+        return record_line(*self)
+
+
+def _reference_parse(raw, source_url=""):
+    """The per-line parser ``parse_price_record`` replaced, kept as its
+    oracle: (records, quarantined) with the same rules, reasons and errors."""
+    records, quarantined = [], []
+    for line in raw.splitlines():
+        line = line.strip()
+        if not line:
+            continue
+        parts = line.split("|")
+        if len(parts) != 5:
+            raise ParseError(source_url, f"expected 5 fields, got {len(parts)}: {line!r}")
+        station_id, ts, fuel, mode, price_s = parts
+        try:
+            timestamp = dt.datetime.fromisoformat(ts)
+            price = float(price_s)
+        except ValueError as exc:
+            raise ParseError(source_url, f"bad field in line {line!r}: {exc}") from exc
+        if fuel not in FUEL_TYPES:
+            quarantined.append((line, f"unknown fuel type {fuel!r}"))
+            continue
+        if mode not in PAYMENT_MODES:
+            quarantined.append((line, f"unknown payment mode {mode!r}"))
+            continue
+        if not PRICE_BAND[0] < price < PRICE_BAND[1]:
+            side = "below" if price <= PRICE_BAND[0] else "above"
+            quarantined.append((line, f"{side} plausibility band"))
+            continue
+        records.append(Record(station_id, timestamp, fuel, mode, price))
+    return records, quarantined
+
+
 def obs(station="st1", day=10, hour=12, fuel="Regular", mode="Credit", price=2.3):
-    return PriceObservation(station, dt.datetime(2017, 1, day, hour), fuel, mode, price)
+    return Record(station, dt.datetime(2017, 1, day, hour), fuel, mode, price)
+
+
+def _records(*records):
+    """The records as ``parse_price_record`` columns, in the given order."""
+    return parse_price_record("\n".join(r.line() for r in records))[0]
 
 
 def _columns(path, records):
     """``read_store`` of a store file holding the records' lines in order."""
-    path.write_text("".join(o.to_line() + "\n" for o in records))
+    path.write_text("".join(r.line() + "\n" for r in records))
     return read_store(path)
 
 
 def _rows(cols):
-    """The columns' rows as (station id, time rank, day ordinal, fuel, mode,
+    """The columns' rows as (station id, timestamp, day ordinal, fuel, mode,
     price)."""
     fuels, modes = sorted(FUEL_TYPES), sorted(PAYMENT_MODES)
     return list(zip([cols.station_ids[s] for s in cols.station.tolist()],
-                    cols.time_rank.tolist(), cols.day.tolist(),
+                    cols.timestamp.tolist(), cols.day.tolist(),
                     [fuels[f] for f in cols.fuel.tolist()],
                     [modes[m] for m in cols.mode.tolist()], cols.price.tolist()))
 
 
 def _record_rows(records):
-    """The same rows of records, ranking their distinct timestamps."""
-    rank = {ts: i for i, ts in enumerate(sorted({o.timestamp for o in records}))}
-    return [(o.station_id, rank[o.timestamp], o.timestamp.toordinal(), o.fuel_type,
-             o.payment_mode, o.price) for o in records]
+    """The same rows of records."""
+    return [(r.station_id, r.timestamp, r.timestamp.toordinal(), r.fuel_type,
+             r.payment_mode, r.price) for r in records]
 
 
 def _parsed(path):
-    """``parse_price_record``'s records of a store file's complete lines."""
+    """The reference parser's records of a store file's complete lines."""
     text = path.read_bytes().decode()
-    return parse_price_record(text[:text.rfind("\n") + 1], str(path))[0]
+    return _reference_parse(text[:text.rfind("\n") + 1], str(path))[0]
 
 
 def _cells(panel):
@@ -139,24 +183,44 @@ class TestProxyPool:
 
 class TestParse:
     def test_happy_path(self):
-        raw = "\n".join([obs(price=2.1).to_line(), obs(hour=13).to_line(),
-                         obs(day=11).to_line()])
+        raw = "\n".join([obs(price=2.1).line(), obs(hour=13).line(),
+                         obs(day=11).line()])
         records, quarantined = parse_price_record(raw, "mock://p")
         assert len(records) == 3
         assert not quarantined
-        assert records[0].price == 2.1
-        assert records[0].source_url == "mock://p"
+        assert records.price[0] == 2.1
+        with pytest.raises(ParseError, match="mock://p"):
+            parse_price_record(raw + "\nst1|only|three", "mock://p")
 
     def test_price_below_band_quarantined(self):
-        records, quarantined = parse_price_record(obs(price=0.05).to_line())
-        assert not records
+        records, quarantined = parse_price_record(obs(price=0.05).line())
+        assert not len(records)
         assert quarantined[0][1] == "below plausibility band"
 
     def test_unknown_fuel_quarantined(self):
         line = "st1|2017-01-10T12:00:00|Jetfuel|Credit|2.100"
         records, quarantined = parse_price_record(line)
-        assert not records
+        assert not len(records)
         assert "unknown fuel type" in quarantined[0][1]
+
+    @pytest.mark.parametrize("fields, reason", [
+        ("Jetfuel|Credit|2.100", "unknown fuel type 'Jetfuel'"),
+        ("Regular|Barter|2.100", "unknown payment mode 'Barter'"),
+        ("Jetfuel|Barter|2.100", "unknown fuel type 'Jetfuel'"),
+        ("Jetfuel|Credit|99.0", "unknown fuel type 'Jetfuel'"),
+        ("Regular|Barter|0.05", "unknown payment mode 'Barter'"),
+        ("Regular|Credit|0.500", "below plausibility band"),
+        ("Regular|Credit|-inf", "below plausibility band"),
+        ("Regular|Credit|10.000", "above plausibility band"),
+        ("Regular|Credit|inf", "above plausibility band"),
+        ("Regular|Credit|nan", "above plausibility band"),
+    ])
+    def test_quarantine_reason(self, fields, reason):
+        line = "st1|2017-01-10T12:00:00|" + fields
+        kept = obs().line()
+        records, quarantined = parse_price_record(f"{kept}\n {line} \n{kept}")
+        assert quarantined == [(line, reason)] == _reference_parse(line)[1]
+        assert records.price.tolist() == [2.3, 2.3]
 
     def test_structural_error_raises(self):
         with pytest.raises(ParseError):
@@ -175,48 +239,72 @@ class TestParse:
         assert total == truth.total_records + truth.planted_duplicates
         assert quarantined == truth.quarantined
 
+    def test_lines_are_canonical(self):
+        records = parse_price_record("st1|2017-01-10 12:00|Regular|Credit|2.1\n"
+                                     "st2|2017-01-10T12:00:00+01:00|Diesel|Cash|2.25")[0]
+        assert records.lines() == ["st1|2017-01-10T12:00:00|Regular|Credit|2.100",
+                                   "st2|2017-01-10T12:00:00+01:00|Diesel|Cash|2.250"]
+
+    def test_mixed_naive_and_aware_timestamps_fail_to_sort(self):
+        records = parse_price_record("st1|2017-01-10T12:00:00|Regular|Credit|2.1\n"
+                                     "st1|2017-01-10T13:00:00+00:00|Regular|Credit|2.2")[0]
+        assert len(records) == 2
+        with pytest.raises(TypeError):
+            records.sort_order()
+
 
 class TestStore:
     def test_dedup_first_seen_wins(self, tmp_path):
         store = ObservationStore(tmp_path / "s.psv")
-        assert store.add(obs(price=2.0))
-        assert not store.add(obs(price=9.0))  # same key, different price
+        assert store.add(_records(obs(price=2.0)))
+        assert not store.add(_records(obs(price=9.0)))  # same key, different price
         assert _rows(store.load()) == _record_rows([obs(price=2.0)])
 
     def test_persistent_index(self, tmp_path):
         store = ObservationStore(tmp_path / "s.psv")
-        store.add(obs())
+        store.add(_records(obs()))
         reopened = ObservationStore(tmp_path / "s.psv")
-        assert not reopened.add(obs())
+        assert not reopened.add(_records(obs()))
         assert len(reopened) == 1
         assert [p.name for p in tmp_path.iterdir()] == ["s.psv"]
 
     def test_page_dedup_within_and_across_calls(self, tmp_path):
         store = ObservationStore(tmp_path / "s.psv")
-        assert store.add(obs(price=2.0), obs(hour=13), obs(price=9.0)) == 2
-        assert store.add(obs(hour=13), obs(hour=14)) == 1
-        assert store.add() == 0
+        assert store.add(_records(obs(price=2.0), obs(hour=13), obs(price=9.0))) == 2
+        assert store.add(_records(obs(hour=13), obs(hour=14))) == 1
+        assert store.add(_records()) == 0
         assert _rows(store.load()) == _record_rows([obs(price=2.0), obs(hour=13),
                                                     obs(hour=14)])
         assert len(store) == 3
 
+    def test_non_canonical_spelling_stored_canonically(self, tmp_path):
+        path = tmp_path / "s.psv"
+        store = ObservationStore(path)
+        page = "st1|2017-01-10 12:00:00|Regular|Credit|2.1\n"
+        assert store.add(parse_price_record(page)[0]) == 1
+        canonical = "st1|2017-01-10T12:00:00|Regular|Credit|2.100\n"
+        assert path.read_text() == canonical
+        assert store.add(parse_price_record(canonical)[0]) == 0
+        assert ObservationStore(path).add(parse_price_record(canonical)[0]) == 0
+        assert path.read_text() == canonical
+
     def test_torn_tail_ignored_then_cut(self, tmp_path):
         path = tmp_path / "s.psv"
-        complete = obs().to_line() + "\n" + obs(hour=13).to_line() + "\n"
-        tail = obs(hour=14).to_line()[:17]
+        complete = obs().line() + "\n" + obs(hour=13).line() + "\n"
+        tail = obs(hour=14).line()[:17]
         path.write_text(complete + tail)
         store = ObservationStore(path)
         assert store.torn_bytes == len(tail)
         assert len(store) == 2
         assert _rows(store.load()) == _record_rows([obs(), obs(hour=13)])
-        assert store.add(obs(hour=13), obs(hour=15)) == 1
-        assert path.read_text() == complete + obs(hour=15).to_line() + "\n"
+        assert store.add(_records(obs(hour=13), obs(hour=15))) == 1
+        assert path.read_text() == complete + obs(hour=15).line() + "\n"
         assert ObservationStore(path).torn_bytes == 0
 
     def test_read_store_matches_load_on_torn_tail(self, tmp_path):
         path = tmp_path / "s.psv"
-        path.write_text(obs().to_line() + "\n" + obs(hour=13).to_line() + "\n"
-                        + obs(hour=14).to_line()[:17])
+        path.write_text(obs().line() + "\n" + obs(hour=13).line() + "\n"
+                        + obs(hour=14).line()[:17])
         assert _rows(read_store(path)) == _rows(ObservationStore(path).load()) \
             == _record_rows([obs(), obs(hour=13)])
         assert read_store(tmp_path / "absent.psv").price.size == 0
@@ -240,15 +328,15 @@ class TestStore:
                 raise OSError("disk full")
 
         store = ObservationStore(tmp_path / "s.psv")
-        store.add(obs())
+        store.add(_records(obs()))
         monkeypatch.setattr(ingest, "open", lambda *a: TornFile(open(*a)), raising=False)
         with pytest.raises(StoreWriteError):
-            store.add(obs(hour=13), obs(hour=14))
+            store.add(_records(obs(hour=13), obs(hour=14)))
         monkeypatch.delattr(ingest, "open")
-        assert (tmp_path / "s.psv").stat().st_size == len(obs().to_line()) + 1 + 10
-        assert store.add(obs(hour=14)) == 1
+        assert (tmp_path / "s.psv").stat().st_size == len(obs().line()) + 1 + 10
+        assert store.add(_records(obs(hour=14))) == 1
         lines = (tmp_path / "s.psv").read_text().split("\n")
-        assert lines == [obs().to_line(), obs(hour=14).to_line(), ""]
+        assert lines == [obs().line(), obs(hour=14).line(), ""]
         assert _rows(store.load()) == _record_rows([obs(), obs(hour=14)])
 
 
@@ -280,7 +368,7 @@ class TestRunCollection:
                          failure_threshold=1000)
 
     def _pages(self, n=10):
-        return {f"mock://h/p{i}": obs(station=f"st{i}").to_line() + "\n"
+        return {f"mock://h/p{i}": obs(station=f"st{i}").line() + "\n"
                 for i in range(n)}
 
     def test_all_pages_stored_concurrency_bounded(self, tmp_path):
@@ -317,7 +405,7 @@ class TestRunCollection:
         assert report.attempts[flaky] == 2
 
     def test_cross_page_duplicate_dropped(self, tmp_path):
-        record = obs().to_line() + "\n"
+        record = obs().line() + "\n"
         pages = {"mock://h/a": record, "mock://h/b": record}
         plan = CollectionPlan(urls=sorted(pages), max_in_flight=1)
         report = run_collection(plan, MockSource(pages), self._pool(),
@@ -347,7 +435,7 @@ class TestRunCollection:
 
     def test_store_write_failure_aborts(self, tmp_path):
         class BrokenStore(ObservationStore):
-            def add(self, *records):
+            def add(self, records):
                 raise StoreWriteError("disk full")
 
         pages = self._pages(5)
@@ -355,6 +443,45 @@ class TestRunCollection:
         report = run_collection(plan, MockSource(pages), self._pool(),
                                 BrokenStore(tmp_path / "s.psv"))
         assert report.aborted
+
+    def test_counts_hold_with_more_workers_than_cores(self, tmp_path):
+        pages = {f"mock://h{i % 3}/p{i}": obs(station=f"st{i}").line() + "\n"
+                 + obs(station=f"st{i % 7}", hour=3).line() + "\n" for i in range(120)}
+        plan = CollectionPlan(urls=sorted(pages), max_in_flight=16)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            report = run_collection(plan, MockSource(pages), self._pool(),
+                                    ObservationStore(tmp_path / "s.psv"))
+        finally:
+            sys.setswitchinterval(interval)
+        assert (report.fetched, report.parsed, report.stored) == (120, 240, 127)
+        assert report.duplicates_dropped == 113
+        assert sum(report.attempts.values()) == 120
+        assert len(ObservationStore(tmp_path / "s.psv")) == 127
+
+    def test_exhausted_pool_aborts(self, tmp_path):
+        pages = self._pages(20)
+        urls = sorted(pages)
+        source = MockSource(pages, always_fail=set(urls[:3]))
+        plan = CollectionPlan(urls=urls, max_in_flight=4, retries=0)
+        report = run_collection(plan, source, ProxyPool([ProxyEndpoint("a:1")]),
+                                ObservationStore(tmp_path / "s.psv"))
+        assert report.aborted
+        assert str(PoolExhaustedError("all proxy endpoints have failed")) in \
+            [message for _, message in report.errors]
+        assert len(report.attempts) < len(urls)
+
+    def test_unexpected_store_error_propagates(self, tmp_path):
+        class FaultyStore(ObservationStore):
+            def add(self, records):
+                raise RuntimeError("store bug")
+
+        pages = self._pages(5)
+        plan = CollectionPlan(urls=sorted(pages), max_in_flight=2)
+        with pytest.raises(RuntimeError, match="store bug"):
+            run_collection(plan, MockSource(pages), self._pool(),
+                           FaultyStore(tmp_path / "s.psv"))
 
     def test_duplicate_urls_normalized(self):
         plan = CollectionPlan(urls=["u1", "u2", "u1", " u2 "])
@@ -380,7 +507,7 @@ class TestFilterAndAggregate:
         store = ObservationStore(tmp_path / "s.psv")
         for page in (tmp_path / "pages").iterdir():
             recs, _ = parse_price_record(page.read_text())
-            store.add(*recs)  # dedup as ingest does
+            store.add(recs)  # dedup as ingest does
         assert filter_observations(store.load()).price.size == truth.credit_regular
 
 
@@ -422,7 +549,7 @@ class TestAggregateDaily:
         # drop key collisions the store would have removed
         unique = {}
         for r in records:
-            unique.setdefault(r.dedup_key(), r)
+            unique.setdefault(r.line().rpartition("|")[0], r)
         records = list(unique.values())
         panel, _ = aggregate_daily(_columns(tmp_path / "s.psv", records), _stations())
         oracle = {}
@@ -568,9 +695,26 @@ def _random_store(path, seed, registered):
 
 
 class TestReadStoreColumns:
-    """The columnar read, filter and station-day means against the records
-    ``parse_price_record`` makes of the file's complete lines, filtered,
-    sorted and averaged with a dict of lists."""
+    """The columnar parse, read, filter and station-day means against the
+    records the reference parser makes of the file's complete lines,
+    filtered, sorted and averaged with a dict of lists."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("block", [7, 4096])
+    def test_parse_matches_reference(self, tmp_path, monkeypatch, seed, block):
+        monkeypatch.setattr(ingest, "_BLOCK_LINES", block)
+        path = tmp_path / "s.psv"
+        _random_store(path, seed, _stations())
+        text = path.read_bytes().decode()
+        text = text[:text.rfind("\n") + 1]
+        records, quarantined = _reference_parse(text, "mock://p")
+        got, got_quarantined = parse_price_record(text, "mock://p")
+        assert _rows(got) == _rows(read_store(path)) == _record_rows(records)
+        assert got_quarantined == quarantined
+        reasons = {reason.split(" '")[0] for _, reason in quarantined}
+        assert reasons == {"unknown fuel type", "unknown payment mode",
+                           "below plausibility band", "above plausibility band"}
+        assert any("|Jetfuel|Barter|" in line for line, _ in quarantined)
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     @pytest.mark.parametrize("fuel", ["Regular", None])
@@ -584,6 +728,7 @@ class TestReadStoreColumns:
         cols = filter_observations(read_store(path), fuel)
         cols = cols.take(cols.sort_order())
         assert [cols.station_ids[s] for s in cols.station] == [o.station_id for o in obs]
+        assert cols.timestamp.tolist() == [o.timestamp for o in obs]
         assert cols.day.tolist() == [o.timestamp.toordinal() for o in obs]
         assert cols.price.tolist() == [o.price for o in obs]
 
@@ -609,14 +754,26 @@ class TestReadStoreColumns:
                                      "st1|2017-01-10T12:00:00|Jetfuel|Credit|two"])
     def test_malformed_line_raises_the_same_parse_error(self, tmp_path, bad):
         path = tmp_path / "s.psv"
-        path.write_text(obs().to_line() + "\n" + bad + "\n" + obs(hour=13).to_line()
+        path.write_text(obs().line() + "\n" + bad + "\n" + obs(hour=13).line()
                         + "\n")
         with pytest.raises(ParseError) as expected:
             _parsed(path)
         with pytest.raises(ParseError) as got:
             read_store(path)
-        assert str(got.value) == str(expected.value)
+        with pytest.raises(ParseError) as page:
+            parse_price_record(path.read_text(), str(path))
+        assert str(got.value) == str(page.value) == str(expected.value)
         assert repr(bad) in str(got.value) and str(path) in str(got.value)
+
+    def test_first_bad_line_is_named(self):
+        text = "\n".join([obs().line(), "st1|2017-13-10T12:00:00|Regular|Credit|2.1",
+                          "st1|2017-01-10T12:00:00|Regular"])
+        with pytest.raises(ParseError) as expected:
+            _reference_parse(text)
+        with pytest.raises(ParseError) as got:
+            parse_price_record(text)
+        assert str(got.value) == str(expected.value)
+        assert "bad field in line 'st1|2017-13-10T12:00:00" in str(got.value)
 
     def test_empty_and_absent_store(self, tmp_path):
         (tmp_path / "s.psv").write_text("st1|2017-01-1")

@@ -9,7 +9,6 @@ from fuelspatial.errors import (
     EmptyInputError,
     EmptyWeightsError,
     InvalidBandwidthError,
-    ZeroVarianceColumnError,
     ZeroVarianceError,
 )
 from fuelspatial import spatial_stats
@@ -18,8 +17,6 @@ from fuelspatial.spatial_stats import (
     MoranResult,
     moran_index,
     moran_sweep,
-    pca_variance_explained,
-    spearman_rank,
     variance_decomposition,
 )
 
@@ -342,39 +339,6 @@ class TestMoranSweepOracle:
             moran_sweep(panel, locations, "monthly", [100.0])
 
 
-class TestSpearman:
-    def test_identical(self):
-        assert spearman_rank([1, 2, 3], [1, 2, 3]) == 1.0
-
-    def test_reversed(self):
-        assert spearman_rank([1, 2, 3], [3, 2, 1]) == -1.0
-
-    def test_shortcut_value(self):
-        # sum d^2 = 2 -> 1 - 12/24 = 0.5
-        assert spearman_rank([1, 2, 3], [1, 3, 2]) == pytest.approx(0.5)
-
-    def test_constant_vector(self):
-        with pytest.raises(ZeroVarianceError):
-            spearman_rank([1, 1, 1], [1, 2, 3])
-
-    def test_ties_average_ranks(self):
-        from scipy import stats as sps
-        x = [1.0, 2.0, 2.0, 3.0]
-        y = [4.0, 5.0, 6.0, 6.0]
-        assert spearman_rank(x, y) == pytest.approx(sps.spearmanr(x, y).statistic,
-                                                    abs=1e-12)
-
-    @given(seed=st.integers(0, 10_000))
-    @settings(max_examples=30)
-    def test_monotone_transform_invariance(self, seed):
-        rng = np.random.default_rng(seed)
-        x = rng.normal(0, 1, 12)
-        y = rng.normal(0, 1, 12)
-        assert spearman_rank(np.exp(x), y) == pytest.approx(spearman_rank(x, y),
-                                                            abs=1e-12)
-        assert spearman_rank(x, y**3) == pytest.approx(spearman_rank(x, y), abs=1e-12)
-
-
 class TestVarianceDecomposition:
     def test_constant_within_groups(self):
         vd = variance_decomposition([1.0, 1.0, 3.0, 3.0], ["a", "a", "b", "b"])
@@ -411,43 +375,6 @@ class TestVarianceDecomposition:
     def test_empty(self):
         with pytest.raises(EmptyInputError):
             variance_decomposition([], [])
-
-
-class TestPcaVarianceExplained:
-    def test_identical_columns_rank_one(self):
-        rng = np.random.default_rng(1)
-        col = rng.normal(0, 1, 30)
-        fr = pca_variance_explained(np.column_stack([col, col]), normalize=True)
-        assert fr[0] == pytest.approx(1.0, abs=1e-12)
-        assert fr[1] == pytest.approx(0.0, abs=1e-12)
-
-    def test_independent_columns_isotropic(self):
-        rng = np.random.default_rng(2)
-        m = rng.normal(0, 1, (20_000, 2))
-        fr = pca_variance_explained(m, normalize=True)
-        assert fr[0] == pytest.approx(0.5, abs=0.02)
-        assert fr[1] == pytest.approx(0.5, abs=0.02)
-
-    def test_matches_eigendecomposition_oracle(self):
-        rng = np.random.default_rng(3)
-        m = rng.normal(0, 1, (50, 4)) @ rng.normal(0, 1, (4, 4))
-        fr = pca_variance_explained(m)
-        centered = m - m.mean(axis=0)
-        eig = np.sort(np.linalg.eigvals(np.cov(centered, rowvar=False)).real)[::-1]
-        assert np.allclose(fr, eig / eig.sum(), atol=1e-8)
-
-    def test_sorted_and_sums_to_one(self):
-        rng = np.random.default_rng(4)
-        fr = pca_variance_explained(rng.normal(0, 1, (40, 5)), normalize=True)
-        assert fr.sum() == pytest.approx(1.0, abs=1e-9)
-        assert np.all(np.diff(fr) <= 1e-12)
-        assert np.all(fr >= 0)
-
-    def test_constant_column_rejected(self):
-        m = np.column_stack([np.ones(10), np.arange(10.0)])
-        with pytest.raises(ZeroVarianceColumnError) as exc:
-            pca_variance_explained(m, normalize=True)
-        assert exc.value.column == 0
 
 
 class TestCountyPanelFixture:
