@@ -205,10 +205,14 @@ def cmd_synth(cfg: RunConfig) -> int:
 def cmd_ingest(cfg: RunConfig) -> int:
     out = _outdir(cfg)
     pages = cfg.path("pages", must_exist=True)
+    max_in_flight = cfg.get_int("max_in_flight")
+    if max_in_flight < 1:
+        raise FuelSpatialError("config value 'max_in_flight' (--max-in-flight) must be "
+                               f"at least 1, got {max_in_flight}")
     source = ing.MockSource.from_directory(pages)
     plan = ing.CollectionPlan(
         urls=sorted(source.pages),
-        max_in_flight=cfg.get_int("max_in_flight"),
+        max_in_flight=max_in_flight,
         per_host_delay_ms=cfg.get_float("per_host_delay_ms"),
         retries=cfg.get_int("retries"),
     )

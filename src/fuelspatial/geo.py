@@ -39,7 +39,7 @@ class GeoPoint:
             raise ValueError(f"longitude out of range: {self.lon}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Bandwidth:
     """Spatial scale of a kernel: a fixed distance d0 (km) or an adaptive
     nearest-neighbor count k."""
@@ -107,23 +107,34 @@ def kernel_weight(shape: KernelShape, d, h):
     Accepts scalars or arrays for d and h; an array h broadcasts against d,
     so ``h[:, None]`` gives each row of a distance matrix its own bandwidth.
     All shapes equal 1 at d = 0 and are non-increasing in d.
+
+    Each shape is evaluated in place on the one array u = d / h, in the
+    formula's own operation order: exp(-u), exp(-0.5 u^2),
+    (1 - min(u, 1)^2)^2 where u < 1 and 0 elsewhere, and [u <= 1].
     """
     h = np.asarray(h, dtype=float)
     if not np.all(h > 0):
         raise InvalidBandwidthError(f"kernel bandwidth must be > 0, got {h.min()}")
-    d = np.asarray(d, dtype=float)
-    u = d / h
+    u = np.asarray(np.asarray(d, dtype=float) / h)
     if shape is KernelShape.EXPONENTIAL:
-        w = np.exp(-u)
+        np.negative(u, out=u)
+        np.exp(u, out=u)
     elif shape is KernelShape.GAUSSIAN:
-        w = np.exp(-0.5 * u**2)
+        np.square(u, out=u)
+        np.multiply(u, -0.5, out=u)
+        np.exp(u, out=u)
     elif shape is KernelShape.BISQUARE:
-        w = np.where(u < 1.0, (1.0 - np.minimum(u, 1.0) ** 2) ** 2, 0.0)
+        outside = ~(u < 1.0)
+        np.minimum(u, 1.0, out=u)
+        np.square(u, out=u)
+        np.subtract(1.0, u, out=u)
+        np.square(u, out=u)
+        np.copyto(u, 0.0, where=outside)
     elif shape is KernelShape.STEP:
-        w = np.where(u <= 1.0, 1.0, 0.0)
+        np.less_equal(u, 1.0, out=u)
     else:  # pragma: no cover
         raise ValueError(f"unknown kernel shape {shape}")
-    return float(w) if w.ndim == 0 else w
+    return float(u) if u.ndim == 0 else u
 
 
 @dataclass(frozen=True)

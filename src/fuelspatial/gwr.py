@@ -11,13 +11,22 @@ sqrt(w_i) [X | y], taken in blocks of ``FOCAL_BLOCK`` focal rows so that
 memory stays bounded at large n. Its R factor gives beta_i by back
 substitution and the hat diagonal s_ii by forward substitution.
 
-The reported fit (``gwr_fit``), the LOO-CV score (``gwr_cv_score``) and both
-bandwidth-search criteria call that solver on the same design and the same
-rows, so the AICc the search minimizes is the AICc of the fit it picks, bit
-for bit. An adaptive bisquare weight is exactly 0 at and beyond the k-th
+The reported fit (``gwr_fit``) and the LOO-CV score (``gwr_cv_score``) call
+that solver. An adaptive bisquare weight is exactly 0 at and beyond the k-th
 neighbour, so those fits stack only the k+1 nearest rows of each focal
 location (``GwrDataset.neighbor_order``); every other kernel and bandwidth
 stacks all n rows.
+
+The bandwidth search scores from Gram tables (``_GramTables``). Covariates are
+standardized each on its own, so every subset's local [X | y]^T W_i [X | y]
+is a sub-block of the full one, and one product W @ P per (kernel,
+bandwidth) holds them all; ``enumerate_models`` shares these tables across
+subsets. Each evaluation takes a batched Cholesky of its subset's blocks. It
+falls back to the QR solver when a Cholesky fails, when some pivot ratio is
+at most ``PIVOT_RATIO``, or, under AICc, when the RSS or n - 2 - tr(S) is
+within ``GUARD_MARGIN`` of 0, so a score is inf exactly where the QR path
+raises. The chosen bandwidth is solved again by QR, so the search's score,
+and an enumeration entry's AICc and global R^2, equal the fit's bit for bit.
 """
 
 from __future__ import annotations
@@ -143,9 +152,9 @@ def aicc_score(n: int, rss: float, hat_trace: float) -> float:
             + n * (n + hat_trace) / (n - 2.0 - hat_trace))
 
 
-def _design(data: GwrDataset, covariates):
-    """Standardized design with intercept and the response as its last column,
-    [X | y], plus de-normalization info. Raises ValueError unless n > p+2."""
+def _standardize(data: GwrDataset, covariates):
+    """[1 | X | y] with each covariate column standardized on its own, plus
+    the means and scales that undo it."""
     cols = []
     means, scales = [], []
     for name in covariates:
@@ -159,10 +168,17 @@ def _design(data: GwrDataset, covariates):
         means.append(m)
         scales.append(s)
     xy = np.column_stack([np.ones(data.n)] + cols + [data.response])
+    return xy, np.array(means), np.array(scales)
+
+
+def _design(data: GwrDataset, covariates):
+    """Standardized design with intercept and the response as its last column,
+    [X | y], plus de-normalization info. Raises ValueError unless n > p+2."""
+    xy, means, scales = _standardize(data, covariates)
     n, p1 = xy.shape[0], xy.shape[1] - 1
     if n <= p1 + 1:
         raise ValueError(f"need n > p+2, got n={n}, p={p1 - 1}")
-    return xy, np.array(means), np.array(scales)
+    return xy, means, scales
 
 
 def _weight_matrix(dist: np.ndarray, spec: GwrSpec) -> np.ndarray:
@@ -273,6 +289,20 @@ def _loo_rss(xy: np.ndarray, w: np.ndarray, rows: np.ndarray | None) -> float:
     return float(residuals @ residuals)
 
 
+def _fit_scores(xy: np.ndarray, w: np.ndarray, rows: np.ndarray | None):
+    """(RSS, AICc) of the local fits, as ``gwr_fit`` computes them."""
+    betas, hat_diag = _local_fits(xy, w, rows)
+    residuals = _residuals(xy, betas)
+    rss = float(residuals @ residuals)
+    return rss, aicc_score(xy.shape[0], rss, float(hat_diag.sum()))
+
+
+def _global_r2(y: np.ndarray, rss: float) -> float:
+    """1 - RSS/TSS, NaN for a constant response."""
+    tss = float(np.sum((y - y.mean()) ** 2))
+    return 1.0 - rss / tss if tss > 0 else float("nan")
+
+
 def gwr_fit(data: GwrDataset, spec: GwrSpec) -> GwrFit:
     """Fit a GWR model, one weighted regression per location."""
     xy, means, scales = _design(data, spec.covariates)
@@ -296,8 +326,7 @@ def gwr_fit(data: GwrDataset, spec: GwrSpec) -> GwrFit:
     with np.errstate(divide="ignore", invalid="ignore"):
         local_r2 = 1.0 - rss_w / tss_w
 
-    tss = float(np.sum((y - y.mean()) ** 2))
-    global_r2 = 1.0 - rss / tss if tss > 0 else float("nan")
+    global_r2 = _global_r2(y, rss)
     aicc = aicc_score(n, rss, hat_trace)
 
     # De-normalize: slope_raw = slope / scale, intercept shifts by the means.
@@ -330,37 +359,130 @@ class BandwidthSearchResult:
     evaluations: list = field(default_factory=list)  # (bandwidth value, score)
 
 
-def _criterion_fn(data: GwrDataset, covariates, kernel: KernelShape, criterion: str):
-    """The search objective: bandwidth -> AICc or LOO-CV, inf where infeasible.
+# A search falls back to the QR path for a whole evaluation when some row's
+# smallest Cholesky pivot is at most PIVOT_RATIO times its largest (or times
+# 1, if all are below 1), the ratio ``_check_rank`` tests at 1e-10. A Gram
+# block squares the condition number, so a score from it is off by about
+# 2e-16 / ratio^2 relative: 1e-3 keeps that near 1e-10 (at a ratio of 1e-5,
+# an AICc was off by 3e-7).
+PIVOT_RATIO = 1e-3
+# ... and, under AICc, when the Gram RSS is within GUARD_MARGIN * y'y of 0 or
+# n - 2 - tr(S) within GUARD_MARGIN * n of 0, where ``aicc_score`` raises.
+GUARD_MARGIN = 1e-8
 
-    The design is built once per search. Each evaluation solves as
-    ``gwr_fit`` or ``gwr_cv_score`` would, on the same rows, so its score
-    equals that fit's ``aicc`` or that CV score bit for bit; no ``GwrFit`` is
-    built.
+# What makes a search evaluation infeasible (scored inf) rather than an error.
+INFEASIBLE = (SingularFitError, InsufficientSupportError, OversaturatedModelError,
+              PerfectFitError, DegenerateBandwidthError)
+
+
+def _exact_score(data: GwrDataset, xy: np.ndarray, spec: GwrSpec, cv: bool) -> float:
+    """The criterion at ``spec`` through the QR solver: the ``aicc`` of
+    ``gwr_fit(data, spec)`` or ``gwr_cv_score(data, spec)``, bit for bit."""
+    w = _weight_matrix(data.distances, spec)
+    rows = _support_rows(data, spec)
+    if cv:
+        return _loo_rss(xy, w, rows)
+    return _fit_scores(xy, w, rows)[1]
+
+
+class _GramTables:
+    """The Gram tables of one dataset, kernel and criterion, one per bandwidth.
+
+    ``_design`` standardizes each column on its own, so for every subset of
+    ``names`` the local [X | y]^T W_i [X | y] is a sub-block of the one over
+    all of them. Row j of P holds the products z_a z_b (a <= b) of row j of
+    z = [1 | X | y]; row i of a bandwidth's table W @ P then holds every such
+    block of location i. Under CV the table is built from W with its diagonal
+    zeroed, so no location sees its own observation.
     """
-    criterion = criterion.lower()
-    if criterion not in ("aicc", "cv"):
-        raise ValueError(f"unknown criterion {criterion!r}")
-    xy, _, _ = _design(data, covariates)
 
-    def score(spec: GwrSpec) -> float:
-        w = _weight_matrix(data.distances, spec)
-        rows = _support_rows(data, spec)
-        if criterion == "cv":
-            return _loo_rss(xy, w, rows)
-        betas, hat_diag = _local_fits(xy, w, rows)
-        residuals = _residuals(xy, betas)
-        return aicc_score(data.n, float(residuals @ residuals), float(hat_diag.sum()))
+    def __init__(self, data: GwrDataset, names, kernel: KernelShape, criterion: str):
+        criterion = criterion.lower()
+        if criterion not in ("aicc", "cv"):
+            raise ValueError(f"unknown criterion {criterion!r}")
+        self.data, self.kernel, self.cv = data, kernel, criterion == "cv"
+        self.z = _standardize(data, names)[0]
+        q = self.z.shape[1]
+        a, b = np.triu_indices(q)
+        self.products = self.z[:, a] * self.z[:, b]
+        self.pair = np.empty((q, q), dtype=np.intp)
+        self.pair[a, b] = self.pair[b, a] = np.arange(a.size)
+        self.column = {name: j for j, name in enumerate(names, start=1)}
+        self.tables: dict = {}
 
-    def evaluate(bw: Bandwidth) -> float:
-        spec = GwrSpec(covariates=tuple(covariates), kernel=kernel, bandwidth=bw)
+    @cached_property
+    def fixed_range(self) -> tuple:
+        """[min positive pairwise distance, largest distance], the fixed-d0 range."""
+        dist = self.data.distances
+        off_diag = dist[~np.eye(self.data.n, dtype=bool)]
+        positive = off_diag[off_diag > 0]
+        if positive.size == 0:
+            raise NoFeasibleBandwidthError("all pairwise distances are zero")
+        return float(positive.min()), float(dist.max())
+
+    def table(self, bw: Bandwidth):
+        """(W @ P, nonzero weights per row) at ``bw``, built on first use; None
+        where the adaptive bandwidth is degenerate."""
+        if bw not in self.tables:
+            try:
+                w = _weight_matrix(self.data.distances, GwrSpec((), self.kernel, bw))
+            except DegenerateBandwidthError:
+                self.tables[bw] = None
+            else:
+                if self.cv:
+                    np.fill_diagonal(w, 0.0)
+                self.tables[bw] = (w @ self.products, np.count_nonzero(w, axis=1))
+        return self.tables[bw]
+
+    def score(self, covariates, bw: Bandwidth) -> float:
+        """AICc or LOO-CV of ``covariates`` at ``bw``, inf exactly where the
+        QR path raises. Scored from the table; an evaluation the table cannot
+        settle (see PIVOT_RATIO and GUARD_MARGIN) is solved by QR."""
+        idx = [0, *(self.column[c] for c in covariates), -1]
+        # In _design's layout, so that the QR path solves as gwr_fit does.
+        xy = np.ascontiguousarray(self.z[:, idx])
         try:
-            return score(spec)
-        except (SingularFitError, InsufficientSupportError, OversaturatedModelError,
-                PerfectFitError, DegenerateBandwidthError):
+            table = self.table(bw)
+            if table is None:
+                return float("inf")
+            value = self._gram_score(table, idx, xy)
+            if value is None:
+                spec = GwrSpec(tuple(covariates), self.kernel, bw)
+                return _exact_score(self.data, xy, spec, self.cv)
+            return value
+        except INFEASIBLE:
             return float("inf")
 
-    return evaluate
+    def _gram_score(self, table, idx, xy):
+        """The criterion from the table, or None where it must be solved by QR."""
+        gram, support = table
+        n, p1 = xy.shape[0], xy.shape[1] - 1
+        if self.cv and (support < p1).any():
+            # _loo_rss raises for it, at this row or at a singular one before.
+            return float("inf")
+        g = gram[:, self.pair[np.ix_(idx, idx)]]
+        try:
+            chol = np.linalg.cholesky(g[:, :p1, :p1])
+        except np.linalg.LinAlgError:
+            return None
+        pivots = np.diagonal(chol, axis1=1, axis2=2)
+        if (pivots.min(axis=1) <= PIVOT_RATIO * np.maximum(pivots.max(axis=1), 1.0)).any():
+            return None
+        r = chol.swapaxes(1, 2)   # upper triangular, A_i = r_i^T r_i
+        betas = _back_substitute(r, _forward_substitute_t(r, g[:, :p1, p1]))
+        residuals = _residuals(xy, betas)
+        rss = float(residuals @ residuals)
+        if self.cv:
+            return rss
+        # s_ii = w_ii ||L^-1 x_i||^2, and every kernel weighs a location's own
+        # observation by kernel(0) = 1.
+        z = _forward_substitute_t(r, xy[:, :p1])
+        hat_trace = float(np.einsum("ij,ij->", z, z))
+        y = xy[:, -1]
+        if (rss <= GUARD_MARGIN * float(y @ y)
+                or abs(n - 2.0 - hat_trace) <= GUARD_MARGIN * n):
+            return None
+        return aicc_score(n, rss, hat_trace)
 
 
 def _golden_integer(objective, lo: int, hi: int):
@@ -415,6 +537,44 @@ def _golden_continuous(objective, lo: float, hi: float, rel_tol: float = 1e-3):
     return best, f(best), sorted(cache.items())
 
 
+def _search(tables: _GramTables, covariates, mode: str, fit: bool = False):
+    """Golden-section search of the bandwidth on the Gram scores of ``tables``.
+
+    The chosen bandwidth is solved again by QR, so the result's score is the
+    ``aicc`` of ``gwr_fit`` or the ``gwr_cv_score`` there, bit for bit. Returns
+    the result and that fit's (aicc, global_r2), also bit for bit; under AICc
+    the one solve gives both, under CV the fit is solved only with ``fit``
+    (else None).
+    """
+    data = tables.data
+    if mode == "adaptive":
+        lo, hi = len(covariates) + 2, data.n - 1
+        if lo > hi:
+            raise NoFeasibleBandwidthError(f"no feasible k in [{lo}, {hi}]")
+        make, golden, name = Bandwidth.adaptive_knn, _golden_integer, "k"
+    elif mode == "fixed":
+        lo, hi = tables.fixed_range
+        make, golden, name = Bandwidth.fixed_distance, _golden_continuous, "d0"
+    else:
+        raise ValueError(f"unknown bandwidth mode {mode!r}")
+    xy, _, _ = _design(data, covariates)
+
+    best, value, evals = golden(lambda v: tables.score(covariates, make(v)), lo, hi)
+    if not math.isfinite(value):
+        raise NoFeasibleBandwidthError(f"criterion failed across the entire {name} range")
+
+    spec = GwrSpec(tuple(covariates), tables.kernel, make(best))
+    w = _weight_matrix(data.distances, spec)
+    rows = _support_rows(data, spec)
+    if tables.cv:
+        score = _loo_rss(xy, w.copy() if fit else w, rows)
+        if not fit:
+            return BandwidthSearchResult(spec.bandwidth, score, evals), None
+    rss, aicc = _fit_scores(xy, w, rows)
+    result = BandwidthSearchResult(spec.bandwidth, score if tables.cv else aicc, evals)
+    return result, (aicc, _global_r2(xy[:, -1], rss))
+
+
 def optimize_bandwidth(data: GwrDataset, covariates, kernel: KernelShape,
                        criterion: str = "aicc",
                        mode: str = "adaptive") -> BandwidthSearchResult:
@@ -424,43 +584,10 @@ def optimize_bandwidth(data: GwrDataset, covariates, kernel: KernelShape,
     final exhaustive sweep of the bracket).
     Fixed mode searches d0 in [min positive NN distance, study-area diameter].
     """
-    p1 = len(covariates) + 1
-    n = data.n
-    if mode == "adaptive":
-        lo, hi = p1 + 1, n - 1
-        if lo > hi:
-            raise NoFeasibleBandwidthError(f"no feasible k in [{lo}, {hi}]")
-        obj = _criterion_fn(data, covariates, kernel, criterion)
-
-        def at_k(k):
-            return obj(Bandwidth.adaptive_knn(k))
-
-        best_k, best_v, evals = _golden_integer(at_k, lo, hi)
-        if not math.isfinite(best_v):
-            raise NoFeasibleBandwidthError("criterion failed across the entire k range")
-        return BandwidthSearchResult(Bandwidth.adaptive_knn(best_k), best_v, evals)
-
-    if mode == "fixed":
-        dist = data.distances
-        off_diag = dist[~np.eye(n, dtype=bool)]
-        positive = off_diag[off_diag > 0]
-        if positive.size == 0:
-            raise NoFeasibleBandwidthError("all pairwise distances are zero")
-        lo, hi = float(positive.min()), float(dist.max())
-        obj = _criterion_fn(data, covariates, kernel, criterion)
-
-        def at_d(d):
-            return obj(Bandwidth.fixed_distance(d))
-
-        best_d, best_v, evals = _golden_continuous(at_d, lo, hi)
-        if not math.isfinite(best_v):
-            raise NoFeasibleBandwidthError("criterion failed across the entire d0 range")
-        return BandwidthSearchResult(Bandwidth.fixed_distance(best_d), best_v, evals)
-
-    raise ValueError(f"unknown bandwidth mode {mode!r}")
+    return _search(_GramTables(data, covariates, kernel, criterion), covariates, mode)[0]
 
 
-@dataclass
+@dataclass(slots=True)
 class ModelEntry:
     covariates: tuple
     kernel: KernelShape
@@ -514,22 +641,26 @@ def enumerate_models(data: GwrDataset, all_covariates, kernels=None,
     """Exhaustive model search: every non-empty covariate subset x every kernel,
     each with its own optimized bandwidth. Configurations that fail with a
     package error or a LinAlgError are recorded and excluded from the ranking;
-    any other exception (an unknown covariate, a programming error) propagates."""
+    any other exception (an unknown covariate, a programming error) propagates.
+
+    All searches of one kernel share its Gram tables, so a bandwidth costs one
+    kernel evaluation and one table whichever subsets visit it; the tables are
+    dropped before the next kernel. Entries stay in subset-major order.
+    """
     kernels = list(kernels) if kernels is not None else list(KernelShape)
-    entries: list[ModelEntry] = []
-    for subset in _subsets(all_covariates):
-        for kernel in kernels:
+    subsets = _subsets(all_covariates)
+    entries: list = [None] * (len(subsets) * len(kernels))
+    for k, kernel in enumerate(kernels):
+        tables = _GramTables(data, all_covariates, kernel, criterion)
+        for s, subset in enumerate(subsets):
             try:
-                search = optimize_bandwidth(data, subset, kernel, criterion=criterion,
-                                            mode=mode)
-                spec = GwrSpec(covariates=subset, kernel=kernel, bandwidth=search.bandwidth)
-                fit = gwr_fit(data, spec)
-                cv_score = search.score if criterion.lower() == "cv" else None
-                entries.append(ModelEntry(subset, kernel, search.bandwidth,
-                                          fit.aicc, cv_score, fit.global_r2))
+                search, (aicc, global_r2) = _search(tables, subset, mode, fit=True)
+                entry = ModelEntry(subset, kernel, search.bandwidth, aicc,
+                                   search.score if tables.cv else None, global_r2)
             except (FuelSpatialError, np.linalg.LinAlgError) as exc:
-                entries.append(ModelEntry(subset, kernel, None, None, None, None,
-                                          failure=f"{type(exc).__name__}: {exc}"))
+                entry = ModelEntry(subset, kernel, None, None, None, None,
+                                   failure=f"{type(exc).__name__}: {exc}")
+            entries[s * len(kernels) + k] = entry
     ok = [i for i, e in enumerate(entries) if e.failure is None]
     if not ok:
         raise EmptyReportError("every configuration failed")

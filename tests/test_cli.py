@@ -120,6 +120,16 @@ class TestExitCodes:
         assert run("--config", str(cfg_file), command, *argv) == 1
         assert f"config value {key!r} is not a valid" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("value", ["0", "-2"])
+    def test_nonpositive_max_in_flight_is_one(self, tmp_path, chain_dir, capsys, value):
+        store = tmp_path / "s.psv"
+        assert run("ingest", "--out", str(tmp_path / "out"), "--store", str(store),
+                   "--pages", str(chain_dir.parent / "data" / "pages"),
+                   "--max-in-flight", value) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "--max-in-flight" in err
+        assert not store.exists()
+
     def test_runtime_error_is_two(self, tmp_path, chain_dir):
         bad = tmp_path / "stations.csv"
         # fips/state mismatch makes registry loading blow up mid-run

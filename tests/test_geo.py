@@ -123,6 +123,26 @@ class TestKernelWeight:
         expected = np.vstack([kernel_weight(shape, d[i], h[i]) for i in range(12)])
         assert np.array_equal(kernel_weight(shape, d, h[:, None]), expected)
 
+    @pytest.mark.parametrize("shape", list(KernelShape))
+    def test_in_place_equals_formula(self, shape):
+        """Bit for bit the whole-array formula, for a scalar and a per-row h,
+        without touching the distances."""
+        formula = {
+            KernelShape.EXPONENTIAL: lambda u: np.exp(-u),
+            KernelShape.GAUSSIAN: lambda u: np.exp(-0.5 * u**2),
+            KernelShape.BISQUARE: lambda u: np.where(
+                u < 1.0, (1.0 - np.minimum(u, 1.0) ** 2) ** 2, 0.0),
+            KernelShape.STEP: lambda u: np.where(u <= 1.0, 1.0, 0.0),
+        }[shape]
+        rng = np.random.default_rng(11)
+        d = rng.uniform(0.0, 800.0, (40, 40))
+        np.fill_diagonal(d, 0.0)
+        before = d.copy()
+        for h in (250.0, rng.uniform(20.0, 900.0, 40)[:, None]):
+            assert kernel_weight(shape, d, h).tobytes() == formula(d / h).tobytes()
+        assert np.array_equal(d, before)
+        assert kernel_weight(shape, 90.0, 250.0) == float(formula(np.float64(90.0) / 250.0))
+
     @pytest.mark.parametrize("bad", [0.0, -5.0, float("nan")])
     def test_non_positive_entry_in_bandwidth_array(self, bad):
         h = np.array([[10.0], [bad], [20.0]])

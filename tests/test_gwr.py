@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from fuelspatial import gwr
+from fuelspatial import geo, gwr
 from fuelspatial.errors import (
     DegenerateBandwidthError,
     InsufficientSupportError,
@@ -261,6 +261,18 @@ CAUGHT = (SingularFitError, InsufficientSupportError, OversaturatedModelError,
           PerfectFitError, DegenerateBandwidthError)
 
 
+def _bandwidth(mode, value):
+    return (Bandwidth.adaptive_knn(value) if mode == "adaptive"
+            else Bandwidth.fixed_distance(value))
+
+
+def _assert_close_or_both_inf(score, expected, rel, value):
+    if math.isinf(expected):
+        assert score == expected, value
+    else:
+        assert score == pytest.approx(expected, rel=rel, abs=0), value
+
+
 class TestSearchScorer:
     @pytest.mark.parametrize("kernel", list(KernelShape))
     @pytest.mark.parametrize("bandwidth", [
@@ -331,17 +343,18 @@ class TestSearchScorer:
     @pytest.mark.parametrize("kernel", list(KernelShape))
     @pytest.mark.parametrize("mode", ["adaptive", "fixed"])
     def test_search_scores_equal_fit_aicc(self, kernel, mode):
+        """Gram scores match the fit to 1e-12, inf exactly where it raises;
+        the chosen bandwidth's score is the fit's AICc bit for bit."""
         data = make_model_selection_dataset(101, n=40)
         covs = ("income", "wage_per_job", "jobs")
         res = optimize_bandwidth(data, covs, kernel, mode=mode)
         for value, score in res.evaluations:
-            bw = (Bandwidth.adaptive_knn(value) if mode == "adaptive"
-                  else Bandwidth.fixed_distance(value))
             try:
-                expected = gwr_fit(data, GwrSpec(covs, kernel, bw)).aicc
+                expected = gwr_fit(data, GwrSpec(covs, kernel, _bandwidth(mode, value))).aicc
             except CAUGHT:
                 expected = float("inf")
-            assert score == expected, value
+            _assert_close_or_both_inf(score, expected, 1e-12, value)
+        assert res.score == gwr_fit(data, GwrSpec(covs, kernel, res.bandwidth)).aicc
 
     @pytest.mark.parametrize("kernel", list(KernelShape))
     @pytest.mark.parametrize("mode", ["adaptive", "fixed"])
@@ -350,20 +363,26 @@ class TestSearchScorer:
         covs = ("income", "wage_per_job", "jobs")
         res = optimize_bandwidth(data, covs, kernel, criterion="cv", mode=mode)
         for value, score in res.evaluations:
-            bw = (Bandwidth.adaptive_knn(value) if mode == "adaptive"
-                  else Bandwidth.fixed_distance(value))
             try:
-                expected = gwr_cv_score(data, GwrSpec(covs, kernel, bw))
+                expected = gwr_cv_score(data, GwrSpec(covs, kernel, _bandwidth(mode, value)))
             except CAUGHT:
                 expected = float("inf")
-            assert score == expected, value
+            _assert_close_or_both_inf(score, expected, 1e-10, value)
+        assert res.score == gwr_cv_score(data, GwrSpec(covs, kernel, res.bandwidth))
 
-    def test_infeasible_bandwidth_scores_inf(self):
+    def test_infeasible_bandwidth_scores_inf(self, monkeypatch):
+        """A singular local Gram block sends the evaluation to the QR path,
+        which raises, so it scores inf."""
         data = _clustered_dataset(isolated=3, constant=5)
-        evaluate = gwr._criterion_fn(data, ("x",), KernelShape.STEP, "aicc")
+        tables = gwr._GramTables(data, ("x",), KernelShape.STEP, "aicc")
         with pytest.raises(SingularFitError):
             gwr_fit(data, STEP_10KM)
-        assert evaluate(STEP_10KM.bandwidth) == float("inf")
+        exact = []
+        real = gwr._exact_score
+        monkeypatch.setattr(gwr, "_exact_score",
+                            lambda *a: exact.append(a[2]) or real(*a))
+        assert tables.score(("x",), STEP_10KM.bandwidth) == float("inf")
+        assert exact == [STEP_10KM]
 
     def test_search_builds_no_fit(self, monkeypatch):
         data = make_model_selection_dataset(7, n=40)
@@ -374,8 +393,9 @@ class TestSearchScorer:
             for mode in ("adaptive", "fixed"):
                 optimize_bandwidth(data, ["income", "jobs"], kernel, mode=mode)
         assert calls == []
-        enumerate_models(data, ["income"], [KernelShape.BISQUARE])
-        assert len(calls) == 1
+        enumerate_models(data, ["income", "jobs"], [KernelShape.BISQUARE])
+        enumerate_models(data, ["income", "jobs"], [KernelShape.GAUSSIAN], criterion="cv")
+        assert calls == []
 
     @pytest.mark.parametrize("criterion", ["aicc", "cv"])
     def test_small_n_raises_value_error(self, criterion):
@@ -393,9 +413,101 @@ class TestSearchScorer:
     @pytest.mark.parametrize("kernel", [KernelShape.GAUSSIAN, KernelShape.BISQUARE])
     def test_invalid_bandwidth_raises(self, kernel):
         data = make_random_gwr_dataset(29, n=30, p=1)
-        evaluate = gwr._criterion_fn(data, ("x0",), kernel, "aicc")
+        tables = gwr._GramTables(data, ("x0",), kernel, "aicc")
         with pytest.raises(InvalidBandwidthError):
-            evaluate(Bandwidth.adaptive_knn(data.n))
+            tables.score(("x0",), Bandwidth.adaptive_knn(data.n))
+
+
+def _qr_search(data, covs, kernel, criterion, mode):
+    """The golden-section search on the QR objective: ``gwr_fit(...).aicc`` or
+    ``gwr_cv_score``, inf where they raise."""
+    def objective(value):
+        spec = GwrSpec(covs, kernel, _bandwidth(mode, value))
+        try:
+            return (gwr_fit(data, spec).aicc if criterion == "aicc"
+                    else gwr_cv_score(data, spec))
+        except CAUGHT:
+            return float("inf")
+
+    if mode == "adaptive":
+        return gwr._golden_integer(objective, len(covs) + 2, data.n - 1)
+    d = data.distances[~np.eye(data.n, dtype=bool)]
+    return gwr._golden_continuous(objective, float(d[d > 0].min()), float(d.max()))
+
+
+class TestGramSearch:
+    @pytest.mark.parametrize("kernel", list(KernelShape))
+    @pytest.mark.parametrize("mode", ["adaptive", "fixed"])
+    @pytest.mark.parametrize("criterion", ["aicc", "cv"])
+    def test_same_path_as_qr_objective(self, kernel, mode, criterion):
+        for seed in (101, 7):
+            data = make_model_selection_dataset(seed, n=40)
+            covs = tuple(data.covariates)
+            res = optimize_bandwidth(data, covs, kernel, criterion=criterion, mode=mode)
+            best, value, evals = _qr_search(data, covs, kernel, criterion, mode)
+            assert [v for v, _ in res.evaluations] == [v for v, _ in evals], seed
+            assert res.bandwidth == _bandwidth(mode, best), seed
+            assert res.score == value, seed
+
+    @pytest.mark.parametrize("case", ["near_collinear", "exact_response"])
+    @pytest.mark.parametrize("kernel", [KernelShape.GAUSSIAN, KernelShape.BISQUARE])
+    def test_untrusted_gram_score_solved_by_qr(self, monkeypatch, case, kernel):
+        """A pivot ratio below 1e-5 or an RSS near 0 sends the evaluation to the
+        QR path, so its score is the fit's AICc bit for bit."""
+        base = make_random_gwr_dataset(31, n=40, p=1)
+        x = base.covariates["x0"]
+        if case == "near_collinear":
+            noise = np.random.default_rng(1).normal(0, 1e-5, x.size)
+            cov, y = {"x0": x, "x1": x + noise}, base.response
+        else:
+            cov, y = {"x0": x}, 1.0 + 2.0 * x
+        data = GwrDataset(ids=base.ids, points=base.points, covariates=cov, response=y)
+        spec = GwrSpec(tuple(cov), kernel, Bandwidth.adaptive_knn(20))
+        tables = gwr._GramTables(data, list(cov), kernel, "aicc")
+        exact = []
+        real = gwr._exact_score
+        monkeypatch.setattr(gwr, "_exact_score", lambda *a: exact.append(a[2]) or real(*a))
+        assert tables.score(spec.covariates, spec.bandwidth) == gwr_fit(data, spec).aicc
+        assert exact == [spec]
+
+    def test_enumeration_builds_one_table_per_bandwidth(self, monkeypatch):
+        """Every subset's search reads the tables of its kernel: the weights
+        are evaluated once per distinct (kernel, bandwidth) for the tables,
+        and once more for each QR solve (a chosen bandwidth or a fallback)."""
+        data = make_model_selection_dataset(7, n=40)
+        lookups, weights, solves = [], [], []
+        real_table, real_fits = gwr._GramTables.table, gwr._local_fits
+        real_weight = gwr.kernel_weight
+
+        def table(self, bw):
+            lookups.append((self.kernel, bw))
+            return real_table(self, bw)
+
+        def kernel_weight(*args):
+            weights.append(args[0])
+            return real_weight(*args)
+
+        monkeypatch.setattr(gwr._GramTables, "table", table)
+        monkeypatch.setattr(gwr, "_local_fits", lambda *a: solves.append(a) or real_fits(*a))
+        monkeypatch.setattr(gwr, "kernel_weight", kernel_weight)
+        monkeypatch.setattr(geo, "kernel_weight", kernel_weight)
+        kernels = [KernelShape.GAUSSIAN, KernelShape.BISQUARE]
+        report = enumerate_models(data, list(data.covariates), kernels)
+        distinct = set(lookups)
+        assert report.n_failed == 0
+        assert len(solves) >= len(report.entries)
+        assert len(weights) == len(distinct) + len(solves)
+        assert len(distinct) < len(lookups) / 3
+
+    @pytest.mark.parametrize("criterion", ["aicc", "cv"])
+    def test_entries_equal_fit(self, criterion):
+        data = make_model_selection_dataset(101, n=40)
+        report = enumerate_models(data, list(data.covariates),
+                                  [KernelShape.EXPONENTIAL, KernelShape.STEP],
+                                  criterion=criterion)
+        for e in report.entries:
+            fit = gwr_fit(data, GwrSpec(e.covariates, e.kernel, e.bandwidth))
+            assert (e.aicc, e.global_r2) == (fit.aicc, fit.global_r2), e
 
 
 class TestAicc:
