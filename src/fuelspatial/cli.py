@@ -44,6 +44,14 @@ DEFAULTS = {
 
 GWR_ALL = list(econ.GWR_COVARIATES)
 
+# Every key a config file may set; each is also a flag.
+CONFIG_KEYS = ("out", "seed", "fuel", "d0_grid", "kernel", "criterion", "stations",
+               "covariates", "store", "pages", "window", "gwr_covariates",
+               "fe_covariates", "bandwidth_k", "max_in_flight", "per_host_delay_ms",
+               "retries")
+# The values these keys accept, from a flag or from a file.
+CHOICES = {"criterion": ("aicc", "cv"), "window": ("daily", "weekly")}
+
 
 def _number(key: str, text: str, kind):
     """``kind(text)``; a malformed value is a validation error naming the key."""
@@ -95,13 +103,17 @@ def build_config(args) -> RunConfig:
     values = {}
     if args.config:
         values.update(load_config(args.config))
-    for key in ("out", "seed", "fuel", "d0_grid", "kernel", "criterion", "stations",
-                "covariates", "store", "pages", "window", "gwr_covariates",
-                "fe_covariates", "bandwidth_k", "max_in_flight", "per_host_delay_ms",
-                "retries"):
+        for key in values:
+            if key not in CONFIG_KEYS:
+                raise FuelSpatialError(f"unknown config key {key!r} in {args.config}")
+    for key in CONFIG_KEYS:
         flag = getattr(args, key, None)
         if flag is not None:
             values[key] = str(flag)
+    for key, allowed in CHOICES.items():
+        if key in values and values[key] not in allowed:
+            raise FuelSpatialError(f"config value {key!r} must be one of "
+                                   f"{', '.join(allowed)}, got {values[key]!r}")
     return RunConfig(values)
 
 
@@ -159,19 +171,31 @@ def _group_codes(panel, stations) -> dict:
             "state": panel.station_codes(stations, "state_id")[1]}
 
 
-def _complete_counties(cfg: RunConfig, panel, stations) -> list:
+def _covariate_table(cfg: RunConfig, key: str, names) -> dict:
+    """The covariate table, once it is known to hold every one of ``names``,
+    the covariates that config value ``key`` asks for."""
     table = ing.load_covariate_table(cfg.path("covariates", must_exist=True))
+    columns = set().union(*table.values())
+    for name in names:
+        if name not in columns:
+            raise FuelSpatialError(f"config value {key!r} names covariate {name!r}, "
+                                   f"which {cfg.path('covariates')} does not have")
+    return table
+
+
+def _complete_counties(table: dict, panel, stations) -> list:
     return [a for a in ing.aggregate_county(panel, stations, table) if not a.incomplete]
 
 
 def _county_dataset(cfg: RunConfig):
     """County aggregates joined with covariates, as a GWR dataset."""
-    _, panel, stations = _load_panel(cfg, "gwr")
-    aggs = _complete_counties(cfg, panel, stations)
-    if not aggs:
-        raise FuelSpatialError("no counties with complete covariates")
     names = cfg.get("gwr_covariates")
     names = GWR_ALL if names == "all" else [n.strip() for n in names.split(",")]
+    table = _covariate_table(cfg, "gwr_covariates", names)
+    _, panel, stations = _load_panel(cfg, "gwr")
+    aggs = _complete_counties(table, panel, stations)
+    if not aggs:
+        raise FuelSpatialError("no counties with complete covariates")
     data = gwrmod.GwrDataset(
         ids=[a.county_fips for a in aggs],
         points=[a.point for a in aggs],
@@ -319,7 +343,7 @@ def cmd_gwr(cfg: RunConfig, enumerate_all: bool = False) -> int:
     gwrmod.fit_to_csv(fit, data, out / "gwr_fit.csv")
     gwrmod.fit_to_geojson(fit, data, out / "gwr_fit.geojson")
     if fit.spec.bandwidth.is_adaptive:
-        scale = gwrmod.nearest_neighbor_scale(data.points,
+        scale = gwrmod.nearest_neighbor_scale(data.neighbors,
                                               int(fit.spec.bandwidth.value))
         with open(out / "neighbor_scale.csv", "w", newline="") as fh:
             wr = csv.writer(fh, lineterminator="\n")
@@ -334,6 +358,8 @@ def cmd_gwr(cfg: RunConfig, enumerate_all: bool = False) -> int:
 
 def cmd_fe(cfg: RunConfig) -> int:
     out = _outdir(cfg)
+    covariate_set = [n.strip() for n in cfg.get("fe_covariates").split(",")]
+    table = _covariate_table(cfg, "fe_covariates", covariate_set)
     _, panel, stations = _load_panel(cfg, "fe")
     groups = _group_codes(panel, stations)
 
@@ -345,8 +371,7 @@ def cmd_fe(cfg: RunConfig) -> int:
                                     econ.FixedEffectSpec(level))
             wr.writerow([level, f"{res['r_squared']:.10g}", res["n_groups"]])
 
-    aggs = _complete_counties(cfg, panel, stations)
-    covariate_set = [n.strip() for n in cfg.get("fe_covariates").split(",")]
+    aggs = _complete_counties(table, panel, stations)
     rows = [econ.CountyModelRow(
         county_fips=a.county_fips, log_mean_price=float(np.log(a.mean_price)),
         state_id=a.county_fips[:2], covariates=a.covariates) for a in aggs]
@@ -397,12 +422,12 @@ def make_parser() -> argparse.ArgumentParser:
         p.add_argument("--fuel")
         p.add_argument("--d0-grid", dest="d0_grid")
         p.add_argument("--kernel", help="kernel name or 'all'")
-        p.add_argument("--criterion", choices=["aicc", "cv"])
+        p.add_argument("--criterion", choices=CHOICES["criterion"])
         p.add_argument("--stations")
         p.add_argument("--covariates")
         p.add_argument("--store")
         p.add_argument("--pages")
-        p.add_argument("--window", choices=["daily", "weekly"])
+        p.add_argument("--window", choices=CHOICES["window"])
         p.add_argument("--gwr-covariates", dest="gwr_covariates")
         p.add_argument("--fe-covariates", dest="fe_covariates")
         p.add_argument("--bandwidth-k", dest="bandwidth_k", type=int)

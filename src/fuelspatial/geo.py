@@ -157,22 +157,47 @@ class SpatialWeights:
         return w
 
 
-def adaptive_bandwidths(dist: np.ndarray, k: int) -> np.ndarray:
+@dataclass(frozen=True, slots=True)
+class NeighborTable:
+    """Every location ranked by distance from every other.
+
+    Row i of ``order`` lists all locations: i itself first, then the rest by
+    distance from i, ties in index order, so column j >= 1 is i's j-th
+    nearest neighbour. ``distances`` holds the matching distances, ascending
+    along each row, with row i's own 0 in column 0.
+    """
+
+    order: np.ndarray
+    distances: np.ndarray
+
+    @property
+    def n(self) -> int:
+        return self.order.shape[0]
+
+
+def neighbor_table(dist: np.ndarray) -> NeighborTable:
+    """Rank each row of a distance matrix with a zero diagonal; the one sort
+    behind every nearest-neighbour quantity."""
+    d = dist.copy()
+    np.fill_diagonal(d, -1.0)
+    order = np.argsort(d, axis=1, kind="stable")
+    return NeighborTable(order, np.take_along_axis(dist, order, axis=1))
+
+
+def adaptive_bandwidths(neighbors: NeighborTable, k: int) -> np.ndarray:
     """Per-row bandwidth h_i = distance to the k-th nearest neighbor (self excluded)."""
-    n = dist.shape[0]
+    n = neighbors.n
     if not 1 <= k <= n - 1:
         raise InvalidBandwidthError(f"adaptive k must satisfy 1 <= k <= n-1, got k={k}, n={n}")
-    d = dist.copy()
-    np.fill_diagonal(d, np.inf)
-    h = np.sort(d, axis=1)[:, k - 1]
-    return h
+    return neighbors.distances[:, k].copy()
 
 
-def adaptive_weights(dist: np.ndarray, shape: KernelShape, k: int):
+def adaptive_weights(dist: np.ndarray, neighbors: NeighborTable, shape: KernelShape, k: int):
     """Kernel weights where row i has its own bandwidth h_i, the distance from
-    i to its k-th nearest neighbor. Returns (w, h); the diagonal is kernel(0).
+    i to its k-th nearest neighbor, read from ``neighbors``, the table of
+    ``dist``. Returns (w, h); the diagonal is kernel(0).
     """
-    h = adaptive_bandwidths(dist, k)
+    h = adaptive_bandwidths(neighbors, k)
     degenerate = np.flatnonzero(h <= 0)
     if degenerate.size:
         raise DegenerateBandwidthError(int(degenerate[0]))
@@ -190,7 +215,7 @@ def build_weights(points: list[GeoPoint], shape: KernelShape, bw: Bandwidth) -> 
         raise InvalidBandwidthError(f"need at least 2 points, got {n}")
     dist = distance_matrix(points)
     if bw.is_adaptive:
-        w, _ = adaptive_weights(dist, shape, int(bw.value))
+        w, _ = adaptive_weights(dist, neighbor_table(dist), shape, int(bw.value))
     else:
         w = kernel_weight(shape, dist, bw.value)
     np.fill_diagonal(w, 0.0)

@@ -14,8 +14,12 @@ substitution and the hat diagonal s_ii by forward substitution.
 The reported fit (``gwr_fit``) and the LOO-CV score (``gwr_cv_score``) call
 that solver. An adaptive bisquare weight is exactly 0 at and beyond the k-th
 neighbour, so those fits stack only the k+1 nearest rows of each focal
-location (``GwrDataset.neighbor_order``); every other kernel and bandwidth
-stacks all n rows.
+location; every other kernel and bandwidth stacks all n rows.
+
+A dataset ranks its distances once, into one neighbour table
+(``GwrDataset.neighbors``, built by ``geo.neighbor_table``). Those k+1 rows,
+every adaptive bandwidth, the fixed-d0 search range and the nearest-neighbour
+scale are all read from it.
 
 The bandwidth search scores from Gram tables (``_GramTables``). Covariates are
 standardized each on its own, so every subset's local [X | y]^T W_i [X | y]
@@ -54,10 +58,12 @@ from .geo import (
     Bandwidth,
     GeoPoint,
     KernelShape,
+    NeighborTable,
     adaptive_bandwidths,
     adaptive_weights,
     distance_matrix,
     kernel_weight,
+    neighbor_table,
 )
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
@@ -95,12 +101,11 @@ class GwrDataset:
         return distance_matrix(self.points)
 
     @cached_property
-    def neighbor_order(self) -> np.ndarray:
-        """Row i orders all locations by distance from i: i itself first, then
-        ties in index order, so column j >= 1 is the j-th nearest neighbour."""
-        d = self.distances.copy()
-        np.fill_diagonal(d, -1.0)
-        return np.argsort(d, axis=1, kind="stable")
+    def neighbors(self) -> NeighborTable:
+        """The locations ranked by distance from each location, once per
+        dataset: every adaptive bandwidth, bisquare support row, fixed-d0
+        range and nearest-neighbour scale is read from it."""
+        return neighbor_table(self.distances)
 
 
 @dataclass(frozen=True)
@@ -181,12 +186,12 @@ def _design(data: GwrDataset, covariates):
     return xy, means, scales
 
 
-def _weight_matrix(dist: np.ndarray, spec: GwrSpec) -> np.ndarray:
+def _weight_matrix(data: GwrDataset, spec: GwrSpec) -> np.ndarray:
     """Geographic weights per focal location (rows); self-weight is kernel(0)=1."""
     bw = spec.bandwidth
     if not bw.is_adaptive:
-        return kernel_weight(spec.kernel, dist, bw.value)
-    return adaptive_weights(dist, spec.kernel, int(bw.value))[0]
+        return kernel_weight(spec.kernel, data.distances, bw.value)
+    return adaptive_weights(data.distances, data.neighbors, spec.kernel, int(bw.value))[0]
 
 
 def _support_rows(data: GwrDataset, spec: GwrSpec) -> np.ndarray | None:
@@ -197,7 +202,7 @@ def _support_rows(data: GwrDataset, spec: GwrSpec) -> np.ndarray | None:
     """
     bw = spec.bandwidth
     if bw.is_adaptive and spec.kernel is KernelShape.BISQUARE:
-        return data.neighbor_order[:, :int(bw.value) + 1]
+        return data.neighbors.order[:, :int(bw.value) + 1]
     return None
 
 
@@ -308,7 +313,7 @@ def gwr_fit(data: GwrDataset, spec: GwrSpec) -> GwrFit:
     xy, means, scales = _design(data, spec.covariates)
     x, y = xy[:, :-1], xy[:, -1]
     n = xy.shape[0]
-    w = _weight_matrix(data.distances, spec)
+    w = _weight_matrix(data, spec)
 
     betas, hat_diag = _local_fits(xy, w, _support_rows(data, spec))
 
@@ -349,7 +354,7 @@ def gwr_cv_score(data: GwrDataset, spec: GwrSpec) -> float:
     with fewer than p+1 in-range neighbors raises.
     """
     xy, _, _ = _design(data, spec.covariates)
-    return _loo_rss(xy, _weight_matrix(data.distances, spec), _support_rows(data, spec))
+    return _loo_rss(xy, _weight_matrix(data, spec), _support_rows(data, spec))
 
 
 @dataclass
@@ -378,7 +383,7 @@ INFEASIBLE = (SingularFitError, InsufficientSupportError, OversaturatedModelErro
 def _exact_score(data: GwrDataset, xy: np.ndarray, spec: GwrSpec, cv: bool) -> float:
     """The criterion at ``spec`` through the QR solver: the ``aicc`` of
     ``gwr_fit(data, spec)`` or ``gwr_cv_score(data, spec)``, bit for bit."""
-    w = _weight_matrix(data.distances, spec)
+    w = _weight_matrix(data, spec)
     rows = _support_rows(data, spec)
     if cv:
         return _loo_rss(xy, w, rows)
@@ -412,20 +417,23 @@ class _GramTables:
 
     @cached_property
     def fixed_range(self) -> tuple:
-        """[min positive pairwise distance, largest distance], the fixed-d0 range."""
-        dist = self.data.distances
-        off_diag = dist[~np.eye(self.data.n, dtype=bool)]
-        positive = off_diag[off_diag > 0]
-        if positive.size == 0:
+        """[min positive pairwise distance, largest distance], the fixed-d0
+        range. Past column 0 the neighbour table holds each location's
+        distances to all others in ascending order, so its last column holds
+        each row's largest."""
+        ranked = self.data.neighbors.distances
+        others = ranked[:, 1:]
+        lo = others.min(where=others > 0, initial=np.inf)
+        if lo == np.inf:
             raise NoFeasibleBandwidthError("all pairwise distances are zero")
-        return float(positive.min()), float(dist.max())
+        return float(lo), float(ranked[:, -1].max())
 
     def table(self, bw: Bandwidth):
         """(W @ P, nonzero weights per row) at ``bw``, built on first use; None
         where the adaptive bandwidth is degenerate."""
         if bw not in self.tables:
             try:
-                w = _weight_matrix(self.data.distances, GwrSpec((), self.kernel, bw))
+                w = _weight_matrix(self.data, GwrSpec((), self.kernel, bw))
             except DegenerateBandwidthError:
                 self.tables[bw] = None
             else:
@@ -564,7 +572,7 @@ def _search(tables: _GramTables, covariates, mode: str, fit: bool = False):
         raise NoFeasibleBandwidthError(f"criterion failed across the entire {name} range")
 
     spec = GwrSpec(tuple(covariates), tables.kernel, make(best))
-    w = _weight_matrix(data.distances, spec)
+    w = _weight_matrix(data, spec)
     rows = _support_rows(data, spec)
     if tables.cv:
         score = _loo_rss(xy, w.copy() if fit else w, rows)
@@ -678,13 +686,14 @@ class NeighborScale:
     distances: np.ndarray
 
 
-def nearest_neighbor_scale(points: list[GeoPoint], k: int) -> NeighborScale:
-    """Distance from each location to its k-th nearest neighbor, with median
-    and interquartile range of that distribution."""
-    n = len(points)
+def nearest_neighbor_scale(neighbors: NeighborTable, k: int) -> NeighborScale:
+    """Distance from each location of a neighbour table (``GwrDataset.neighbors``)
+    to its k-th nearest neighbor, with median and interquartile range of that
+    distribution."""
+    n = neighbors.n
     if not 1 <= k < n:
         raise InvalidKError(f"need 1 <= k < n, got k={k}, n={n}")
-    d = adaptive_bandwidths(distance_matrix(points), k)
+    d = adaptive_bandwidths(neighbors, k)
     p25, p75 = np.percentile(d, [25, 75])
     return NeighborScale(median=float(np.median(d)), interquartile=float(p75 - p25),
                          distances=d)

@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
+from scipy import linalg
 
 from .econometrics import CountyModelRow, PanelObservation
 from .geo import GeoPoint, distance_matrix
@@ -241,6 +242,30 @@ def make_random_gwr_dataset(seed: int, n: int = 100, p: int = 3, noise_sd: float
 # ---------------------------------------------------------------------------
 # Spatially correlated county panel
 
+def cholesky_in_place(a: np.ndarray, band: int = 128) -> np.ndarray:
+    """Lower Cholesky factor of the symmetric, C-ordered ``a``, written over
+    ``a`` and returned; equal bit for bit to ``np.linalg.cholesky(a)``.
+
+    ``np.linalg.cholesky`` holds three n x n arrays at once (the input, its
+    Fortran-ordered copy and the result); this holds only ``a``. ``a.T`` is
+    ``a``'s Fortran-ordered view, so LAPACK factors it without a copy and
+    leaves ``a`` holding the factor's transpose. Moving it across the
+    diagonal one band of columns at a time makes ``a`` the C-ordered factor,
+    so products with it sum in the same order as with numpy's.
+    """
+    n = a.shape[0]
+    factor = linalg.cholesky(a.T, lower=True, overwrite_a=True, check_finite=False)
+    if not np.shares_memory(factor, a):
+        a[...] = factor.T
+    for i0 in range(0, n, band):
+        i1 = min(i0 + band, n)
+        # Columns i0:i1 of the factor sit in rows i0:i1 of a; later bands
+        # read only rows and columns from i1 on.
+        a[i0:, i0:i1] = a[i0:i1, i0:].T
+        a[i0:i1, i1:] = 0.0
+    return a
+
+
 def make_county_panel(seed: int, n_counties: int = 300, corr_length_km: float = 100.0,
                       n_days: int = 5, base: float = 2.28, amplitude: float = 0.2):
     """County locations with a planted spatially correlated price field.
@@ -259,8 +284,7 @@ def make_county_panel(seed: int, n_counties: int = 300, corr_length_km: float = 
     cov /= corr_length_km
     np.exp(cov, out=cov)
     cov.flat[::n_counties + 1] += 1e-8
-    chol = np.linalg.cholesky(cov)
-    del cov
+    chol = cholesky_in_place(cov)
     field_values = base + amplitude * (chol @ rng.normal(0.0, 1.0, size=n_counties))
 
     locations = {f"{i:05d}": points[i] for i in range(n_counties)}

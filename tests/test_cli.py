@@ -6,10 +6,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fuelspatial import cli
+from fuelspatial import cli, geo
+from fuelspatial import gwr as gwrmod
 from fuelspatial import ingest as ing
 from fuelspatial.errors import FuelSpatialError
-from fuelspatial.geo import Bandwidth, GeoPoint, KernelShape, build_weights
+from fuelspatial.geo import Bandwidth, GeoPoint, KernelShape, build_weights, distance_matrix
 from fuelspatial.ingest import ObservationStore, filter_observations, read_store
 from fuelspatial.spatial_stats import moran_index
 
@@ -129,6 +130,36 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "--max-in-flight" in err
         assert not store.exists()
+
+    @pytest.mark.parametrize("command, flag, names", [
+        ("gwr", "--gwr-covariates", "income,foo"),
+        ("fe", "--fe-covariates", "density,foo"),
+    ])
+    def test_unknown_covariate_is_one(self, tmp_path, chain_dir, capsys, command, flag,
+                                      names):
+        assert run(command, *_inputs(chain_dir, tmp_path / "out"), flag, names) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "'foo'" in err
+        assert list((tmp_path / "out").iterdir()) == []
+
+    @pytest.mark.parametrize("command, key, value", [("moran", "window", "monthly"),
+                                                     ("gwr", "criterion", "aic")])
+    def test_config_value_outside_flag_choices_is_one(self, tmp_path, chain_dir, capsys,
+                                                      command, key, value):
+        cfg_file = tmp_path / "run.cfg"
+        cfg_file.write_text(f"{key} = {value}\n")
+        argv = _inputs(chain_dir, tmp_path / "out")
+        assert run("--config", str(cfg_file), command, *argv) == 1
+        err = capsys.readouterr().err
+        assert f"config value {key!r} must be one of" in err and repr(value) in err
+
+    def test_unknown_config_key_is_one(self, tmp_path, chain_dir, capsys):
+        cfg_file = tmp_path / "run.cfg"
+        cfg_file.write_text("kernal = bisquare\n")
+        out = tmp_path / "out"
+        assert run("--config", str(cfg_file), "gwr", *_inputs(chain_dir, out)) == 1
+        assert "unknown config key 'kernal'" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_runtime_error_is_two(self, tmp_path, chain_dir):
         bad = tmp_path / "stations.csv"
@@ -344,6 +375,20 @@ class TestGwrModes:
         for col in cols:
             values = np.array([float(r[col]) for r in rows])
             assert np.ptp(values) < 1e-8, col
+
+    def test_run_builds_one_distance_matrix(self, chain_dir, tmp_path, monkeypatch):
+        calls = []
+
+        def counted(points):
+            calls.append(len(points))
+            return distance_matrix(points)
+
+        for module in (geo, gwrmod):
+            monkeypatch.setattr(module, "distance_matrix", counted)
+        out = tmp_path / "gwr"
+        assert run("gwr", *_inputs(chain_dir, out), "--kernel", "gaussian") == 0
+        assert (out / "neighbor_scale.csv").exists()
+        assert len(calls) == 1
 
     def test_fixed_kernel_run_writes_neighbor_scale(self, chain_dir):
         scale_path = chain_dir / "neighbor_scale.csv"

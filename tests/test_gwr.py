@@ -9,6 +9,7 @@ from fuelspatial.errors import (
     InsufficientSupportError,
     InvalidBandwidthError,
     InvalidKError,
+    NoFeasibleBandwidthError,
     OversaturatedModelError,
     PerfectFitError,
     SingularFitError,
@@ -155,7 +156,7 @@ def _lstsq_local_fits(data, spec):
     s_ii is x_i . (sqrt(W_i) X)^+ sqrt(w_ii) e_i."""
     xy, _, _ = _design(data, spec.covariates)
     x, y = xy[:, :-1], xy[:, -1]
-    w = _weight_matrix(data.distances, spec)
+    w = _weight_matrix(data, spec)
     betas, hat_trace = np.empty_like(x), 0.0
     for i in range(data.n):
         sw = np.sqrt(w[i])
@@ -240,7 +241,7 @@ class TestBatchedLocalFits:
 def _scores(data, spec, rows=None):
     """(RSS, tr S) of the local fits, solved over ``rows`` (default: all)."""
     xy, _, _ = _design(data, spec.covariates)
-    betas, hat_diag = gwr._local_fits(xy, _weight_matrix(data.distances, spec), rows)
+    betas, hat_diag = gwr._local_fits(xy, _weight_matrix(data, spec), rows)
     residuals = xy[:, -1] - np.einsum("ij,ij->i", xy[:, :-1], betas)
     return float(residuals @ residuals), float(hat_diag.sum())
 
@@ -255,6 +256,42 @@ def _lattice_with_duplicates():
     y = 2.0 + 0.5 * x + rng.normal(0, 0.2, len(pts))
     return GwrDataset(ids=list(range(len(pts))), points=pts, covariates={"x": x},
                       response=y)
+
+
+class TestNeighborTable:
+    @pytest.mark.parametrize("make", [
+        _lattice_with_duplicates,
+        lambda: make_random_gwr_dataset(27, n=50, p=1),
+    ])
+    def test_adaptive_bandwidths_match_sort_oracle(self, make):
+        data = make()
+        d = data.distances.copy()
+        np.fill_diagonal(d, np.inf)
+        oracle = np.sort(d, axis=1)
+        for k in range(1, data.n):
+            h = geo.adaptive_bandwidths(data.neighbors, k)
+            assert h.tobytes() == oracle[:, k - 1].tobytes(), k
+
+    @pytest.mark.parametrize("k", [0, 39])
+    def test_adaptive_bandwidths_reject_k_out_of_range(self, k):
+        data = _lattice_with_duplicates()
+        with pytest.raises(InvalidBandwidthError):
+            geo.adaptive_bandwidths(data.neighbors, k)
+
+    def test_fixed_range_matches_off_diagonal_oracle(self):
+        data = _lattice_with_duplicates()
+        off_diag = data.distances[~np.eye(data.n, dtype=bool)]
+        assert (off_diag == 0.0).any()
+        tables = gwr._GramTables(data, ["x"], KernelShape.GAUSSIAN, "aicc")
+        assert tables.fixed_range == (float(off_diag[off_diag > 0].min()),
+                                      float(data.distances.max()))
+
+    def test_fixed_range_needs_two_distinct_points(self):
+        x = np.arange(6.0)
+        data = GwrDataset(ids=list(range(6)), points=[GeoPoint(40.0, -100.0)] * 6,
+                          covariates={"x": x}, response=2.0 * x)
+        with pytest.raises(NoFeasibleBandwidthError, match="all pairwise distances"):
+            optimize_bandwidth(data, ["x"], KernelShape.GAUSSIAN, mode="fixed")
 
 
 CAUGHT = (SingularFitError, InsufficientSupportError, OversaturatedModelError,
@@ -292,7 +329,7 @@ class TestSearchScorer:
         spec = GwrSpec(tuple(data.covariates), KernelShape.BISQUARE,
                        Bandwidth.adaptive_knn(20))
         fit = gwr_fit(data, spec)
-        rows = data.neighbor_order[:, :21]
+        rows = data.neighbors.order[:, :21]
         monkeypatch.setattr(gwr, "FOCAL_BLOCK", 7)
         for scores in (_scores(data, spec), _scores(data, spec, rows)):
             assert scores[0] == pytest.approx(fit.rss, rel=1e-12)
@@ -307,10 +344,11 @@ class TestSearchScorer:
 
     def test_neighbor_order_starts_with_self(self):
         data = _lattice_with_duplicates()
-        order = data.neighbor_order
+        order = data.neighbors.order
         assert np.array_equal(order[:, 0], np.arange(data.n))
-        d = np.take_along_axis(data.distances, order[:, 1:], axis=1)
-        assert np.all(np.diff(d, axis=1) >= 0)
+        d = np.take_along_axis(data.distances, order, axis=1)
+        assert np.array_equal(data.neighbors.distances, d)
+        assert np.all(np.diff(d[:, 1:], axis=1) >= 0)
 
     @pytest.mark.parametrize("make", [
         lambda: make_random_gwr_dataset(26, n=40, p=2),
@@ -322,10 +360,10 @@ class TestSearchScorer:
         for k in range(len(covs) + 2, data.n):
             spec = GwrSpec(covs, KernelShape.BISQUARE, Bandwidth.adaptive_knn(k))
             try:
-                w = _weight_matrix(data.distances, spec)
+                w = _weight_matrix(data, spec)
             except DegenerateBandwidthError:
                 continue
-            rows = data.neighbor_order[:, :k + 1]
+            rows = data.neighbors.order[:, :k + 1]
             outside = np.ones_like(w, dtype=bool)
             np.put_along_axis(outside, rows, False, axis=1)
             assert np.all(w[outside] == 0.0), k
@@ -572,7 +610,7 @@ class TestCvScore:
         # oracle: refit each location from scratch with the self weight zeroed
         xy, _, _ = _design(data, spec.covariates)
         x, y = xy[:, :-1], xy[:, -1]
-        w = _weight_matrix(data.distances, spec)
+        w = _weight_matrix(data, spec)
         oracle = 0.0
         for i in range(data.n):
             wi = w[i].copy()
@@ -684,25 +722,29 @@ class TestEnumerateModels:
         assert path.read_text().startswith("rank,covariates,kernel")
 
 
+def _neighbors(points):
+    return geo.neighbor_table(distance_matrix(points))
+
+
 class TestNearestNeighborScale:
     def test_collinear_equally_spaced(self):
         pts = [GeoPoint(0.0, 0.0), GeoPoint(1.0, 0.0), GeoPoint(2.0, 0.0)]
         g = 111.19492664455873
-        scale = nearest_neighbor_scale(pts, 1)
+        scale = nearest_neighbor_scale(_neighbors(pts), 1)
         assert np.allclose(scale.distances, g, atol=1e-6)
         assert scale.median == pytest.approx(g, abs=1e-6)
         assert scale.interquartile == pytest.approx(0.0, abs=1e-6)
 
     def test_lattice_unit_spacing(self):
         pts = [GeoPoint(40.0 + 0.1 * i, -100.0) for i in range(10)]
-        scale = nearest_neighbor_scale(pts, 1)
+        scale = nearest_neighbor_scale(_neighbors(pts), 1)
         assert np.ptp(scale.distances) < 1e-6
 
     def test_matches_pairwise_sort_oracle(self):
         rng = np.random.default_rng(21)
         pts = [GeoPoint(float(a), float(b))
                for a, b in zip(rng.uniform(30, 47, 100), rng.uniform(-120, -75, 100))]
-        scale = nearest_neighbor_scale(pts, 5)
+        scale = nearest_neighbor_scale(_neighbors(pts), 5)
         d = distance_matrix(pts)
         np.fill_diagonal(d, np.inf)
         expected = np.sort(d, axis=1)[:, 4]
@@ -711,7 +753,7 @@ class TestNearestNeighborScale:
     def test_invalid_k(self):
         pts = [GeoPoint(0, 0), GeoPoint(1, 0)]
         with pytest.raises(InvalidKError):
-            nearest_neighbor_scale(pts, 2)
+            nearest_neighbor_scale(_neighbors(pts), 2)
 
 
 class TestExports:

@@ -400,3 +400,32 @@ class TestCountyPanelFixture:
                       float(field[i] + noise[i])) for i in range(n)]
         assert obs == want
         assert list(locations.values()) == points
+
+    @pytest.mark.parametrize("n,band", [(1, 128), (40, 128), (40, 7), (129, 128), (300, 64)])
+    def test_cholesky_in_place_equals_numpy(self, n, band):
+        from fuelspatial.geo import distance_matrix
+        from fuelspatial.synth import cholesky_in_place, rng_for
+
+        rng = rng_for(n, "cholesky")
+        points = [GeoPoint(float(a), float(b)) for a, b in
+                  zip(rng.uniform(30.0, 47.0, size=n), rng.uniform(-120.0, -75.0, size=n))]
+        cov = np.exp(-distance_matrix(points) / 100.0)
+        cov.flat[::n + 1] += 1e-8
+        want = np.linalg.cholesky(cov)
+        z = rng.normal(0.0, 1.0, size=n)
+        got = cholesky_in_place(cov, band=band)
+        assert got is cov and got.flags.c_contiguous
+        assert np.array_equal(got, want)
+        assert np.array_equal(got @ z, want @ z)
+
+    def test_cholesky_in_place_of_a_strided_view(self):
+        # LAPACK copies an input it cannot factor in place; the factor still
+        # lands in the caller's array.
+        from fuelspatial.synth import cholesky_in_place
+
+        base = np.zeros((5, 10))
+        a = base[:, ::2]
+        a[...] = np.eye(5) * 4.0 + 1.0
+        want = np.linalg.cholesky(a)
+        assert cholesky_in_place(a, band=2) is a
+        assert np.array_equal(a, want)
