@@ -13,7 +13,8 @@ import datetime as dt
 import hashlib
 import json
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -27,60 +28,94 @@ from .errors import FuelSpatialError
 from .geo import Bandwidth, KernelShape
 from .groups import run_means, run_starts
 
-DEFAULTS = {
-    "seed": "42",
-    "fuel": "Regular",
-    "d0_grid": "10,30,100,300,1000",
-    "window": "daily",
-    "kernel": "gaussian",
-    "criterion": "aicc",
-    "gwr_covariates": "all",
-    "fe_covariates": "density,log_population,log_total_income,unemployment,poverty,pct_black,vote_gop",
-    "max_in_flight": "4",
-    "per_host_delay_ms": "0",
-    "retries": "2",
-    "bandwidth_k": "",
-}
+# ---------------------------------------------------------------------------
+# Config keys. A parser takes a key and its text and returns the typed value,
+# or raises FuelSpatialError naming the key.
 
-GWR_ALL = list(econ.GWR_COVARIATES)
-
-# Every key a config file may set; each is also a flag.
-CONFIG_KEYS = ("out", "seed", "fuel", "d0_grid", "kernel", "criterion", "stations",
-               "covariates", "store", "pages", "window", "gwr_covariates",
-               "fe_covariates", "bandwidth_k", "max_in_flight", "per_host_delay_ms",
-               "retries")
-# The values these keys accept, from a flag or from a file.
-CHOICES = {"criterion": ("aicc", "cv"), "window": ("daily", "weekly")}
+def _invalid(key: str, problem: str) -> FuelSpatialError:
+    return FuelSpatialError(f"config value {key!r} {problem}")
 
 
-def _number(key: str, text: str, kind):
-    """``kind(text)``; a malformed value is a validation error naming the key."""
+def _cast(kind, key: str, text: str):
     try:
         return kind(text)
     except ValueError:
-        raise FuelSpatialError(
-            f"config value {key!r} is not a valid {kind.__name__}: {text!r}") from None
+        raise _invalid(key, f"is not a valid {kind.__name__}: {text!r}") from None
 
 
-@dataclass
+def _at_least(kind, low, key: str, text: str):
+    value = _cast(kind, key, text)
+    if not low <= value < np.inf:
+        raise _invalid(key, f"(--{key.replace('_', '-')}) must be a finite "
+                            f"{kind.__name__} >= {low}, got {text!r}")
+    return value
+
+
+def _one_of(allowed, key: str, text: str) -> str:
+    if text not in allowed:
+        raise _invalid(key, f"must be one of {', '.join(allowed)}, got {text!r}")
+    return text
+
+
+def _kernel_or_all(key: str, text: str):
+    name = _one_of([k.value for k in KernelShape] + ["all"], key, text.lower())
+    return name if name == "all" else KernelShape(name)
+
+
+def _d0_grid(key: str, text: str) -> tuple:
+    return tuple(Bandwidth.fixed_distance(_cast(float, key, d0)).value
+                 for d0 in text.split(","))
+
+
+def _names(key: str, text: str) -> tuple:
+    names = tuple(name.strip() for name in text.split(","))
+    if "" in names or len(set(names)) < len(names):
+        raise _invalid(key, f"must list distinct, non-empty covariate names, got {text!r}")
+    return names
+
+
+def _gwr_names(key: str, text: str) -> tuple:
+    return econ.GWR_COVARIATES if text == "all" else _names(key, text)
+
+
+# Every key a config file may set, each also a flag of every subcommand: its
+# parser and default text. An empty value is unset; unset with no default is None.
+KEYS = {
+    "out": (partial(_cast, Path), None),
+    "seed": (partial(_at_least, int, 0), "42"),
+    "fuel": (partial(_one_of, (*ing.FUEL_TYPES, "all")), "Regular"),
+    "d0_grid": (_d0_grid, "10,30,100,300,1000"),
+    "kernel": (_kernel_or_all, "gaussian"),
+    "criterion": (partial(_one_of, ("aicc", "cv")), "aicc"),
+    "stations": (partial(_cast, Path), None),
+    "covariates": (partial(_cast, Path), None),
+    "store": (partial(_cast, Path), None),
+    "pages": (partial(_cast, Path), None),
+    "window": (partial(_one_of, ("daily", "weekly")), "daily"),
+    "gwr_covariates": (_gwr_names, "all"),
+    "fe_covariates": (_names, "density,log_population,log_total_income,unemployment,"
+                              "poverty,pct_black,vote_gop"),
+    "bandwidth_k": (partial(_at_least, int, 1), None),
+    "max_in_flight": (partial(_at_least, int, 1), "4"),
+    "per_host_delay_ms": (partial(_at_least, float, 0), "0"),
+    "retries": (partial(_at_least, int, 0), "2"),
+}
+
+
+@dataclass(frozen=True)
 class RunConfig:
-    values: dict = field(default_factory=dict)
+    """Every key's parsed value, and the text of each key that was set."""
 
-    def get(self, key: str, default=None):
-        v = self.values.get(key, DEFAULTS.get(key, default))
-        return v
+    values: dict
+    typed: dict
 
-    def get_int(self, key: str) -> int:
-        return _number(key, self.get(key), int)
-
-    def get_float(self, key: str) -> float:
-        return _number(key, self.get(key), float)
+    def __getitem__(self, key: str):
+        return self.typed[key]
 
     def path(self, key: str, must_exist: bool = False) -> Path:
-        v = self.get(key)
-        if v is None:
+        p = self[key]
+        if p is None:
             raise FuelSpatialError(f"missing required config value {key!r}")
-        p = Path(v)
         if must_exist and not p.exists():
             raise FuelSpatialError(f"path for {key!r} does not exist: {p}")
         return p
@@ -100,21 +135,18 @@ def load_config(path) -> dict:
 
 
 def build_config(args) -> RunConfig:
-    values = {}
-    if args.config:
-        values.update(load_config(args.config))
-        for key in values:
-            if key not in CONFIG_KEYS:
-                raise FuelSpatialError(f"unknown config key {key!r} in {args.config}")
-    for key in CONFIG_KEYS:
-        flag = getattr(args, key, None)
-        if flag is not None:
-            values[key] = str(flag)
-    for key, allowed in CHOICES.items():
-        if key in values and values[key] not in allowed:
-            raise FuelSpatialError(f"config value {key!r} must be one of "
-                                   f"{', '.join(allowed)}, got {values[key]!r}")
-    return RunConfig(values)
+    """Flag over file over default, every key parsed before any work."""
+    values = load_config(args.config) if args.config else {}
+    for key in values:
+        if key not in KEYS:
+            raise FuelSpatialError(f"unknown config key {key!r} in {args.config}")
+    values.update((key, getattr(args, key)) for key in KEYS
+                  if getattr(args, key, None) is not None)
+    typed = {}
+    for key, (parse, default) in KEYS.items():
+        text = values.get(key) or default
+        typed[key] = None if text is None else parse(key, text)
+    return RunConfig(values, typed)
 
 
 def _outdir(cfg: RunConfig) -> Path:
@@ -130,7 +162,7 @@ def _sha256(path: Path) -> str:
 def write_manifest(cfg: RunConfig, out: Path, artifacts) -> None:
     manifest = {
         "config": dict(sorted(cfg.values.items())),
-        "seed": cfg.get_int("seed"),
+        "seed": cfg["seed"],
         "artifacts": {p.name: _sha256(p) for p in sorted(artifacts) if p.exists()},
     }
     with open(out / "manifest.json", "w") as fh:
@@ -138,19 +170,12 @@ def write_manifest(cfg: RunConfig, out: Path, artifacts) -> None:
         fh.write("\n")
 
 
-def _kernel(name: str) -> KernelShape:
-    try:
-        return KernelShape(name.lower())
-    except ValueError:
-        raise FuelSpatialError(f"unknown kernel {name!r}") from None
-
-
 def _load_panel(cfg: RunConfig, command: str):
     """The store's filtered records as columns in (station, timestamp, fuel,
     mode) order, their station-day panel and the station registry."""
     store_path = cfg.path("store", must_exist=True)
     stations = ing.load_station_registry(cfg.path("stations", must_exist=True))
-    fuel = cfg.get("fuel")
+    fuel = cfg["fuel"]
     records = ing.filter_observations(ing.read_store(store_path),
                                       None if fuel == "all" else fuel)
     # Store line order depends on worker interleaving; sort for reproducible
@@ -171,29 +196,30 @@ def _group_codes(panel, stations) -> dict:
             "state": panel.station_codes(stations, "state_id")[1]}
 
 
-def _covariate_table(cfg: RunConfig, key: str, names) -> dict:
-    """The covariate table, once it is known to hold every one of ``names``,
-    the covariates that config value ``key`` asks for."""
+def _covariate_table(cfg: RunConfig, key: str) -> dict:
+    """The covariate table, once it is known to hold every covariate that
+    config value ``key`` names."""
     table = ing.load_covariate_table(cfg.path("covariates", must_exist=True))
     columns = set().union(*table.values())
-    for name in names:
+    for name in cfg[key]:
         if name not in columns:
             raise FuelSpatialError(f"config value {key!r} names covariate {name!r}, "
                                    f"which {cfg.path('covariates')} does not have")
     return table
 
 
-def _complete_counties(table: dict, panel, stations) -> list:
-    return [a for a in ing.aggregate_county(panel, stations, table) if not a.incomplete]
+def _complete_counties(table: dict, panel, stations, names) -> list:
+    """The counties whose covariate row has a value for each of ``names``."""
+    return [a for a in ing.aggregate_county(panel, stations, table)
+            if not a.incomplete and all(name in a.covariates for name in names)]
 
 
 def _county_dataset(cfg: RunConfig):
     """County aggregates joined with covariates, as a GWR dataset."""
-    names = cfg.get("gwr_covariates")
-    names = GWR_ALL if names == "all" else [n.strip() for n in names.split(",")]
-    table = _covariate_table(cfg, "gwr_covariates", names)
+    names = cfg["gwr_covariates"]
+    table = _covariate_table(cfg, "gwr_covariates")
     _, panel, stations = _load_panel(cfg, "gwr")
-    aggs = _complete_counties(table, panel, stations)
+    aggs = _complete_counties(table, panel, stations, names)
     if not aggs:
         raise FuelSpatialError("no counties with complete covariates")
     data = gwrmod.GwrDataset(
@@ -210,7 +236,7 @@ def _county_dataset(cfg: RunConfig):
 
 def cmd_synth(cfg: RunConfig) -> int:
     out = _outdir(cfg)
-    truth = synth.make_mock_corpus(cfg.get_int("seed"), out)
+    truth = synth.make_mock_corpus(cfg["seed"], out)
     summary = {
         "n_pages": truth.n_pages, "total_records": truth.total_records,
         "unique_records": truth.unique_records,
@@ -229,17 +255,10 @@ def cmd_synth(cfg: RunConfig) -> int:
 def cmd_ingest(cfg: RunConfig) -> int:
     out = _outdir(cfg)
     pages = cfg.path("pages", must_exist=True)
-    max_in_flight = cfg.get_int("max_in_flight")
-    if max_in_flight < 1:
-        raise FuelSpatialError("config value 'max_in_flight' (--max-in-flight) must be "
-                               f"at least 1, got {max_in_flight}")
     source = ing.MockSource.from_directory(pages)
-    plan = ing.CollectionPlan(
-        urls=sorted(source.pages),
-        max_in_flight=max_in_flight,
-        per_host_delay_ms=cfg.get_float("per_host_delay_ms"),
-        retries=cfg.get_int("retries"),
-    )
+    plan = ing.CollectionPlan(urls=sorted(source.pages), max_in_flight=cfg["max_in_flight"],
+                              per_host_delay_ms=cfg["per_host_delay_ms"],
+                              retries=cfg["retries"])
     store = ing.ObservationStore(cfg.path("store"))
     if store.torn_bytes:
         print(f"ingest: ignoring a torn final line of {store.torn_bytes} bytes "
@@ -303,8 +322,7 @@ def cmd_moran(cfg: RunConfig) -> int:
                     zip(county[starts].tolist(), day[starts].tolist(), means.tolist())
                     if fips[c] in locations]
 
-    d0_grid = [_number("d0_grid", v, float) for v in cfg.get("d0_grid").split(",")]
-    sweep = stats.moran_sweep(observations, locations, cfg.get("window"), d0_grid)
+    sweep = stats.moran_sweep(observations, locations, cfg["window"], cfg["d0_grid"])
     sweep.to_csv(out / "moran_sweep.csv")
     write_manifest(cfg, out, [out / "moran_sweep.csv"])
     print(f"moran: {len(sweep.rows)} (window, d0) cells, {len(sweep.skipped)} skipped, "
@@ -315,31 +333,30 @@ def cmd_moran(cfg: RunConfig) -> int:
 def cmd_gwr(cfg: RunConfig, enumerate_all: bool = False) -> int:
     out = _outdir(cfg)
     data, aggs, _, names = _county_dataset(cfg)
-    kernel_cfg = cfg.get("kernel")
-    criterion = cfg.get("criterion")
+    kernel = cfg["kernel"]
     artifacts = []
-    if enumerate_all or kernel_cfg == "all":
-        kernels = list(KernelShape) if kernel_cfg == "all" else [_kernel(kernel_cfg)]
-        report = gwrmod.enumerate_models(data, names, kernels, criterion=criterion)
+    if enumerate_all or kernel == "all":
+        kernels = list(KernelShape) if kernel == "all" else [kernel]
+        report = gwrmod.enumerate_models(data, names, kernels, criterion=cfg["criterion"])
         report.to_csv(out / "model_selection.csv")
         artifacts.append(out / "model_selection.csv")
         best = report.best_entry()
         spec = gwrmod.GwrSpec(covariates=best.covariates, kernel=best.kernel,
                               bandwidth=best.bandwidth)
         fit = gwrmod.gwr_fit(data, spec)
-        print(f"gwr: best model {'+'.join(best.covariates)} kernel {best.kernel.value} "
-              f"aicc {best.aicc:.2f} (median gap {report.median_aicc_gap:.2f})")
+        print(f"gwr: {len(aggs)} counties, best model {'+'.join(best.covariates)} "
+              f"kernel {best.kernel.value} aicc {best.aicc:.2f} "
+              f"(median gap {report.median_aicc_gap:.2f})")
     else:
-        kernel = _kernel(kernel_cfg)
-        if cfg.get("bandwidth_k"):
-            bw = Bandwidth.adaptive_knn(cfg.get_int("bandwidth_k"))
+        if cfg["bandwidth_k"] is not None:
+            bw = Bandwidth.adaptive_knn(cfg["bandwidth_k"])
         else:
-            search = gwrmod.optimize_bandwidth(data, names, kernel, criterion=criterion)
-            bw = search.bandwidth
-        spec = gwrmod.GwrSpec(covariates=tuple(names), kernel=kernel, bandwidth=bw)
+            bw = gwrmod.optimize_bandwidth(data, names, kernel,
+                                           criterion=cfg["criterion"]).bandwidth
+        spec = gwrmod.GwrSpec(covariates=names, kernel=kernel, bandwidth=bw)
         fit = gwrmod.gwr_fit(data, spec)
-        print(f"gwr: kernel {kernel.value}, bandwidth {bw.mode} {bw.value:g}, "
-              f"aicc {fit.aicc:.2f}, global R2 {fit.global_r2:.3f}")
+        print(f"gwr: {len(aggs)} counties, kernel {kernel.value}, bandwidth {bw.mode} "
+              f"{bw.value:g}, aicc {fit.aicc:.2f}, global R2 {fit.global_r2:.3f}")
     gwrmod.fit_to_csv(fit, data, out / "gwr_fit.csv")
     gwrmod.fit_to_geojson(fit, data, out / "gwr_fit.geojson")
     if fit.spec.bandwidth.is_adaptive:
@@ -358,8 +375,8 @@ def cmd_gwr(cfg: RunConfig, enumerate_all: bool = False) -> int:
 
 def cmd_fe(cfg: RunConfig) -> int:
     out = _outdir(cfg)
-    covariate_set = [n.strip() for n in cfg.get("fe_covariates").split(",")]
-    table = _covariate_table(cfg, "fe_covariates", covariate_set)
+    covariate_set = cfg["fe_covariates"]
+    table = _covariate_table(cfg, "fe_covariates")
     _, panel, stations = _load_panel(cfg, "fe")
     groups = _group_codes(panel, stations)
 
@@ -371,7 +388,7 @@ def cmd_fe(cfg: RunConfig) -> int:
                                     econ.FixedEffectSpec(level))
             wr.writerow([level, f"{res['r_squared']:.10g}", res["n_groups"]])
 
-    aggs = _complete_counties(table, panel, stations)
+    aggs = _complete_counties(table, panel, stations, covariate_set)
     rows = [econ.CountyModelRow(
         county_fips=a.county_fips, log_mean_price=float(np.log(a.mean_price)),
         state_id=a.county_fips[:2], covariates=a.covariates) for a in aggs]
@@ -410,43 +427,23 @@ def cmd_report(cfg: RunConfig) -> int:
     return 0
 
 
+COMMANDS = {"synth": cmd_synth, "ingest": cmd_ingest, "stats": cmd_stats,
+            "moran": cmd_moran, "gwr": cmd_gwr, "fe": cmd_fe, "report": cmd_report}
+
+
 def make_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="fuelspatial",
                                      description="Spatial fuel-price analysis chain")
     parser.add_argument("--config", help="flat key=value config file")
     sub = parser.add_subparsers(dest="command")
-    for name in ("synth", "ingest", "stats", "moran", "gwr", "fe", "report"):
+    for name in COMMANDS:
         p = sub.add_parser(name)
-        p.add_argument("--out", help="output directory")
-        p.add_argument("--seed", type=int)
-        p.add_argument("--fuel")
-        p.add_argument("--d0-grid", dest="d0_grid")
-        p.add_argument("--kernel", help="kernel name or 'all'")
-        p.add_argument("--criterion", choices=CHOICES["criterion"])
-        p.add_argument("--stations")
-        p.add_argument("--covariates")
-        p.add_argument("--store")
-        p.add_argument("--pages")
-        p.add_argument("--window", choices=CHOICES["window"])
-        p.add_argument("--gwr-covariates", dest="gwr_covariates")
-        p.add_argument("--fe-covariates", dest="fe_covariates")
-        p.add_argument("--bandwidth-k", dest="bandwidth_k", type=int)
-        p.add_argument("--max-in-flight", dest="max_in_flight", type=int)
-        p.add_argument("--per-host-delay-ms", dest="per_host_delay_ms", type=float)
-        p.add_argument("--retries", type=int)
+        for key, (_, default) in KEYS.items():
+            p.add_argument("--" + key.replace("_", "-"), dest=key,
+                           help=None if default is None else f"default {default}")
         if name == "gwr":
             p.add_argument("--enumerate", action="store_true", dest="enumerate_all")
     return parser
-
-
-COMMANDS = {
-    "synth": cmd_synth,
-    "ingest": cmd_ingest,
-    "stats": cmd_stats,
-    "moran": cmd_moran,
-    "fe": cmd_fe,
-    "report": cmd_report,
-}
 
 
 def execute(argv=None) -> int:
@@ -457,10 +454,8 @@ def execute(argv=None) -> int:
         return 1
     try:
         cfg = build_config(args)
-        if cfg.get("out") is None:
-            raise FuelSpatialError("an output directory is required (--out or out=...)")
         if args.command == "gwr":
-            return cmd_gwr(cfg, enumerate_all=getattr(args, "enumerate_all", False))
+            return cmd_gwr(cfg, enumerate_all=args.enumerate_all)
         return COMMANDS[args.command](cfg)
     except FuelSpatialError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -330,6 +330,8 @@ class CollectionPlan:
         self.urls = deduped
         if self.max_in_flight < 1:
             raise ValueError("max_in_flight must be positive")
+        if self.retries < 0:
+            raise ValueError("retries must be non-negative")
 
 
 @dataclass

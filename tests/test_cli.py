@@ -1,6 +1,7 @@
 import csv
 import json
 import os
+import re
 from pathlib import Path
 
 import numpy as np
@@ -61,18 +62,28 @@ class TestConfig:
 
     def test_flag_beats_file_beats_default(self, tmp_path):
         cfg_file = tmp_path / "run.cfg"
-        cfg_file.write_text("seed=7\n")
+        cfg_file.write_text("seed=7\nd0_grid = 5, 50\nkernel = Bisquare\n")
         parser = cli.make_parser()
 
-        args = parser.parse_args(["synth", "--out", "x"])
-        assert cli.build_config(args).get_int("seed") == 42
+        def typed(*argv):
+            cfg = cli.build_config(parser.parse_args(list(argv)))
+            return cfg["seed"], cfg["d0_grid"], cfg["kernel"]
 
-        args = parser.parse_args(["--config", str(cfg_file), "synth", "--out", "x"])
-        assert cli.build_config(args).get_int("seed") == 7
+        assert typed("synth", "--out", "x") == (
+            42, (10.0, 30.0, 100.0, 300.0, 1000.0), KernelShape.GAUSSIAN)
+        assert typed("--config", str(cfg_file), "synth", "--out", "x") == (
+            7, (5.0, 50.0), KernelShape.BISQUARE)
+        assert typed("--config", str(cfg_file), "synth", "--out", "x", "--seed", "9",
+                     "--d0-grid", "20", "--kernel", "all") == (9, (20.0,), "all")
 
-        args = parser.parse_args(["--config", str(cfg_file), "synth",
-                                  "--out", "x", "--seed", "9"])
-        assert cli.build_config(args).get_int("seed") == 9
+    def test_empty_value_leaves_default(self, tmp_path):
+        cfg_file = tmp_path / "run.cfg"
+        cfg_file.write_text("seed =\nbandwidth_k =\n")
+        args = cli.make_parser().parse_args(["--config", str(cfg_file), "gwr",
+                                             "--out", "x", "--kernel", ""])
+        cfg = cli.build_config(args)
+        assert (cfg["seed"], cfg["bandwidth_k"], cfg["kernel"]) == (
+            42, None, KernelShape.GAUSSIAN)
 
     def test_config_seed_reaches_manifest(self, tmp_path):
         cfg_file = tmp_path / "run.cfg"
@@ -80,6 +91,14 @@ class TestConfig:
         assert run("--config", str(cfg_file), "synth") == 0
         manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
         assert manifest["seed"] == 7
+
+    def test_stats_accepts_covariates_flag(self, tmp_path, chain_dir):
+        # The benchmark chain and scripts/run_pipeline.py pass --covariates to
+        # stats, which does not read it.
+        out = tmp_path / "out"
+        assert run("stats", *_inputs(chain_dir, out)) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert "covariates" in manifest["config"]
 
 
 class TestExitCodes:
@@ -152,6 +171,40 @@ class TestExitCodes:
         assert run("--config", str(cfg_file), command, *argv) == 1
         err = capsys.readouterr().err
         assert f"config value {key!r} must be one of" in err and repr(value) in err
+
+    @pytest.mark.parametrize("command, source, key, value", [
+        ("stats", "file", "seed", "x"),
+        ("stats", "file", "seed", "-3"),
+        ("synth", "flag", "seed", "-1"),
+        ("synth", "flag", "seed", "abc"),
+        ("ingest", "flag", "retries", "-1"),
+        ("ingest", "flag", "per_host_delay_ms", "-5"),
+        ("moran", "flag", "window", "monthly"),
+        ("fe", "flag", "fe_covariates", "income,income"),
+        ("stats", "flag", "fuel", "Foo"),
+        ("gwr", "file", "fuel", "Foo"),
+    ])
+    def test_invalid_value_is_one_before_any_work(self, tmp_path, chain_dir, capsys,
+                                                  command, source, key, value):
+        out = tmp_path / "out"
+        if command == "synth":
+            argv = ["--out", str(out)]
+        elif command == "ingest":
+            argv = ["--out", str(out), "--store", str(out / "store.psv"),
+                    "--pages", str(chain_dir.parent / "data" / "pages")]
+        else:
+            argv = _inputs(chain_dir, out)
+        if source == "flag":
+            argv = [command, *argv, "--" + key.replace("_", "-"), value]
+        else:
+            cfg_file = tmp_path / "run.cfg"
+            cfg_file.write_text(f"{key} = {value}\n")
+            argv = ["--config", str(cfg_file), command, *argv]
+        assert run(*argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and f"config value {key!r}" in err
+        assert not (out / "descriptives.csv").exists()
+        assert not out.exists()
 
     def test_unknown_config_key_is_one(self, tmp_path, chain_dir, capsys):
         cfg_file = tmp_path / "run.cfg"
@@ -319,6 +372,31 @@ class TestStoreInput:
         store.write_text("\n".join(lines) + "\n")
         assert run("stats", *_inputs(chain_dir, tmp_path / "out", store=store)) == 2
         assert "runtime error: TypeError" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, argv, pattern", [
+        ("gwr", [], r"gwr: (\d+) counties"),
+        ("fe", ["--fe-covariates", "income,density"], r", N (\d+),"),
+    ], ids=["gwr", "fe"])
+    def test_blank_covariate_cell_leaves_county_out(self, chain_dir, tmp_path, capsys,
+                                                     command, argv, pattern):
+        data = chain_dir.parent / "data"
+        with open(data / "stations.csv", newline="") as fh:
+            station_counties = {row["county_fips"] for row in csv.DictReader(fh)}
+        with open(data / "covariates.csv", newline="") as fh:
+            reader = csv.DictReader(fh)
+            fields, rows = reader.fieldnames, list(reader)
+        next(r for r in rows if r["county_fips"] in station_counties)["income"] = ""
+        covariates = tmp_path / "covariates.csv"
+        with open(covariates, "w", newline="") as fh:
+            wr = csv.DictWriter(fh, fields, lineterminator="\n")
+            wr.writeheader()
+            wr.writerows(rows)
+        counts = []
+        for name, table in (("blank", covariates), ("full", data / "covariates.csv")):
+            assert run(command, *_inputs(chain_dir, tmp_path / name, covariates=table),
+                       *argv) == 0
+            counts.append(int(re.search(pattern, capsys.readouterr().out).group(1)))
+        assert counts[0] == counts[1] - 1
 
     def test_empty_store_has_no_observations(self, chain_dir, tmp_path, capsys):
         store = tmp_path / "store.psv"

@@ -371,6 +371,12 @@ class TestRunCollection:
         return {f"mock://h/p{i}": obs(station=f"st{i}").line() + "\n"
                 for i in range(n)}
 
+    @pytest.mark.parametrize("setting", [{"max_in_flight": 0}, {"retries": -1}],
+                             ids=["max_in_flight", "retries"])
+    def test_plan_rejects_out_of_range_setting(self, setting):
+        with pytest.raises(ValueError, match=next(iter(setting))):
+            CollectionPlan(urls=["mock://h/p0"], **setting)
+
     def test_all_pages_stored_concurrency_bounded(self, tmp_path):
         source = _SlowSource(MockSource(self._pages(10)))
         plan = CollectionPlan(urls=sorted(source.inner.pages), max_in_flight=3)
