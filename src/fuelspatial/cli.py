@@ -25,7 +25,7 @@ from . import ingest as ing
 from . import spatial_stats as stats
 from . import synth
 from .errors import FuelSpatialError
-from .geo import Bandwidth, KernelShape
+from .geo import Bandwidth, GeoPoint, KernelShape
 from .groups import run_means, run_starts
 
 # ---------------------------------------------------------------------------
@@ -208,27 +208,32 @@ def _covariate_table(cfg: RunConfig, key: str) -> dict:
     return table
 
 
-def _complete_counties(table: dict, panel, stations, names) -> list:
-    """The counties whose covariate row has a value for each of ``names``."""
-    return [a for a in ing.aggregate_county(panel, stations, table)
-            if not a.incomplete and all(name in a.covariates for name in names)]
+def _counties_with(table: dict, fips: list, names) -> list:
+    """The positions in ``fips`` of the counties whose covariate row has a
+    value for each of ``names``; the one rule for which counties ``moran``,
+    ``gwr`` and ``fe`` use."""
+    return [i for i, f in enumerate(fips) if all(name in table.get(f, ()) for name in names)]
 
 
 def _county_dataset(cfg: RunConfig):
-    """County aggregates joined with covariates, as a GWR dataset."""
+    """County mean prices joined with covariates, each county at its
+    covariate row's ``lat`` and ``lon``, as a GWR dataset; and the number of
+    counties left out."""
     names = cfg["gwr_covariates"]
     table = _covariate_table(cfg, "gwr_covariates")
     _, panel, stations = _load_panel(cfg, "gwr")
-    aggs = _complete_counties(table, panel, stations, names)
-    if not aggs:
-        raise FuelSpatialError("no counties with complete covariates")
+    fips, means = ing.aggregate_county(panel, stations)
+    keep = _counties_with(table, fips, (*names, "lat", "lon"))
+    if not keep:
+        raise FuelSpatialError("no counties with coordinates and complete covariates")
+    rows = [table[fips[i]] for i in keep]
     data = gwrmod.GwrDataset(
-        ids=[a.county_fips for a in aggs],
-        points=[a.point for a in aggs],
-        covariates={n: np.array([a.covariates[n] for a in aggs]) for n in names},
-        response=np.array([a.mean_price for a in aggs]),
+        ids=[fips[i] for i in keep],
+        points=[GeoPoint(row["lat"], row["lon"]) for row in rows],
+        covariates={n: np.array([row[n] for row in rows]) for n in names},
+        response=means[keep],
     )
-    return data, aggs, stations, names
+    return data, len(fips) - len(keep), names
 
 
 # ---------------------------------------------------------------------------
@@ -296,7 +301,8 @@ def cmd_stats(cfg: RunConfig) -> int:
         for level, groups in _group_codes(panel, stations).items():
             vd = stats.variance_decomposition(panel.price, groups, grouping=level)
             wr.writerow([level, f"{vd.total:.10g}", f"{vd.between:.10g}",
-                         f"{vd.within:.10g}", f"{vd.between / vd.total:.10g}"])
+                         f"{vd.within:.10g}",
+                         f"{vd.between / vd.total if vd.total else np.nan:.10g}"])
     write_manifest(cfg, out, [out / "descriptives.csv",
                               out / "variance_decomposition.csv"])
     print(f"stats: {records.price.size} observations, mean {desc['mean']:.3f}")
@@ -315,8 +321,8 @@ def cmd_moran(cfg: RunConfig) -> int:
     county, day = county[order], panel.day[order]
     starts = run_starts(county, day)
     means = run_means(panel.price[order], starts)
-    points = {f: ing.county_point(table.get(f)) for f in fips}
-    locations = {f: p for f, p in points.items() if p is not None}
+    locations = {fips[i]: GeoPoint(table[fips[i]]["lat"], table[fips[i]]["lon"])
+                 for i in _counties_with(table, fips, ("lat", "lon"))}
     dates = {d: dt.date.fromordinal(d) for d in np.unique(panel.day).tolist()}
     observations = [(fips[c], dates[d], m) for c, d, m in
                     zip(county[starts].tolist(), day[starts].tolist(), means.tolist())
@@ -332,7 +338,7 @@ def cmd_moran(cfg: RunConfig) -> int:
 
 def cmd_gwr(cfg: RunConfig, enumerate_all: bool = False) -> int:
     out = _outdir(cfg)
-    data, aggs, _, names = _county_dataset(cfg)
+    data, left_out, names = _county_dataset(cfg)
     kernel = cfg["kernel"]
     artifacts = []
     if enumerate_all or kernel == "all":
@@ -344,9 +350,10 @@ def cmd_gwr(cfg: RunConfig, enumerate_all: bool = False) -> int:
         spec = gwrmod.GwrSpec(covariates=best.covariates, kernel=best.kernel,
                               bandwidth=best.bandwidth)
         fit = gwrmod.gwr_fit(data, spec)
-        print(f"gwr: {len(aggs)} counties, best model {'+'.join(best.covariates)} "
+        print(f"gwr: {data.n} counties, best model {'+'.join(best.covariates)} "
               f"kernel {best.kernel.value} aicc {best.aicc:.2f} "
-              f"(median gap {report.median_aicc_gap:.2f})")
+              f"(median gap {report.median_aicc_gap:.2f}), "
+              f"{left_out} counties left out without coordinates or covariates")
     else:
         if cfg["bandwidth_k"] is not None:
             bw = Bandwidth.adaptive_knn(cfg["bandwidth_k"])
@@ -355,8 +362,9 @@ def cmd_gwr(cfg: RunConfig, enumerate_all: bool = False) -> int:
                                            criterion=cfg["criterion"]).bandwidth
         spec = gwrmod.GwrSpec(covariates=names, kernel=kernel, bandwidth=bw)
         fit = gwrmod.gwr_fit(data, spec)
-        print(f"gwr: {len(aggs)} counties, kernel {kernel.value}, bandwidth {bw.mode} "
-              f"{bw.value:g}, aicc {fit.aicc:.2f}, global R2 {fit.global_r2:.3f}")
+        print(f"gwr: {data.n} counties, kernel {kernel.value}, bandwidth {bw.mode} "
+              f"{bw.value:g}, aicc {fit.aicc:.2f}, global R2 {fit.global_r2:.3f}, "
+              f"{left_out} counties left out without coordinates or covariates")
     gwrmod.fit_to_csv(fit, data, out / "gwr_fit.csv")
     gwrmod.fit_to_geojson(fit, data, out / "gwr_fit.geojson")
     if fit.spec.bandwidth.is_adaptive:
@@ -388,10 +396,11 @@ def cmd_fe(cfg: RunConfig) -> int:
                                     econ.FixedEffectSpec(level))
             wr.writerow([level, f"{res['r_squared']:.10g}", res["n_groups"]])
 
-    aggs = _complete_counties(table, panel, stations, covariate_set)
+    fips, means = ing.aggregate_county(panel, stations)
     rows = [econ.CountyModelRow(
-        county_fips=a.county_fips, log_mean_price=float(np.log(a.mean_price)),
-        state_id=a.county_fips[:2], covariates=a.covariates) for a in aggs]
+        county_fips=fips[i], log_mean_price=float(np.log(means[i])),
+        state_id=fips[i][:2], covariates=table[fips[i]])
+        for i in _counties_with(table, fips, covariate_set)]
     fit = econ.county_regression(rows, covariate_set)
     econ.fe_table_to_csv([fit], out / "fe_table.csv")
     (out / "fe_table.txt").write_text(econ.render_fe_table([fit]))

@@ -263,30 +263,35 @@ def significance_stars(coef: float, se: float, n_clusters: int) -> str:
     return ""
 
 
-def render_fe_table(fits, labels=None) -> str:
-    """Aligned-text regression table: coefficient, SE in parentheses, stars."""
-    fits = list(fits)
+def _table_cells(fits, labels, spec: str) -> tuple[list, list]:
+    """The column labels and, for each coefficient name of any fit (first
+    seen first), its row of coefficient cells with stars and of SE cells in
+    parentheses, numbers in format ``spec``; a fit without the name has
+    empty cells."""
     labels = labels or [f"({i})" for i in range(1, len(fits) + 1)]
-    names = []
-    for fit in fits:
-        for name in fit.coefficients:
-            if name not in names:
-                names.append(name)
-    width = max([len(n) for n in names] + [12]) + 2
-    col = 18
-    lines = [" " * width + "".join(f"{lab:>{col}}" for lab in labels)]
-    for name in names:
+    rows = []
+    for name in dict.fromkeys(name for fit in fits for name in fit.coefficients):
         coef_cells, se_cells = [], []
         for fit in fits:
             if name in fit.coefficients:
-                c = fit.coefficients[name]
-                s = fit.standard_errors[name]
-                stars = significance_stars(c, s, fit.n_clusters)
-                coef_cells.append(f"{c:.3f}{stars}")
-                se_cells.append(f"({s:.3f})")
+                c, s = fit.coefficients[name], fit.standard_errors[name]
+                coef_cells.append(f"{c:{spec}}{significance_stars(c, s, fit.n_clusters)}")
+                se_cells.append(f"({s:{spec}})")
             else:
                 coef_cells.append("")
                 se_cells.append("")
+        rows.append((name, coef_cells, se_cells))
+    return labels, rows
+
+
+def render_fe_table(fits, labels=None) -> str:
+    """Aligned-text regression table: coefficient, SE in parentheses, stars."""
+    fits = list(fits)
+    labels, rows = _table_cells(fits, labels, ".3f")
+    width = max([len(name) for name, _, _ in rows] + [12]) + 2
+    col = 18
+    lines = [" " * width + "".join(f"{lab:>{col}}" for lab in labels)]
+    for name, coef_cells, se_cells in rows:
         lines.append(f"{name:<{width}}" + "".join(f"{c:>{col}}" for c in coef_cells))
         lines.append(" " * width + "".join(f"{s:>{col}}" for s in se_cells))
     lines.append(f"{'R-squared':<{width}}"
@@ -298,27 +303,12 @@ def render_fe_table(fits, labels=None) -> str:
 
 def fe_table_to_csv(fits, path, labels=None) -> None:
     fits = list(fits)
-    labels = labels or [f"({i})" for i in range(1, len(fits) + 1)]
-    names = []
-    for fit in fits:
-        for name in fit.coefficients:
-            if name not in names:
-                names.append(name)
+    labels, rows = _table_cells(fits, labels, ".6g")
     with open(path, "w", newline="") as fh:
         wr = csv.writer(fh, lineterminator="\n")
         wr.writerow(["variable"] + labels)
-        for name in names:
-            coef_row, se_row = [name], [name + "_se"]
-            for fit in fits:
-                if name in fit.coefficients:
-                    c = fit.coefficients[name]
-                    s = fit.standard_errors[name]
-                    coef_row.append(f"{c:.6g}{significance_stars(c, s, fit.n_clusters)}")
-                    se_row.append(f"({s:.6g})")
-                else:
-                    coef_row.append("")
-                    se_row.append("")
-            wr.writerow(coef_row)
-            wr.writerow(se_row)
+        for name, coef_cells, se_cells in rows:
+            wr.writerow([name] + coef_cells)
+            wr.writerow([name + "_se"] + se_cells)
         wr.writerow(["r_squared"] + [f"{fit.r_squared:.6g}" for fit in fits])
         wr.writerow(["n"] + [str(fit.n_observations) for fit in fits])

@@ -69,19 +69,15 @@ class Station:
 # ---------------------------------------------------------------------------
 # Proxy pool
 
-IDLE, IN_USE, FAILED = "Idle", "InUse", "Failed"
-
-
 @dataclass
 class ProxyEndpoint:
     address: str
-    status: str = IDLE
     failure_count: int = 0
 
 
 class ProxyPool:
-    """Round-robin pool of socket-proxy endpoints; Failed endpoints are skipped
-    until reset."""
+    """Round-robin pool of socket-proxy endpoints; an endpoint has failed, and
+    is skipped, once its failure count reaches the threshold."""
 
     def __init__(self, endpoints, failure_threshold: int = 3):
         self._endpoints = list(endpoints)
@@ -95,25 +91,15 @@ class ProxyPool:
             for _ in range(n):
                 ep = self._endpoints[self._cursor % n]
                 self._cursor += 1
-                if ep.status != FAILED:
-                    ep.status = IN_USE
+                if ep.failure_count < self._threshold:
                     return ep
             raise PoolExhaustedError("all proxy endpoints have failed")
 
     def release(self, ep: ProxyEndpoint, success: bool = True) -> None:
-        with self._lock:
-            if not success:
+        """Count a failed fetch against its endpoint."""
+        if not success:
+            with self._lock:
                 ep.failure_count += 1
-                if ep.failure_count >= self._threshold:
-                    ep.status = FAILED
-                    return
-            ep.status = IDLE
-
-    def reset(self) -> None:
-        with self._lock:
-            for ep in self._endpoints:
-                ep.status = IDLE
-                ep.failure_count = 0
 
 
 # ---------------------------------------------------------------------------
@@ -532,58 +518,13 @@ def aggregate_daily(records: ObservationColumns,
     return panel, orphan
 
 
-@dataclass
-class CountyAggregate:
-    county_fips: str
-    mean_price: float
-    n_observations: int
-    point: GeoPoint
-    covariates: dict | None = None
-    incomplete: bool = False
-
-
-def county_point(cov: dict | None) -> GeoPoint | None:
-    """A county's location from its covariate row: only a row with both
-    ``lat`` and ``lon`` has one."""
-    if cov is not None and "lat" in cov and "lon" in cov:
-        return GeoPoint(cov["lat"], cov["lon"])
-    return None
-
-
-def aggregate_county(panel: StationDayColumns, stations: dict,
-                     covariate_table: dict) -> list:
-    """County mean prices with covariates joined by FIPS; every station-day
-    row weighs equally and each county's rows are averaged in panel order.
-
-    A county without coordinates in its covariate row sits at the mean of its
-    stations' points (in id order). Counties with no covariate row are
-    flagged incomplete (kept for maps, excluded from regressions).
-    """
+def aggregate_county(panel: StationDayColumns, stations: dict) -> tuple[list, np.ndarray]:
+    """The sorted FIPS codes of the panel's counties and each county's mean
+    price; every station-day row weighs equally and each county's rows are
+    averaged in panel order."""
     fips, county = panel.station_codes(stations, "county_fips")
     rows = np.argsort(county, kind="stable")
-    county, station = county[rows], panel.station[rows]
-    starts = run_starts(county)
-    ends = np.append(starts[1:], county.size)
-    out = []
-    for start, stop, mean_price in zip(starts.tolist(), ends.tolist(),
-                                       run_means(panel.price[rows], starts).tolist()):
-        code = int(county[start])
-        cov = covariate_table.get(fips[code])
-        point = county_point(cov)
-        if point is None:
-            pts = [stations[panel.station_ids[s]].point
-                   for s in np.unique(station[start:stop]).tolist()]
-            point = GeoPoint(float(np.mean([p.lat for p in pts])),
-                             float(np.mean([p.lon for p in pts])))
-        out.append(CountyAggregate(
-            county_fips=fips[code],
-            mean_price=mean_price,
-            n_observations=stop - start,
-            point=point,
-            covariates=cov,
-            incomplete=cov is None,
-        ))
-    return out
+    return fips, run_means(panel.price[rows], run_starts(county[rows]))
 
 
 def descriptive_stats(values) -> dict:
@@ -605,18 +546,43 @@ def descriptive_stats(values) -> dict:
 # ---------------------------------------------------------------------------
 # CSV interfaces
 
+# The bounds of the coordinate columns; any other number need only be finite.
+_LIMITS = {"lat": 90.0, "lon": 180.0}
+
+
+def _number(path, key: str, column: str, text: str) -> float:
+    """A table cell as a finite float, ``lat`` and ``lon`` within their
+    bounds; else ParseError naming the file, the row's key, the column and
+    the text."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = np.nan
+    limit = _LIMITS.get(column, np.inf)
+    if not (np.isfinite(value) and abs(value) <= limit):
+        bounds = f" in [-{limit:g}, {limit:g}]" if column in _LIMITS else ""
+        raise ParseError(str(path), f"{key}: {column} must be a finite number{bounds}, "
+                                    f"got {text!r}")
+    return value
+
+
 def load_station_registry(path) -> dict:
+    """Stations keyed by id; a duplicate id raises DuplicateKeyError, and a
+    bad coordinate or FIPS code ParseError, each naming the file."""
     stations: dict[str, Station] = {}
     with open(path, newline="") as fh:
         for row in csv.DictReader(fh):
-            st = Station(
-                station_id=row["station_id"],
-                point=GeoPoint(float(row["lat"]), float(row["lon"])),
-                city=row["city"],
-                county_fips=row["county_fips"],
-                state_id=row["state_id"],
-            )
-            stations[st.station_id] = st
+            sid = row["station_id"]
+            if sid in stations:
+                raise DuplicateKeyError(f"duplicate station_id {sid} in {path}")
+            key = f"station_id {sid}"
+            point = GeoPoint(_number(path, key, "lat", row["lat"]),
+                             _number(path, key, "lon", row["lon"]))
+            try:
+                stations[sid] = Station(sid, point, row["city"], row["county_fips"],
+                                        row["state_id"])
+            except ValueError as exc:
+                raise ParseError(str(path), f"{key}: {exc}") from None
     return stations
 
 
@@ -630,12 +596,15 @@ def save_station_registry(stations, path) -> None:
 
 
 def load_covariate_table(path) -> dict:
-    """Covariate rows keyed by county FIPS; duplicate keys are an error."""
+    """Covariate rows keyed by county FIPS, a blank cell left out of its row;
+    a duplicate FIPS raises DuplicateKeyError, and a cell that is not a finite
+    number (or a coordinate out of bounds) ParseError, each naming the file."""
     table: dict[str, dict] = {}
     with open(path, newline="") as fh:
         for row in csv.DictReader(fh):
             fips = row.pop("county_fips")
             if fips in table:
-                raise DuplicateKeyError(f"duplicate county_fips {fips}")
-            table[fips] = {k: float(v) for k, v in row.items() if v != ""}
+                raise DuplicateKeyError(f"duplicate county_fips {fips} in {path}")
+            key = f"county_fips {fips}"
+            table[fips] = {k: _number(path, key, k, v) for k, v in row.items() if v != ""}
     return table

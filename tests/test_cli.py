@@ -101,6 +101,27 @@ class TestConfig:
         assert "covariates" in manifest["config"]
 
 
+# Table cells each loader rejects: (table, column, value, error message).
+_BAD_CELLS = [
+    ("covariates", "income", "abc",
+     "county_fips {key}: income must be a finite number, got 'abc'"),
+    ("covariates", "income", "nan",
+     "county_fips {key}: income must be a finite number, got 'nan'"),
+    ("covariates", "density", "nan",
+     "county_fips {key}: density must be a finite number, got 'nan'"),
+    ("covariates", "lat", "95",
+     "county_fips {key}: lat must be a finite number in [-90, 90], got '95'"),
+    ("covariates", "lat", "inf",
+     "county_fips {key}: lat must be a finite number in [-90, 90], got 'inf'"),
+    ("covariates", "lon", "-180.5",
+     "county_fips {key}: lon must be a finite number in [-180, 180], got '-180.5'"),
+    ("stations", "lat", "x",
+     "station_id {key}: lat must be a finite number in [-90, 90], got 'x'"),
+    ("stations", "county_fips", "99001",
+     "station_id {key}: county_fips 99001 does not belong to state {state}"),
+]
+
+
 class TestExitCodes:
     def test_no_command_is_one(self):
         assert run() == 1
@@ -214,14 +235,40 @@ class TestExitCodes:
         assert "unknown config key 'kernal'" in capsys.readouterr().err
         assert not out.exists()
 
-    def test_runtime_error_is_two(self, tmp_path, chain_dir):
-        bad = tmp_path / "stations.csv"
-        # fips/state mismatch makes registry loading blow up mid-run
-        bad.write_text("station_id,lat,lon,city,county_fips,state_id\n"
-                       "s1,40,-100,c,10001,99\n")
-        assert run("stats", "--out", str(tmp_path),
-                   "--store", str(chain_dir / "store.psv"),
-                   "--stations", str(bad)) == 2
+    @pytest.mark.parametrize("command, table, column, value, message", [
+        pytest.param(command, *case, id="-".join([command, *case[:3]]))
+        for case in _BAD_CELLS for command in ("stats", "moran", "gwr", "fe")
+        if command != "stats" or case[0] == "stations"])
+    def test_bad_table_cell_is_one_before_any_work(self, tmp_path, chain_dir, capsys,
+                                                   command, table, column, value, message):
+        path = tmp_path / f"{table}.csv"
+        row = _edited_csv(chain_dir.parent / "data" / path.name, path, lambda rows: rows[0],
+                          column, value)
+        out = tmp_path / "out"
+        assert run(command, *_inputs(chain_dir, out, **{table: path})) == 1
+        key = row["station_id" if table == "stations" else "county_fips"]
+        want = message.format(key=key, state=row.get("state_id"))
+        assert capsys.readouterr().err == f"error: {want} (source: {path})\n"
+        assert list(out.iterdir()) == []
+
+    def test_duplicate_station_id_is_one(self, tmp_path, chain_dir, capsys):
+        lines = (chain_dir.parent / "data" / "stations.csv").read_text().splitlines()
+        registry = tmp_path / "stations.csv"
+        registry.write_text("\n".join(lines + [lines[1]]) + "\n")
+        out = tmp_path / "out"
+        assert run("stats", *_inputs(chain_dir, out, stations=registry)) == 1
+        station = lines[1].split(",")[0]
+        assert capsys.readouterr().err == (f"error: duplicate station_id {station} "
+                                           f"in {registry}\n")
+        assert list(out.iterdir()) == []
+
+    def test_runtime_error_is_two(self, tmp_path, chain_dir, monkeypatch, capsys):
+        def unreadable(path):
+            raise OSError(f"cannot read {path}")
+
+        monkeypatch.setattr(ing, "read_store", unreadable)
+        assert run("stats", *_inputs(chain_dir, tmp_path / "out")) == 2
+        assert "runtime error: OSError: cannot read" in capsys.readouterr().err
 
 
 class TestChainArtifacts:
@@ -294,6 +341,30 @@ def _inputs(chain_dir, out, store=None, stations=None, covariates=None):
             "--covariates", str(covariates or data / "covariates.csv")]
 
 
+def _edited_csv(src, dst, pick, column, value) -> dict:
+    """Copy a CSV table with ``value`` in ``column`` of the row that ``pick``
+    chooses from the list of rows; returns that row as it was."""
+    with open(src, newline="") as fh:
+        reader = csv.DictReader(fh)
+        fields, rows = reader.fieldnames, list(reader)
+    row = pick(rows)
+    original = dict(row)
+    row[column] = value
+    with open(dst, "w", newline="") as fh:
+        wr = csv.DictWriter(fh, fields, lineterminator="\n")
+        wr.writeheader()
+        wr.writerows(rows)
+    return original
+
+
+def _in_station_county(chain_dir):
+    """A row picker for ``_edited_csv``: the first covariate row of a county
+    that has stations."""
+    with open(chain_dir.parent / "data" / "stations.csv", newline="") as fh:
+        counties = {row["county_fips"] for row in csv.DictReader(fh)}
+    return lambda rows: next(r for r in rows if r["county_fips"] in counties)
+
+
 class TestStoreInput:
     @pytest.mark.parametrize("command", ["stats", "moran", "gwr", "fe"])
     def test_orphan_records_reported(self, chain_dir, tmp_path, capsys, command):
@@ -342,19 +413,9 @@ class TestStoreInput:
         assert [calls.get(name, 0) for name in names] == [1, 1, 1, county]
 
     def test_moran_leaves_out_a_county_without_longitude(self, chain_dir, tmp_path, capsys):
-        data = chain_dir.parent / "data"
-        with open(data / "stations.csv", newline="") as fh:
-            station_counties = {row["county_fips"] for row in csv.DictReader(fh)}
-        with open(data / "covariates.csv", newline="") as fh:
-            reader = csv.DictReader(fh)
-            fields, rows = reader.fieldnames, list(reader)
-        target = next(r for r in rows if r["county_fips"] in station_counties)
-        target["lon"] = ""
         covariates = tmp_path / "covariates.csv"
-        with open(covariates, "w", newline="") as fh:
-            wr = csv.DictWriter(fh, fields, lineterminator="\n")
-            wr.writeheader()
-            wr.writerows(rows)
+        _edited_csv(chain_dir.parent / "data" / "covariates.csv", covariates,
+                    _in_station_county(chain_dir), "lon", "")
         argv = _inputs(chain_dir, tmp_path / "out", covariates=covariates)
         assert run("moran", *argv) == 0
         assert "1 counties left out without coordinates" in capsys.readouterr().out
@@ -373,30 +434,42 @@ class TestStoreInput:
         assert run("stats", *_inputs(chain_dir, tmp_path / "out", store=store)) == 2
         assert "runtime error: TypeError" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("command, argv, pattern", [
-        ("gwr", [], r"gwr: (\d+) counties"),
-        ("fe", ["--fe-covariates", "income,density"], r", N (\d+),"),
-    ], ids=["gwr", "fe"])
+    @pytest.mark.parametrize("command, column, argv, pattern, change", [
+        ("gwr", "income", [], r"gwr: (\d+) counties", -1),
+        ("fe", "income", ["--fe-covariates", "income,density"], r", N (\d+),", -1),
+        ("gwr", "lon", [], r"gwr: (\d+) counties", -1),
+        ("gwr", "lon", [], r"(\d+) counties left out", 1),
+        ("moran", "lon", [], r"(\d+) counties left out", 1),
+    ], ids=["gwr", "fe", "gwr-lon", "gwr-lon-reported", "moran-lon"])
     def test_blank_covariate_cell_leaves_county_out(self, chain_dir, tmp_path, capsys,
-                                                     command, argv, pattern):
+                                                     command, column, argv, pattern, change):
         data = chain_dir.parent / "data"
-        with open(data / "stations.csv", newline="") as fh:
-            station_counties = {row["county_fips"] for row in csv.DictReader(fh)}
-        with open(data / "covariates.csv", newline="") as fh:
-            reader = csv.DictReader(fh)
-            fields, rows = reader.fieldnames, list(reader)
-        next(r for r in rows if r["county_fips"] in station_counties)["income"] = ""
         covariates = tmp_path / "covariates.csv"
-        with open(covariates, "w", newline="") as fh:
-            wr = csv.DictWriter(fh, fields, lineterminator="\n")
-            wr.writeheader()
-            wr.writerows(rows)
+        _edited_csv(data / "covariates.csv", covariates, _in_station_county(chain_dir),
+                    column, "")
         counts = []
         for name, table in (("blank", covariates), ("full", data / "covariates.csv")):
             assert run(command, *_inputs(chain_dir, tmp_path / name, covariates=table),
                        *argv) == 0
             counts.append(int(re.search(pattern, capsys.readouterr().out).group(1)))
-        assert counts[0] == counts[1] - 1
+        assert counts[0] == counts[1] + change
+
+    def test_equal_prices_give_nan_between_share(self, chain_dir, tmp_path):
+        lines = [line for line in (chain_dir / "store.psv").read_text().splitlines()
+                 if "|Regular|Credit|" in line]
+        first = lines[0].split("|")[0]
+        other = next(line for line in lines if line.split("|")[0] != first)
+        store = tmp_path / "store.psv"
+        store.write_text("".join(line.rpartition("|")[0] + "|2.500\n"
+                                 for line in (lines[0], other)))
+        out = tmp_path / "out"
+        assert run("stats", *_inputs(chain_dir, out, store=store)) == 0
+        with open(out / "variance_decomposition.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert [row["grouping"] for row in rows] == ["station", "county", "state"]
+        assert {(row["total"], row["between_share"]) for row in rows} == {("0", "nan")}
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert "variance_decomposition.csv" in manifest["artifacts"]
 
     def test_empty_store_has_no_observations(self, chain_dir, tmp_path, capsys):
         store = tmp_path / "store.psv"

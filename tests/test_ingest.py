@@ -29,7 +29,6 @@ from fuelspatial.ingest import (
     StationDayColumns,
     aggregate_county,
     aggregate_daily,
-    county_point,
     descriptive_stats,
     filter_observations,
     load_covariate_table,
@@ -151,7 +150,7 @@ class TestProxyPool:
         assert order == ["a:1", "b:1", "a:1"]
 
     def test_skips_failed(self):
-        a = ProxyEndpoint("a:1", status="Failed", failure_count=3)
+        a = ProxyEndpoint("a:1", failure_count=3)
         b = ProxyEndpoint("b:1")
         pool = ProxyPool([a, b])
         for _ in range(4):
@@ -177,8 +176,6 @@ class TestProxyPool:
             pool.release(ep, success=False)
         with pytest.raises(PoolExhaustedError):
             pool.next()
-        pool.reset()
-        assert pool.next().address == "a:1"
 
 
 class TestParse:
@@ -583,47 +580,28 @@ class TestAggregateDaily:
 
 
 class TestAggregateCounty:
-    def _cov(self):
-        return {"10001": {"lat": 40.0, "lon": -100.0, "poverty": 0.1},
-                "11001": {"lat": 44.0, "lon": -90.0, "poverty": 0.2}}
-
-    def _aggregate(self, cells, table):
-        return aggregate_county(_panel(cells, _stations()), _stations(), table)
+    def _aggregate(self, cells):
+        return aggregate_county(_panel(cells, _stations()), _stations())
 
     def test_flat_mean(self):
-        aggs = self._aggregate([Cell("st1", dt.date(2017, 1, 10), 2.0, 1),
-                                Cell("st2", dt.date(2017, 1, 10), 3.0, 1)], self._cov())
-        assert len(aggs) == 1
-        assert aggs[0].mean_price == pytest.approx(2.5)
-        assert aggs[0].n_observations == 2
+        fips, means = self._aggregate([Cell("st1", dt.date(2017, 1, 10), 2.0, 1),
+                                       Cell("st2", dt.date(2017, 1, 10), 3.0, 1)])
+        assert fips == ["10001"] and means.tolist() == [2.5]
 
     def test_county_without_stations_absent(self):
-        aggs = self._aggregate([Cell("st1", dt.date(2017, 1, 10), 2.0, 1)], self._cov())
-        assert [a.county_fips for a in aggs] == ["10001"]
-
-    def test_missing_covariates_flagged(self):
-        aggs = self._aggregate([Cell("st3", dt.date(2017, 1, 10), 2.0, 1)], {})
-        assert aggs[0].incomplete
-
-    def test_point_needs_both_coordinates(self):
-        assert county_point({"lat": 41.0}) is None and county_point(None) is None
-        assert county_point({"lat": 41.0, "lon": -99.0}) == GeoPoint(41.0, -99.0)
-        aggs = self._aggregate([Cell("st1", dt.date(2017, 1, 10), 2.0, 1),
-                                Cell("st2", dt.date(2017, 1, 10), 3.0, 1)],
-                               {"10001": {"lat": 41.0}})
-        assert aggs[0].point == GeoPoint(40.05, -100.05) and not aggs[0].incomplete
+        fips, means = self._aggregate([Cell("st1", dt.date(2017, 1, 10), 2.0, 1)])
+        assert fips == ["10001"] and means.size == 1
 
     def test_mean_matches_panel_restriction(self):
         rng = np.random.default_rng(9)
         panel = [Cell(f"st{1 + i % 3}", dt.date(2017, 1, 10 + i % 4),
                       float(rng.uniform(2, 3)), 1) for i in range(40)]
-        aggs = self._aggregate(panel, self._cov())
+        fips, means = self._aggregate(panel)
         stations = _stations()
-        for agg in aggs:
-            prices = [r.price for r in panel
-                      if stations[r.station_id].county_fips == agg.county_fips]
-            assert agg.mean_price == pytest.approx(np.mean(prices), abs=1e-12)
-            assert agg.n_observations == len(prices)
+        assert fips == ["10001", "11001"]
+        for code, mean in zip(fips, means.tolist()):
+            prices = [r.price for r in panel if stations[r.station_id].county_fips == code]
+            assert mean == pytest.approx(np.mean(prices), abs=1e-12)
 
 
 def _record_order(o):
@@ -644,26 +622,15 @@ def _object_daily(obs, stations):
     return rows, orphans
 
 
-def _object_county(panel, stations, table):
+def _object_county(panel, stations):
     """The per-row county means, grouped with dicts; the oracle for
-    ``aggregate_county`` (its fallback point averages stations in id order)."""
+    ``aggregate_county``: (fips, mean, number of rows) per county."""
     by_county = {}
     for row in panel:
         if row.station_id in stations:
-            by_county.setdefault(stations[row.station_id].county_fips, []).append(row)
-    out = []
-    for fips in sorted(by_county):
-        rows = by_county[fips]
-        cov = table.get(fips)
-        if cov is not None and "lat" in cov and "lon" in cov:
-            point = GeoPoint(cov["lat"], cov["lon"])
-        else:
-            pts = [stations[s].point for s in sorted({r.station_id for r in rows})]
-            point = GeoPoint(float(np.mean([p.lat for p in pts])),
-                             float(np.mean([p.lon for p in pts])))
-        out.append((fips, float(np.mean([r.price for r in rows])), len(rows), point,
-                    cov is None))
-    return out
+            by_county.setdefault(stations[row.station_id].county_fips, []).append(row.price)
+    return [(fips, float(np.mean(prices)), len(prices))
+            for fips, prices in sorted(by_county.items())]
 
 
 def _random_store(path, seed, registered):
@@ -800,20 +767,18 @@ class TestCountyMeans:
         panel = [Cell(f"s{rng.integers(0, 22):02d}",
                       dt.date(2017, 1, int(rng.integers(10, 15))),
                       float(rng.uniform(2, 3)), 1) for _ in range(300)]
-        table = {"10000": {"lat": 40.0, "lon": -100.0}, "10001": {"lat": 41.0}}
-        got = [(a.county_fips, a.mean_price, a.n_observations, a.point, a.incomplete)
-               for a in aggregate_county(_panel(panel, stations), stations, table)]
-        want = _object_county(panel, stations, table)
-        assert [g[2] for g in got] and min(g[2] for g in got) >= 8
-        assert got == want
+        fips, means = aggregate_county(_panel(panel, stations), stations)
+        want = _object_county(panel, stations)
+        # Runs of 8 or more rows take run_means' np.mean branch.
+        assert want and min(n for _, _, n in want) >= 8
+        assert list(zip(fips, means.tolist())) == [(f, m) for f, m, _ in want]
 
     def test_columns_in_panel_order(self):
         panel = StationDayColumns(["st1", "st3"], np.array([0, 1, 0]),
                                   np.array([736339, 736339, 736340]),
                                   np.array([2.0, 3.0, 2.5]), np.ones(3, dtype=int))
-        aggs = aggregate_county(panel, _stations(), {})
-        assert [(a.county_fips, a.mean_price, a.n_observations) for a in aggs] == [
-            ("10001", 2.25, 2), ("11001", 3.0, 1)]
+        fips, means = aggregate_county(panel, _stations())
+        assert (fips, means.tolist()) == (["10001", "11001"], [2.25, 3.0])
 
 
 class TestDescriptiveStats:
