@@ -149,25 +149,62 @@ def build_config(args) -> RunConfig:
     return RunConfig(values, typed)
 
 
-def _outdir(cfg: RunConfig) -> Path:
-    out = cfg.path("out")
-    out.mkdir(parents=True, exist_ok=True)
-    return out
-
-
 def _sha256(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
-def write_manifest(cfg: RunConfig, out: Path, artifacts) -> None:
-    manifest = {
-        "config": dict(sorted(cfg.values.items())),
-        "seed": cfg["seed"],
-        "artifacts": {p.name: _sha256(p) for p in sorted(artifacts) if p.exists()},
+def _json_text(doc) -> str:
+    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
+def _read_manifest(path: Path) -> dict:
+    """The subcommand entries of the manifest at ``path`` ({} if there is
+    none), each with its artifacts table; a top-level key that names no
+    subcommand is dropped. Any other content raises FuelSpatialError."""
+    try:
+        doc = json.loads(path.read_bytes()) if path.exists() else {}
+    except ValueError as exc:
+        raise FuelSpatialError(f"corrupt manifest {path}: {exc}") from None
+    if not isinstance(doc, dict) or not all(
+            isinstance(entry, dict) and isinstance(entry.get("artifacts"), dict)
+            for command, entry in doc.items() if command in COMMANDS):
+        raise FuelSpatialError(f"corrupt manifest {path}: not an object of subcommand entries")
+    return {command: entry for command, entry in doc.items() if command in COMMANDS}
+
+
+class Run:
+    """One subcommand's run in its output directory, which it creates: the
+    files it writes there, each recorded by name, and the directory's
+    manifest, which keeps one entry per subcommand."""
+
+    def __init__(self, command: str, cfg: RunConfig):
+        self.command, self.cfg = command, cfg
+        self.out = cfg.path("out")
+        self.manifest = _read_manifest(self.out / "manifest.json")
+        self.out.mkdir(parents=True, exist_ok=True)
+        self.artifacts: set[str] = set()
+
+    def path(self, name: str) -> Path:
+        """The path of artifact ``name``, recorded for the manifest."""
+        self.artifacts.add(name)
+        return self.out / name
+
+    def write_csv(self, name: str, rows) -> None:
+        with open(self.path(name), "w", newline="") as fh:
+            csv.writer(fh, lineterminator="\n").writerows(rows)
+
+    def write_json(self, name: str, doc) -> None:
+        self.path(name).write_text(_json_text(doc))
+
+
+def write_manifest(run: Run) -> None:
+    """Store ``run``'s entry in its directory's manifest, keeping every other
+    subcommand's: the config values set, the seed, each artifact's sha256."""
+    run.manifest[run.command] = {
+        "config": run.cfg.values, "seed": run.cfg["seed"],
+        "artifacts": {name: _sha256(run.out / name) for name in run.artifacts},
     }
-    with open(out / "manifest.json", "w") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    (run.out / "manifest.json").write_text(_json_text(run.manifest))
 
 
 def _load_panel(cfg: RunConfig, command: str):
@@ -239,28 +276,19 @@ def _county_dataset(cfg: RunConfig):
 # ---------------------------------------------------------------------------
 # Subcommands
 
-def cmd_synth(cfg: RunConfig) -> int:
-    out = _outdir(cfg)
-    truth = synth.make_mock_corpus(cfg["seed"], out)
-    summary = {
-        "n_pages": truth.n_pages, "total_records": truth.total_records,
-        "unique_records": truth.unique_records,
-        "planted_duplicates": truth.planted_duplicates,
-        "quarantined": truth.quarantined, "credit_regular": truth.credit_regular,
-    }
-    with open(out / "synth_truth.json", "w") as fh:
-        json.dump(summary, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    write_manifest(cfg, out, [out / "stations.csv", out / "covariates.csv",
-                              out / "synth_truth.json"])
+def cmd_synth(cfg: RunConfig, run: Run) -> int:
+    truth = synth.make_mock_corpus(cfg["seed"], run.out)
+    for name in ("stations.csv", "covariates.csv"):  # written by make_mock_corpus
+        run.path(name)
+    run.write_json("synth_truth.json", {key: getattr(truth, key) for key in (
+        "n_pages", "total_records", "unique_records", "planted_duplicates", "quarantined",
+        "credit_regular")})
     print(f"synth: wrote {truth.n_pages} pages, {truth.unique_records} unique records")
     return 0
 
 
-def cmd_ingest(cfg: RunConfig) -> int:
-    out = _outdir(cfg)
-    pages = cfg.path("pages", must_exist=True)
-    source = ing.MockSource.from_directory(pages)
+def cmd_ingest(cfg: RunConfig, run: Run) -> int:
+    source = ing.MockSource.from_directory(cfg.path("pages", must_exist=True))
     plan = ing.CollectionPlan(urls=sorted(source.pages), max_in_flight=cfg["max_in_flight"],
                               per_host_delay_ms=cfg["per_host_delay_ms"],
                               retries=cfg["retries"])
@@ -270,47 +298,30 @@ def cmd_ingest(cfg: RunConfig) -> int:
               f"in {store.path}; the next append cuts it")
     pool = ing.ProxyPool([ing.ProxyEndpoint("localhost:0")])
     report = ing.run_collection(plan, source, pool, store)
-    with open(out / "ingest_report.json", "w") as fh:
-        json.dump({
-            "fetched": report.fetched, "parsed": report.parsed,
-            "stored": report.stored, "failed": report.failed,
-            "duplicates_dropped": report.duplicates_dropped,
-            "quarantined": report.quarantined,
-        }, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    write_manifest(cfg, out, [out / "ingest_report.json"])
+    run.write_json("ingest_report.json", {key: getattr(report, key) for key in (
+        "fetched", "parsed", "stored", "failed", "duplicates_dropped", "quarantined")})
     print(f"ingest: fetched {report.fetched}, stored {report.stored}, "
           f"failed {report.failed}, duplicates {report.duplicates_dropped}")
     return 2 if report.aborted else 0
 
 
-def cmd_stats(cfg: RunConfig) -> int:
-    out = _outdir(cfg)
+def cmd_stats(cfg: RunConfig, run: Run) -> int:
     records, panel, stations = _load_panel(cfg, "stats")
     if not records.price.size:
         raise FuelSpatialError("no observations after filtering")
     desc = ing.descriptive_stats(records.price)
-    with open(out / "descriptives.csv", "w", newline="") as fh:
-        wr = csv.writer(fh, lineterminator="\n")
-        wr.writerow(sorted(desc))
-        wr.writerow([f"{desc[k]:.6g}" for k in sorted(desc)])
-
-    with open(out / "variance_decomposition.csv", "w", newline="") as fh:
-        wr = csv.writer(fh, lineterminator="\n")
-        wr.writerow(["grouping", "total", "between", "within", "between_share"])
-        for level, groups in _group_codes(panel, stations).items():
-            vd = stats.variance_decomposition(panel.price, groups, grouping=level)
-            wr.writerow([level, f"{vd.total:.10g}", f"{vd.between:.10g}",
-                         f"{vd.within:.10g}",
-                         f"{vd.between / vd.total if vd.total else np.nan:.10g}"])
-    write_manifest(cfg, out, [out / "descriptives.csv",
-                              out / "variance_decomposition.csv"])
+    run.write_csv("descriptives.csv", [sorted(desc), [f"{desc[k]:.6g}" for k in sorted(desc)]])
+    rows = [["grouping", "total", "between", "within", "between_share"]]
+    for level, groups in _group_codes(panel, stations).items():
+        vd = stats.variance_decomposition(panel.price, groups, grouping=level)
+        rows.append([level, f"{vd.total:.10g}", f"{vd.between:.10g}", f"{vd.within:.10g}",
+                     f"{vd.between / vd.total if vd.total else np.nan:.10g}"])
+    run.write_csv("variance_decomposition.csv", rows)
     print(f"stats: {records.price.size} observations, mean {desc['mean']:.3f}")
     return 0
 
 
-def cmd_moran(cfg: RunConfig) -> int:
-    out = _outdir(cfg)
+def cmd_moran(cfg: RunConfig, run: Run) -> int:
     _, panel, stations = _load_panel(cfg, "moran")
     table = ing.load_covariate_table(cfg.path("covariates", must_exist=True))
 
@@ -329,23 +340,19 @@ def cmd_moran(cfg: RunConfig) -> int:
                     if fips[c] in locations]
 
     sweep = stats.moran_sweep(observations, locations, cfg["window"], cfg["d0_grid"])
-    sweep.to_csv(out / "moran_sweep.csv")
-    write_manifest(cfg, out, [out / "moran_sweep.csv"])
+    sweep.to_csv(run.path("moran_sweep.csv"))
     print(f"moran: {len(sweep.rows)} (window, d0) cells, {len(sweep.skipped)} skipped, "
           f"{len(fips) - len(locations)} counties left out without coordinates")
     return 0
 
 
-def cmd_gwr(cfg: RunConfig, enumerate_all: bool = False) -> int:
-    out = _outdir(cfg)
+def cmd_gwr(cfg: RunConfig, run: Run, enumerate_all: bool = False) -> int:
     data, left_out, names = _county_dataset(cfg)
     kernel = cfg["kernel"]
-    artifacts = []
     if enumerate_all or kernel == "all":
         kernels = list(KernelShape) if kernel == "all" else [kernel]
         report = gwrmod.enumerate_models(data, names, kernels, criterion=cfg["criterion"])
-        report.to_csv(out / "model_selection.csv")
-        artifacts.append(out / "model_selection.csv")
+        report.to_csv(run.path("model_selection.csv"))
         best = report.best_entry()
         spec = gwrmod.GwrSpec(covariates=best.covariates, kernel=best.kernel,
                               bandwidth=best.bandwidth)
@@ -365,36 +372,28 @@ def cmd_gwr(cfg: RunConfig, enumerate_all: bool = False) -> int:
         print(f"gwr: {data.n} counties, kernel {kernel.value}, bandwidth {bw.mode} "
               f"{bw.value:g}, aicc {fit.aicc:.2f}, global R2 {fit.global_r2:.3f}, "
               f"{left_out} counties left out without coordinates or covariates")
-    gwrmod.fit_to_csv(fit, data, out / "gwr_fit.csv")
-    gwrmod.fit_to_geojson(fit, data, out / "gwr_fit.geojson")
+    gwrmod.fit_to_csv(fit, data, run.path("gwr_fit.csv"))
+    gwrmod.fit_to_geojson(fit, data, run.path("gwr_fit.geojson"))
     if fit.spec.bandwidth.is_adaptive:
-        scale = gwrmod.nearest_neighbor_scale(data.neighbors,
-                                              int(fit.spec.bandwidth.value))
-        with open(out / "neighbor_scale.csv", "w", newline="") as fh:
-            wr = csv.writer(fh, lineterminator="\n")
-            wr.writerow(["k", "median_km", "interquartile_km"])
-            wr.writerow([int(fit.spec.bandwidth.value), f"{scale.median:.6g}",
-                         f"{scale.interquartile:.6g}"])
-        artifacts.append(out / "neighbor_scale.csv")
-    artifacts += [out / "gwr_fit.csv", out / "gwr_fit.geojson"]
-    write_manifest(cfg, out, artifacts)
+        k = int(fit.spec.bandwidth.value)
+        scale = gwrmod.nearest_neighbor_scale(data.neighbors, k)
+        run.write_csv("neighbor_scale.csv", [["k", "median_km", "interquartile_km"], [
+            k, f"{scale.median:.6g}", f"{scale.interquartile:.6g}"]])
     return 0
 
 
-def cmd_fe(cfg: RunConfig) -> int:
-    out = _outdir(cfg)
+def cmd_fe(cfg: RunConfig, run: Run) -> int:
     covariate_set = cfg["fe_covariates"]
     table = _covariate_table(cfg, "fe_covariates")
     _, panel, stations = _load_panel(cfg, "fe")
     groups = _group_codes(panel, stations)
 
-    with open(out / "fe_variance.csv", "w", newline="") as fh:
-        wr = csv.writer(fh, lineterminator="\n")
-        wr.writerow(["level", "r_squared", "n_groups"])
-        for level in ("state", "county", "station"):
-            res = econ.fe_r_squared(panel.price, groups[level], panel.day,
-                                    econ.FixedEffectSpec(level))
-            wr.writerow([level, f"{res['r_squared']:.10g}", res["n_groups"]])
+    rows = [["level", "r_squared", "n_groups"]]
+    for level in ("state", "county", "station"):
+        res = econ.fe_r_squared(panel.price, groups[level], panel.day,
+                                econ.FixedEffectSpec(level))
+        rows.append([level, f"{res['r_squared']:.10g}", res["n_groups"]])
+    run.write_csv("fe_variance.csv", rows)
 
     fips, means = ing.aggregate_county(panel, stations)
     rows = [econ.CountyModelRow(
@@ -402,36 +401,33 @@ def cmd_fe(cfg: RunConfig) -> int:
         state_id=fips[i][:2], covariates=table[fips[i]])
         for i in _counties_with(table, fips, covariate_set)]
     fit = econ.county_regression(rows, covariate_set)
-    econ.fe_table_to_csv([fit], out / "fe_table.csv")
-    (out / "fe_table.txt").write_text(econ.render_fe_table([fit]))
-    write_manifest(cfg, out, [out / "fe_variance.csv", out / "fe_table.csv",
-                              out / "fe_table.txt"])
+    econ.fe_table_to_csv([fit], run.path("fe_table.csv"))
+    run.path("fe_table.txt").write_text(econ.render_fe_table([fit]))
     print(f"fe: county regression R2 {fit.r_squared:.3f}, N {fit.n_observations}, "
           f"{fit.n_clusters} state clusters")
     return 0
 
 
-EXPECTED_ARTIFACTS = [
-    "synth_truth.json", "ingest_report.json", "descriptives.csv",
-    "variance_decomposition.csv", "moran_sweep.csv", "gwr_fit.csv",
-    "gwr_fit.geojson", "fe_variance.csv", "fe_table.csv",
-]
-
-
-def cmd_report(cfg: RunConfig) -> int:
-    """Bundle prior artifacts into one summary; never recomputes."""
-    out = _outdir(cfg)
+def cmd_report(cfg: RunConfig, run: Run) -> int:
+    """List every artifact the manifest records, flagging a missing file and
+    one whose checksum changed; records nothing and never recomputes."""
     lines = ["run summary", "==========="]
-    gaps = []
-    for name in EXPECTED_ARTIFACTS:
-        path = out / name
-        if path.exists():
-            lines.append(f"{name}: {_sha256(path)[:16]} ({path.stat().st_size} bytes)")
-        else:
-            gaps.append(name)
-    if gaps:
-        lines.append("missing artifacts: " + ", ".join(gaps))
-    (out / "summary.txt").write_text("\n".join(lines) + "\n")
+    flagged = {"missing": [], "changed": []}
+    for command, entry in sorted(run.manifest.items()):
+        for name, digest in sorted(entry["artifacts"].items()):
+            path = run.out / name
+            if not path.is_file():
+                flagged["missing"].append(name)
+                continue
+            actual = _sha256(path)
+            if actual != digest:
+                flagged["changed"].append(name)
+            lines.append(f"{command}: {name} {actual[:16]} ({path.stat().st_size} bytes)")
+    if not any(entry["artifacts"] for entry in run.manifest.values()):
+        lines.append(f"no artifacts recorded in {run.out / 'manifest.json'}")
+    lines += [f"{problem} artifacts: {', '.join(names)}"
+              for problem, names in flagged.items() if names]
+    (run.out / "summary.txt").write_text("\n".join(lines) + "\n")
     print("\n".join(lines))
     return 0
 
@@ -443,15 +439,13 @@ COMMANDS = {"synth": cmd_synth, "ingest": cmd_ingest, "stats": cmd_stats,
 def make_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="fuelspatial",
                                      description="Spatial fuel-price analysis chain")
+    parser.add_argument("command", nargs="?", choices=COMMANDS)
     parser.add_argument("--config", help="flat key=value config file")
-    sub = parser.add_subparsers(dest="command")
-    for name in COMMANDS:
-        p = sub.add_parser(name)
-        for key, (_, default) in KEYS.items():
-            p.add_argument("--" + key.replace("_", "-"), dest=key,
-                           help=None if default is None else f"default {default}")
-        if name == "gwr":
-            p.add_argument("--enumerate", action="store_true", dest="enumerate_all")
+    for key, (_, default) in KEYS.items():
+        parser.add_argument("--" + key.replace("_", "-"), dest=key,
+                            help=None if default is None else f"default {default}")
+    parser.add_argument("--enumerate", action="store_true", dest="enumerate_all",
+                        help="gwr only: enumerate every covariate subset")
     return parser
 
 
@@ -461,11 +455,16 @@ def execute(argv=None) -> int:
     if not args.command:
         parser.print_usage()
         return 1
+    if args.enumerate_all and args.command != "gwr":
+        parser.error(f"--enumerate applies only to gwr, not {args.command}")
     try:
         cfg = build_config(args)
-        if args.command == "gwr":
-            return cmd_gwr(cfg, enumerate_all=args.enumerate_all)
-        return COMMANDS[args.command](cfg)
+        run = Run(args.command, cfg)
+        options = {"enumerate_all": True} if args.enumerate_all else {}
+        code = COMMANDS[args.command](cfg, run, **options)
+        if run.artifacts:
+            write_manifest(run)
+        return code
     except FuelSpatialError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -85,6 +85,11 @@ class PoolExhaustedError(FuelSpatialError):
     pass
 
 
+class ProxyError(FuelSpatialError):
+    """A source's proxy endpoint failed a fetch: counted against the
+    endpoint, not the URL."""
+
+
 class ParseError(FuelSpatialError):
     def __init__(self, source_url, message):
         self.source_url = source_url

@@ -33,6 +33,7 @@ from .errors import (
     EmptyInputError,
     ParseError,
     PoolExhaustedError,
+    ProxyError,
     StoreWriteError,
 )
 from .geo import GeoPoint
@@ -392,8 +393,9 @@ def run_collection(plan: CollectionPlan, source, pool: ProxyPool,
     """Run a collection plan with bounded concurrency.
 
     ``plan.max_in_flight`` pool threads take the URLs in order; each URL is
-    attempted up to retries+1 times; per-host delay is enforced across
-    threads; each parsed page goes to the deduplicating store in one append.
+    attempted up to retries+1 times, and only a ``ProxyError`` counts against
+    the proxy endpoint; per-host delay is enforced across threads; each
+    parsed page goes to the deduplicating store in one append.
     A failed append or an exhausted proxy pool aborts the run: URLs not yet
     started are skipped. Any other exception is raised from here.
     """
@@ -428,7 +430,8 @@ def run_collection(plan: CollectionPlan, source, pool: ProxyPool,
             try:
                 page = source.fetch(url, proxy=proxy)
             except Exception as exc:
-                pool.release(proxy, success=False)
+                if isinstance(exc, ProxyError):
+                    pool.release(proxy, success=False)
                 with lock:
                     in_flight[0] -= 1
                 if attempt == plan.retries:
@@ -437,7 +440,6 @@ def run_collection(plan: CollectionPlan, source, pool: ProxyPool,
                         report.errors.append((url, str(exc)))
                     return
                 continue
-            pool.release(proxy, success=True)
             with lock:
                 in_flight[0] -= 1
                 report.fetched += 1
@@ -546,6 +548,8 @@ def descriptive_stats(values) -> dict:
 # ---------------------------------------------------------------------------
 # CSV interfaces
 
+# The station registry's columns, in the order they are saved.
+_STATION_COLUMNS = ("station_id", "lat", "lon", "city", "county_fips", "state_id")
 # The bounds of the coordinate columns; any other number need only be finite.
 _LIMITS = {"lat": 90.0, "lon": 180.0}
 
@@ -566,30 +570,49 @@ def _number(path, key: str, column: str, text: str) -> float:
     return value
 
 
+def _table_rows(path, required):
+    """A CSV table's rows as dicts keyed by its header, once the header has
+    every ``required`` column; a missing column, or a row with more or fewer
+    cells than the header, raises ParseError naming the file and the line."""
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, [])
+        missing = [column for column in required if column not in header]
+        if missing:
+            raise ParseError(str(path), f"header has no column {', '.join(map(repr, missing))}")
+        for cells in reader:
+            if not cells:
+                continue
+            if len(cells) != len(header):
+                raise ParseError(str(path), f"line {reader.line_num}: {len(cells)} cells "
+                                            f"where the header has {len(header)}")
+            yield dict(zip(header, cells))
+
+
 def load_station_registry(path) -> dict:
     """Stations keyed by id; a duplicate id raises DuplicateKeyError, and a
-    bad coordinate or FIPS code ParseError, each naming the file."""
+    bad coordinate or FIPS code ParseError, each naming the file; so does a
+    bad table shape (``_table_rows``)."""
     stations: dict[str, Station] = {}
-    with open(path, newline="") as fh:
-        for row in csv.DictReader(fh):
-            sid = row["station_id"]
-            if sid in stations:
-                raise DuplicateKeyError(f"duplicate station_id {sid} in {path}")
-            key = f"station_id {sid}"
-            point = GeoPoint(_number(path, key, "lat", row["lat"]),
-                             _number(path, key, "lon", row["lon"]))
-            try:
-                stations[sid] = Station(sid, point, row["city"], row["county_fips"],
-                                        row["state_id"])
-            except ValueError as exc:
-                raise ParseError(str(path), f"{key}: {exc}") from None
+    for row in _table_rows(path, _STATION_COLUMNS):
+        sid = row["station_id"]
+        if sid in stations:
+            raise DuplicateKeyError(f"duplicate station_id {sid} in {path}")
+        key = f"station_id {sid}"
+        point = GeoPoint(_number(path, key, "lat", row["lat"]),
+                         _number(path, key, "lon", row["lon"]))
+        try:
+            stations[sid] = Station(sid, point, row["city"], row["county_fips"],
+                                    row["state_id"])
+        except ValueError as exc:
+            raise ParseError(str(path), f"{key}: {exc}") from None
     return stations
 
 
 def save_station_registry(stations, path) -> None:
     with open(path, "w", newline="") as fh:
         wr = csv.writer(fh, lineterminator="\n")
-        wr.writerow(["station_id", "lat", "lon", "city", "county_fips", "state_id"])
+        wr.writerow(_STATION_COLUMNS)
         for st in stations:
             wr.writerow([st.station_id, f"{st.point.lat:.8g}", f"{st.point.lon:.8g}",
                          st.city, st.county_fips, st.state_id])
@@ -598,13 +621,13 @@ def save_station_registry(stations, path) -> None:
 def load_covariate_table(path) -> dict:
     """Covariate rows keyed by county FIPS, a blank cell left out of its row;
     a duplicate FIPS raises DuplicateKeyError, and a cell that is not a finite
-    number (or a coordinate out of bounds) ParseError, each naming the file."""
+    number (or a coordinate out of bounds) ParseError, each naming the file;
+    so does a bad table shape (``_table_rows``)."""
     table: dict[str, dict] = {}
-    with open(path, newline="") as fh:
-        for row in csv.DictReader(fh):
-            fips = row.pop("county_fips")
-            if fips in table:
-                raise DuplicateKeyError(f"duplicate county_fips {fips} in {path}")
-            key = f"county_fips {fips}"
-            table[fips] = {k: _number(path, key, k, v) for k, v in row.items() if v != ""}
+    for row in _table_rows(path, ("county_fips",)):
+        fips = row.pop("county_fips")
+        if fips in table:
+            raise DuplicateKeyError(f"duplicate county_fips {fips} in {path}")
+        key = f"county_fips {fips}"
+        table[fips] = {k: _number(path, key, k, v) for k, v in row.items() if v != ""}
     return table

@@ -2,6 +2,7 @@ import csv
 import json
 import os
 import re
+import shutil
 from pathlib import Path
 
 import numpy as np
@@ -10,7 +11,7 @@ import pytest
 from fuelspatial import cli, geo
 from fuelspatial import gwr as gwrmod
 from fuelspatial import ingest as ing
-from fuelspatial.errors import FuelSpatialError
+from fuelspatial.errors import FuelSpatialError, StoreWriteError
 from fuelspatial.geo import Bandwidth, GeoPoint, KernelShape, build_weights, distance_matrix
 from fuelspatial.ingest import ObservationStore, filter_observations, read_store
 from fuelspatial.spatial_stats import moran_index
@@ -46,6 +47,17 @@ def run_chain(root: Path, extra_gwr=()):
 def chain_dir(tmp_path_factory):
     root = tmp_path_factory.mktemp("chain")
     return run_chain(root)
+
+
+# The artifacts each subcommand of the chain records in run/manifest.json.
+_CHAIN_ENTRIES = {
+    "ingest": ["ingest_report.json"],
+    "stats": ["descriptives.csv", "variance_decomposition.csv"],
+    "moran": ["moran_sweep.csv"],
+    "gwr": ["gwr_fit.csv", "gwr_fit.geojson", "neighbor_scale.csv"],
+    "fe": ["fe_table.csv", "fe_table.txt", "fe_variance.csv"],
+}
+_CHAIN_ARTIFACTS = {name for names in _CHAIN_ENTRIES.values() for name in names}
 
 
 class TestConfig:
@@ -90,7 +102,14 @@ class TestConfig:
         cfg_file.write_text(f"seed=7\nout={tmp_path / 'out'}\n")
         assert run("--config", str(cfg_file), "synth") == 0
         manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
-        assert manifest["seed"] == 7
+        assert manifest["synth"]["seed"] == 7
+
+    def test_flag_before_subcommand_is_accepted(self, tmp_path):
+        out = tmp_path / "out"
+        assert run("--seed", "7", "--out", str(out), "synth") == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["synth"]["seed"] == 7
+        assert manifest["synth"]["config"] == {"out": str(out), "seed": "7"}
 
     def test_stats_accepts_covariates_flag(self, tmp_path, chain_dir):
         # The benchmark chain and scripts/run_pipeline.py pass --covariates to
@@ -98,7 +117,7 @@ class TestConfig:
         out = tmp_path / "out"
         assert run("stats", *_inputs(chain_dir, out)) == 0
         manifest = json.loads((out / "manifest.json").read_text())
-        assert "covariates" in manifest["config"]
+        assert "covariates" in manifest["stats"]["config"]
 
 
 # Table cells each loader rejects: (table, column, value, error message).
@@ -119,7 +138,16 @@ _BAD_CELLS = [
      "station_id {key}: lat must be a finite number in [-90, 90], got 'x'"),
     ("stations", "county_fips", "99001",
      "station_id {key}: county_fips 99001 does not belong to state {state}"),
+    # A value in _SHAPES reshapes the table instead: one cell more or one
+    # fewer in the first row (line 2), or ``column`` dropped from every row.
+    ("covariates", "vote_gop", "extra-cell", "line 2: 17 cells where the header has 16"),
+    ("covariates", "vote_gop", "short-row", "line 2: 15 cells where the header has 16"),
+    ("covariates", "county_fips", "no-column", "header has no column 'county_fips'"),
+    ("stations", "state_id", "extra-cell", "line 2: 7 cells where the header has 6"),
+    ("stations", "state_id", "short-row", "line 2: 5 cells where the header has 6"),
+    ("stations", "city", "no-column", "header has no column 'city'"),
 ]
+_SHAPES = ("extra-cell", "short-row", "no-column")
 
 
 class TestExitCodes:
@@ -170,6 +198,16 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "--max-in-flight" in err
         assert not store.exists()
+
+    @pytest.mark.parametrize("argv", [["stats", "--enumerate"], ["stats", "--bogus", "1"],
+                                      ["regress"]], ids=["enumerate", "flag", "subcommand"])
+    def test_usage_error_is_two(self, tmp_path, chain_dir, capsys, argv):
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as exc:
+            run(*argv, *_inputs(chain_dir, out))
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.startswith("usage: fuelspatial")
+        assert not out.exists()
 
     @pytest.mark.parametrize("command, flag, names", [
         ("gwr", "--gwr-covariates", "income,foo"),
@@ -242,8 +280,9 @@ class TestExitCodes:
     def test_bad_table_cell_is_one_before_any_work(self, tmp_path, chain_dir, capsys,
                                                    command, table, column, value, message):
         path = tmp_path / f"{table}.csv"
-        row = _edited_csv(chain_dir.parent / "data" / path.name, path, lambda rows: rows[0],
-                          column, value)
+        edit = _reshaped_csv if value in _SHAPES else _edited_csv
+        row = edit(chain_dir.parent / "data" / path.name, path, lambda rows: rows[0],
+                   column, value)
         out = tmp_path / "out"
         assert run(command, *_inputs(chain_dir, out, **{table: path})) == 1
         key = row["station_id" if table == "stations" else "county_fips"]
@@ -269,20 +308,27 @@ class TestExitCodes:
         monkeypatch.setattr(ing, "read_store", unreadable)
         assert run("stats", *_inputs(chain_dir, tmp_path / "out")) == 2
         assert "runtime error: OSError: cannot read" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "manifest.json").exists()
 
 
 class TestChainArtifacts:
     def test_all_artifacts_present(self, chain_dir):
-        for name in cli.EXPECTED_ARTIFACTS:
-            if name == "synth_truth.json":
-                continue  # lives in the synth output directory
+        manifest = json.loads((chain_dir / "manifest.json").read_text())
+        recorded = {name for entry in manifest.values() for name in entry["artifacts"]}
+        assert recorded == _CHAIN_ARTIFACTS
+        for name in recorded:
             assert (chain_dir / name).exists(), name
         assert (chain_dir / "summary.txt").exists()
+        synth = json.loads((chain_dir.parent / "data" / "manifest.json").read_text())
+        assert set(synth["synth"]["artifacts"]) == {"stations.csv", "covariates.csv",
+                                                    "synth_truth.json"}
 
     def test_manifest_checksums_match(self, chain_dir):
         manifest = json.loads((chain_dir / "manifest.json").read_text())
-        for name, digest in manifest["artifacts"].items():
-            assert cli._sha256(chain_dir / name) == digest
+        for entry in manifest.values():
+            for name, digest in entry["artifacts"].items():
+                assert cli._sha256(chain_dir / name) == digest
+            assert "timestamp" not in entry
         assert "timestamp" not in manifest
 
     def test_ingest_report_consistent_with_truth(self, chain_dir):
@@ -331,7 +377,97 @@ class TestChainArtifacts:
 
     def test_report_flags_missing_artifacts(self, tmp_path):
         assert run("report", "--out", str(tmp_path)) == 0
-        assert "missing artifacts" in (tmp_path / "summary.txt").read_text()
+        assert (tmp_path / "summary.txt").read_text().endswith(
+            f"no artifacts recorded in {tmp_path / 'manifest.json'}\n")
+        (tmp_path / "manifest.json").write_text(json.dumps(
+            {"fe": {"artifacts": {"fe_table.csv": "0" * 64}, "config": {}, "seed": 42}}))
+        assert run("report", "--out", str(tmp_path)) == 0
+        assert "missing artifacts: fe_table.csv" in (tmp_path / "summary.txt").read_text()
+
+
+class TestRunManifest:
+    def test_chain_records_every_subcommand(self, chain_dir):
+        manifest = json.loads((chain_dir / "manifest.json").read_text())
+        assert list(manifest) == sorted(_CHAIN_ENTRIES)
+        for command, names in _CHAIN_ENTRIES.items():
+            entry = manifest[command]
+            assert sorted(entry) == ["artifacts", "config", "seed"]
+            assert list(entry["artifacts"]) == sorted(names)
+            for name, digest in entry["artifacts"].items():
+                assert cli._sha256(chain_dir / name) == digest, name
+        assert manifest["gwr"]["config"]["kernel"] == "gaussian"
+        assert manifest["ingest"]["config"] == {"out": "run", "pages": "data/pages",
+                                                "store": "run/store.psv"}
+
+    def test_rerun_replaces_only_its_entry(self, chain_dir, tmp_path):
+        out = tmp_path / "run"
+        shutil.copytree(chain_dir, out)
+        before = json.loads((out / "manifest.json").read_text())
+        assert run("gwr", *_inputs(chain_dir, out), "--kernel", "bisquare") == 0
+        after = json.loads((out / "manifest.json").read_text())
+        assert {c: e for c, e in after.items() if c != "gwr"} == \
+            {c: e for c, e in before.items() if c != "gwr"}
+        assert after["gwr"]["config"]["kernel"] == "bisquare"
+        assert after["gwr"]["artifacts"] != before["gwr"]["artifacts"]
+        for name, digest in after["gwr"]["artifacts"].items():
+            assert cli._sha256(out / name) == digest, name
+
+    def test_report_flags_edited_and_deleted_artifacts(self, chain_dir, tmp_path):
+        out = tmp_path / "run"
+        shutil.copytree(chain_dir, out)
+        manifest = (out / "manifest.json").read_bytes()
+        with open(out / "descriptives.csv", "a") as fh:
+            fh.write("edited\n")
+        (out / "moran_sweep.csv").unlink()
+        assert run("report", "--out", str(out)) == 0
+        summary = (out / "summary.txt").read_text().splitlines()
+        assert summary[-2:] == ["missing artifacts: moran_sweep.csv",
+                                "changed artifacts: descriptives.csv"]
+        listed = {line.split()[1] for line in summary[2:-2]}
+        assert listed == _CHAIN_ARTIFACTS - {"moran_sweep.csv"}
+        assert (out / "manifest.json").read_bytes() == manifest
+
+    def test_clean_chain_report_flags_nothing(self, chain_dir):
+        summary = (chain_dir / "summary.txt").read_text().splitlines()
+        assert {line.split()[1] for line in summary[2:]} == _CHAIN_ARTIFACTS
+        assert not any("artifacts:" in line for line in summary)
+
+    @pytest.mark.parametrize("text", ["{", "[]", '{"stats": []}',
+                                      '{"stats": {"artifacts": ["x.csv"]}}'],
+                             ids=["truncated", "list", "entry", "artifacts"])
+    def test_corrupt_manifest_is_one_and_writes_nothing(self, chain_dir, tmp_path, capsys,
+                                                         text):
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / "manifest.json").write_text(text)
+        assert run("stats", *_inputs(chain_dir, out)) == 1
+        assert capsys.readouterr().err.startswith(f"error: corrupt manifest {out}")
+        assert [p.name for p in out.iterdir()] == ["manifest.json"]
+        assert (out / "manifest.json").read_text() == text
+
+    def test_aborted_ingest_records_its_report(self, chain_dir, tmp_path, monkeypatch):
+        def full(store, records):
+            raise StoreWriteError("disk full")
+
+        monkeypatch.setattr(ing.ObservationStore, "add", full)
+        out = tmp_path / "run"
+        assert run("ingest", "--out", str(out), "--store", str(out / "store.psv"),
+                   "--pages", str(chain_dir.parent / "data" / "pages")) == 2
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert list(manifest) == ["ingest"]
+        assert list(manifest["ingest"]["artifacts"]) == ["ingest_report.json"]
+
+    def test_single_entry_manifest_is_replaced(self, chain_dir, tmp_path):
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / "manifest.json").write_text(json.dumps(
+            {"artifacts": {"fe_table.csv": "0" * 64}, "config": {"out": str(out)},
+             "seed": 42}))
+        assert run("stats", *_inputs(chain_dir, out)) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert list(manifest) == ["stats"]
+        assert sorted(manifest["stats"]["artifacts"]) == ["descriptives.csv",
+                                                         "variance_decomposition.csv"]
 
 
 def _inputs(chain_dir, out, store=None, stations=None, covariates=None):
@@ -354,6 +490,27 @@ def _edited_csv(src, dst, pick, column, value) -> dict:
         wr = csv.DictWriter(fh, fields, lineterminator="\n")
         wr.writeheader()
         wr.writerows(rows)
+    return original
+
+
+def _reshaped_csv(src, dst, pick, column, shape) -> dict:
+    """Copy a CSV table with the row that ``pick`` chooses given one cell more
+    after ``column`` or without that cell (``shape`` "extra-cell" or
+    "short-row"), or with ``column`` dropped from every row ("no-column");
+    returns that row as it was."""
+    with open(src, newline="") as fh:
+        rows = list(csv.reader(fh))
+    target, at = pick(rows[1:]), rows[0].index(column)
+    original = dict(zip(rows[0], target))
+    if shape == "no-column":
+        for cells in rows:
+            del cells[at]
+    elif shape == "short-row":
+        del target[at]
+    else:
+        target.insert(at + 1, "1")
+    with open(dst, "w", newline="") as fh:
+        csv.writer(fh, lineterminator="\n").writerows(rows)
     return original
 
 
@@ -469,7 +626,7 @@ class TestStoreInput:
         assert [row["grouping"] for row in rows] == ["station", "county", "state"]
         assert {(row["total"], row["between_share"]) for row in rows} == {("0", "nan")}
         manifest = json.loads((out / "manifest.json").read_text())
-        assert "variance_decomposition.csv" in manifest["artifacts"]
+        assert "variance_decomposition.csv" in manifest["stats"]["artifacts"]
 
     def test_empty_store_has_no_observations(self, chain_dir, tmp_path, capsys):
         store = tmp_path / "store.psv"
@@ -558,8 +715,8 @@ class TestGwrModes:
                    "--covariates", str(data / "covariates.csv"),
                    "--criterion", "cv") == 0
         manifest = json.loads((out / "manifest.json").read_text())
-        assert "gwr_fit.csv" in manifest["artifacts"]
-        for name, digest in manifest["artifacts"].items():
+        assert "gwr_fit.csv" in manifest["gwr"]["artifacts"]
+        for name, digest in manifest["gwr"]["artifacts"].items():
             assert cli._sha256(out / name) == digest, name
 
     def test_enumerate_bisquare_byte_identical(self, chain_dir, tmp_path):

@@ -13,6 +13,7 @@ from fuelspatial.errors import (
     EmptyInputError,
     ParseError,
     PoolExhaustedError,
+    ProxyError,
     StoreWriteError,
 )
 from fuelspatial.geo import GeoPoint
@@ -337,6 +338,18 @@ class TestStore:
         assert _rows(store.load()) == _record_rows([obs(), obs(hour=14)])
 
 
+class _ProxyDown:
+    """Wraps a source whose proxy fails every fetch of the given URLs."""
+
+    def __init__(self, inner, urls):
+        self.inner, self.urls = inner, urls
+
+    def fetch(self, url, proxy=None):
+        if url in self.urls:
+            raise ProxyError(f"proxy {proxy.address} dropped {url}")
+        return self.inner.fetch(url, proxy=proxy)
+
+
 class _SlowSource:
     """Wraps a source with latency and records concurrent fetches."""
 
@@ -463,10 +476,21 @@ class TestRunCollection:
         assert sum(report.attempts.values()) == 120
         assert len(ObservationStore(tmp_path / "s.psv")) == 127
 
+    def test_url_failures_spare_the_proxy(self, tmp_path):
+        pages = self._pages(5)
+        bad = sorted(pages)[0]
+        endpoint = ProxyEndpoint("a:1")
+        plan = CollectionPlan(urls=sorted(pages), max_in_flight=1, retries=2)
+        report = run_collection(plan, MockSource(pages, always_fail={bad}),
+                                ProxyPool([endpoint]), ObservationStore(tmp_path / "s.psv"))
+        assert not report.aborted
+        assert (report.fetched, report.failed, report.attempts[bad]) == (4, 1, 3)
+        assert endpoint.failure_count == 0
+
     def test_exhausted_pool_aborts(self, tmp_path):
         pages = self._pages(20)
         urls = sorted(pages)
-        source = MockSource(pages, always_fail=set(urls[:3]))
+        source = _ProxyDown(MockSource(pages), set(urls[:3]))
         plan = CollectionPlan(urls=urls, max_in_flight=4, retries=0)
         report = run_collection(plan, source, ProxyPool([ProxyEndpoint("a:1")]),
                                 ObservationStore(tmp_path / "s.psv"))
