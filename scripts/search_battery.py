@@ -1,10 +1,11 @@
 #!/usr/bin/env python3
 """Check the Gram-table bandwidth search against the QR objective.
 
-For every seed, size, covariate subset, kernel, bandwidth mode and criterion,
-runs the search as ``enumerate_models`` does (one set of Gram tables per
-dataset, kernel and criterion, shared by every subset) and the same golden
-section on the QR objective, ``gwr_fit(...).aicc`` or ``gwr_cv_score``, with
+For every seed, size, kernel, bandwidth mode and criterion, runs the searches
+of all covariate subsets through the lockstep driver that ``enumerate_models``
+calls (one set of Gram tables per dataset, kernel and criterion, shared by
+every subset, and each round scored in one batched call), and for each subset
+the same golden section on the QR objective, ``gwr_fit(...).aicc`` or ``gwr_cv_score``, with
 inf where they raise. The two must visit the same bandwidths in the same
 order, be infeasible at the same ones, and pick the same bandwidth with the
 same score, bit for bit. Prints one summary line per size and criterion and
@@ -54,15 +55,17 @@ def qr_search(data, covs, kernel, criterion, mode):
     return gwr._golden_continuous(objective, float(d[d > 0].min()), float(d.max()))
 
 
-def compare(tables, covs, mode):
-    """Differences between the Gram search and the QR search of one subset,
-    and the largest relative gap between their finite evaluations."""
+def compare(tables, covs, mode, outcome):
+    """Differences between one subset's Gram search ``outcome``, as the
+    lockstep driver returns it, and the QR search of that subset, and the
+    largest relative gap between their finite evaluations."""
     data, criterion = tables.data, "cv" if tables.cv else "aicc"
     best, value, qr_evals = qr_search(data, covs, tables.kernel, criterion, mode)
-    try:
-        result = gwr._search(tables, covs, mode)[0]
-    except NoFeasibleBandwidthError:
+    if isinstance(outcome, NoFeasibleBandwidthError):
         return ([] if math.isinf(value) else ["Gram search infeasible"]), 0.0
+    if isinstance(outcome, Exception):
+        raise outcome
+    result = outcome[0]
     problems, gap = [], 0.0
     if [v for v, _ in result.evaluations] != [v for v, _ in qr_evals]:
         problems.append("evaluation sequence")
@@ -108,8 +111,10 @@ def main() -> int:
                 for kernel in KernelShape:
                     for mode in ("adaptive", "fixed"):
                         tables = gwr._GramTables(data, names, kernel, criterion)
-                        for covs in gwr._subsets(names):
-                            problems, g = compare(tables, covs, mode)
+                        subsets = gwr._subsets(names)
+                        outcomes = gwr._searches(tables, subsets, mode)
+                        for covs, outcome in zip(subsets, outcomes):
+                            problems, g = compare(tables, covs, mode, outcome)
                             searches += 1
                             gap = max(gap, g)
                             if problems:

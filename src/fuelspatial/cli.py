@@ -175,10 +175,11 @@ def _read_manifest(path: Path) -> dict:
 class Run:
     """One subcommand's run in its output directory, which it creates: the
     files it writes there, each recorded by name, and the directory's
-    manifest, which keeps one entry per subcommand."""
+    manifest, which keeps one entry per subcommand. ``enumerate_all`` is the
+    ``--enumerate`` flag of ``gwr``."""
 
-    def __init__(self, command: str, cfg: RunConfig):
-        self.command, self.cfg = command, cfg
+    def __init__(self, command: str, cfg: RunConfig, enumerate_all: bool = False):
+        self.command, self.cfg, self.enumerate_all = command, cfg, enumerate_all
         self.out = cfg.path("out")
         self.manifest = _read_manifest(self.out / "manifest.json")
         self.out.mkdir(parents=True, exist_ok=True)
@@ -199,11 +200,25 @@ class Run:
 
 def write_manifest(run: Run) -> None:
     """Store ``run``'s entry in its directory's manifest, keeping every other
-    subcommand's: the config values set, the seed, each artifact's sha256."""
-    run.manifest[run.command] = {
-        "config": run.cfg.values, "seed": run.cfg["seed"],
-        "artifacts": {name: _sha256(run.out / name) for name in run.artifacts},
-    }
+    subcommand's: the config values set, the seed, ``"enumerate": true`` if
+    the flag was given, and each artifact's sha256.
+
+    A file that the entry it replaces records, that this run did not write
+    and that no other entry records is deleted, so that no earlier run's
+    output is left behind unrecorded. Only a plain file name in the output
+    directory is deleted.
+    """
+    old = run.manifest.get(run.command, {"artifacts": {}})["artifacts"]
+    entry = {"config": run.cfg.values, "seed": run.cfg["seed"]}
+    if run.enumerate_all:
+        entry["enumerate"] = True
+    entry["artifacts"] = {name: _sha256(run.out / name) for name in run.artifacts}
+    run.manifest[run.command] = entry
+    kept = set().union(*(e["artifacts"] for e in run.manifest.values()))
+    for name in sorted(set(old) - kept):
+        path = run.out / name
+        if path.name == name and path.is_file():
+            path.unlink()
     (run.out / "manifest.json").write_text(_json_text(run.manifest))
 
 
@@ -346,10 +361,10 @@ def cmd_moran(cfg: RunConfig, run: Run) -> int:
     return 0
 
 
-def cmd_gwr(cfg: RunConfig, run: Run, enumerate_all: bool = False) -> int:
+def cmd_gwr(cfg: RunConfig, run: Run) -> int:
     data, left_out, names = _county_dataset(cfg)
     kernel = cfg["kernel"]
-    if enumerate_all or kernel == "all":
+    if run.enumerate_all or kernel == "all":
         kernels = list(KernelShape) if kernel == "all" else [kernel]
         report = gwrmod.enumerate_models(data, names, kernels, criterion=cfg["criterion"])
         report.to_csv(run.path("model_selection.csv"))
@@ -459,9 +474,8 @@ def execute(argv=None) -> int:
         parser.error(f"--enumerate applies only to gwr, not {args.command}")
     try:
         cfg = build_config(args)
-        run = Run(args.command, cfg)
-        options = {"enumerate_all": True} if args.enumerate_all else {}
-        code = COMMANDS[args.command](cfg, run, **options)
+        run = Run(args.command, cfg, args.enumerate_all)
+        code = COMMANDS[args.command](cfg, run)
         if run.artifacts:
             write_manifest(run)
         return code

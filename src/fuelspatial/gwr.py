@@ -25,12 +25,17 @@ The bandwidth search scores from Gram tables (``_GramTables``). Covariates are
 standardized each on its own, so every subset's local [X | y]^T W_i [X | y]
 is a sub-block of the full one, and one product W @ P per (kernel,
 bandwidth) holds them all; ``enumerate_models`` shares these tables across
-subsets. Each evaluation takes a batched Cholesky of its subset's blocks. It
-falls back to the QR solver when a Cholesky fails, when some pivot ratio is
-at most ``PIVOT_RATIO``, or, under AICc, when the RSS or n - 2 - tr(S) is
-within ``GUARD_MARGIN`` of 0, so a score is inf exactly where the QR path
-raises. The chosen bandwidth is solved again by QR, so the search's score,
-and an enumeration entry's AICc and global R^2, equal the fit's bit for bit.
+subsets. The golden sections are generators that yield the bandwidths they
+still need, and one driver (``_searches``) runs all subset searches of a
+kernel in lockstep: each round scores every search's bandwidths in one
+``_GramTables.scores`` call, which stacks the blocks of each subset size and
+takes one batched Cholesky of them. An evaluation falls back, alone, to the
+QR solver when its Cholesky fails, when some pivot ratio is at most
+``PIVOT_RATIO``, or, under AICc, when the RSS or n - 2 - tr(S) is within
+``GUARD_MARGIN`` of 0, so a score is inf exactly where the QR path raises.
+``optimize_bandwidth`` is the one-search case of the same driver. The chosen
+bandwidth is solved again by QR, so the search's score, and an enumeration
+entry's AICc and global R^2, equal the fit's bit for bit.
 """
 
 from __future__ import annotations
@@ -380,6 +385,12 @@ INFEASIBLE = (SingularFitError, InsufficientSupportError, OversaturatedModelErro
               PerfectFitError, DegenerateBandwidthError)
 
 
+def _failed(exc: Exception):
+    """A search evaluation's outcome for an error: inf if it makes the
+    bandwidth infeasible, else the error itself."""
+    return float("inf") if isinstance(exc, INFEASIBLE) else exc
+
+
 def _exact_score(data: GwrDataset, xy: np.ndarray, spec: GwrSpec, cv: bool) -> float:
     """The criterion at ``spec`` through the QR solver: the ``aicc`` of
     ``gwr_fit(data, spec)`` or ``gwr_cv_score(data, spec)``, bit for bit."""
@@ -414,6 +425,7 @@ class _GramTables:
         self.pair[a, b] = self.pair[b, a] = np.arange(a.size)
         self.column = {name: j for j, name in enumerate(names, start=1)}
         self.tables: dict = {}
+        self.subsets: dict = {}
 
     @cached_property
     def fixed_range(self) -> tuple:
@@ -442,67 +454,128 @@ class _GramTables:
                 self.tables[bw] = (w @ self.products, np.count_nonzero(w, axis=1))
         return self.tables[bw]
 
-    def score(self, covariates, bw: Bandwidth) -> float:
-        """AICc or LOO-CV of ``covariates`` at ``bw``, inf exactly where the
-        QR path raises. Scored from the table; an evaluation the table cannot
-        settle (see PIVOT_RATIO and GUARD_MARGIN) is solved by QR."""
-        idx = [0, *(self.column[c] for c in covariates), -1]
-        # In _design's layout, so that the QR path solves as gwr_fit does.
-        xy = np.ascontiguousarray(self.z[:, idx])
-        try:
-            table = self.table(bw)
-            if table is None:
-                return float("inf")
-            value = self._gram_score(table, idx, xy)
-            if value is None:
-                spec = GwrSpec(tuple(covariates), self.kernel, bw)
-                return _exact_score(self.data, xy, spec, self.cv)
-            return value
-        except INFEASIBLE:
-            return float("inf")
+    def subset(self, covariates) -> tuple:
+        """(table columns of the subset's Gram block, its design in
+        ``_design``'s layout), once per subset."""
+        covariates = tuple(covariates)
+        if covariates not in self.subsets:
+            idx = [0, *(self.column[c] for c in covariates), -1]
+            self.subsets[covariates] = (self.pair[np.ix_(idx, idx)],
+                                        np.ascontiguousarray(self.z[:, idx]))
+        return self.subsets[covariates]
 
-    def _gram_score(self, table, idx, xy):
-        """The criterion from the table, or None where it must be solved by QR."""
-        gram, support = table
-        n, p1 = xy.shape[0], xy.shape[1] - 1
-        if self.cv and (support < p1).any():
-            # _loo_rss raises for it, at this row or at a singular one before.
-            return float("inf")
-        g = gram[:, self.pair[np.ix_(idx, idx)]]
+    def score(self, covariates, bw: Bandwidth) -> float:
+        """AICc or LOO-CV of ``covariates`` at ``bw``: ``scores`` of one
+        request, raising the error it returns."""
+        (value,) = self.scores([(covariates, bw)])
+        if isinstance(value, Exception):
+            raise value
+        return value
+
+    def scores(self, requests) -> list:
+        """AICc or LOO-CV of each (covariates, bandwidth) request, inf exactly
+        where the QR path raises. A request that raises another package error
+        or a LinAlgError gets that exception in place of its score.
+
+        Requests whose subsets have the same size are scored from the tables
+        together (``_gram_scores``); each one the tables cannot settle (see
+        PIVOT_RATIO and GUARD_MARGIN) is solved alone by QR.
+        """
+        out: list = [None] * len(requests)
+        sizes: dict = {}
+        for i, (covariates, bw) in enumerate(requests):
+            block, xy = self.subset(covariates)
+            try:
+                table = self.table(bw)
+            except (FuelSpatialError, np.linalg.LinAlgError) as exc:
+                out[i] = _failed(exc)
+                continue
+            if table is None or (self.cv and (table[1] < xy.shape[1] - 1).any()):
+                # Degenerate, or _loo_rss raises at this row or a singular one before.
+                out[i] = float("inf")
+            else:
+                sizes.setdefault(xy.shape[1], []).append((i, (table[0], block, xy)))
+        for group in sizes.values():
+            positions, batch = zip(*group)
+            for i, value in zip(positions, self._gram_scores(batch)):
+                out[i] = value
+        for i, (covariates, bw) in enumerate(requests):
+            if out[i] is None:
+                spec = GwrSpec(tuple(covariates), self.kernel, bw)
+                try:
+                    out[i] = _exact_score(self.data, self.subset(covariates)[1], spec, self.cv)
+                except (FuelSpatialError, np.linalg.LinAlgError) as exc:
+                    out[i] = _failed(exc)
+        return out
+
+    def _gram_scores(self, batch) -> list:
+        """The criterion of each (table, block, design) of ``batch``, all of
+        one subset size, or None where it must be solved by QR.
+
+        The blocks of every request are stacked, so one Cholesky, one pivot
+        check and one set of substitutions serve them all; RSS, tr(S) and the
+        guards are taken per request. If the stacked Cholesky fails, each
+        request is scored alone; the others are scored again without a
+        request whose pivots fail.
+        """
+        n, p1 = self.data.n, batch[0][2].shape[1] - 1
+        g = np.concatenate([gram[:, block] for gram, block, _ in batch])
         try:
             chol = np.linalg.cholesky(g[:, :p1, :p1])
         except np.linalg.LinAlgError:
-            return None
+            if len(batch) == 1:
+                return [None]
+            return [self._gram_scores([one])[0] for one in batch]
         pivots = np.diagonal(chol, axis1=1, axis2=2)
-        if (pivots.min(axis=1) <= PIVOT_RATIO * np.maximum(pivots.max(axis=1), 1.0)).any():
-            return None
+        loose = pivots.min(axis=1) <= PIVOT_RATIO * np.maximum(pivots.max(axis=1), 1.0)
+        loose = loose.reshape(len(batch), n).any(axis=1)
+        if loose.any():
+            trusted = [one for one, bad in zip(batch, loose) if not bad]
+            values = iter(self._gram_scores(trusted) if trusted else ())
+            return [None if bad else next(values) for bad in loose]
+        xy = np.concatenate([xy for _, _, xy in batch])
         r = chol.swapaxes(1, 2)   # upper triangular, A_i = r_i^T r_i
         betas = _back_substitute(r, _forward_substitute_t(r, g[:, :p1, p1]))
         residuals = _residuals(xy, betas)
-        rss = float(residuals @ residuals)
-        if self.cv:
-            return rss
         # s_ii = w_ii ||L^-1 x_i||^2, and every kernel weighs a location's own
         # observation by kernel(0) = 1.
-        z = _forward_substitute_t(r, xy[:, :p1])
-        hat_trace = float(np.einsum("ij,ij->", z, z))
-        y = xy[:, -1]
-        if (rss <= GUARD_MARGIN * float(y @ y)
-                or abs(n - 2.0 - hat_trace) <= GUARD_MARGIN * n):
-            return None
-        return aicc_score(n, rss, hat_trace)
+        z = None if self.cv else _forward_substitute_t(r, xy[:, :p1])
+        values = []
+        for j in range(len(batch)):
+            rows = slice(j * n, (j + 1) * n)
+            rss = float(residuals[rows] @ residuals[rows])
+            if self.cv:
+                values.append(rss)
+                continue
+            hat_trace = float(np.einsum("ij,ij->", z[rows], z[rows]))
+            y = xy[rows, -1]
+            if (rss <= GUARD_MARGIN * float(y @ y)
+                    or abs(n - 2.0 - hat_trace) <= GUARD_MARGIN * n):
+                values.append(None)
+                continue
+            try:
+                values.append(aicc_score(n, rss, hat_trace))
+            except INFEASIBLE:
+                values.append(float("inf"))
+        return values
 
 
-def _golden_integer(objective, lo: int, hi: int):
+def _visit(cache: dict, values):
+    """Yield the values of ``values`` that ``cache`` lacks, in order and once
+    each, and store the scores sent back for them."""
+    missing = [v for v in dict.fromkeys(values) if v not in cache]
+    if missing:
+        cache.update(zip(missing, (yield missing)))
+
+
+def _integer_section(lo: int, hi: int):
     """Golden-section over integers; the final bracket is scanned exhaustively
-    and ties break toward smaller k."""
+    and ties break toward smaller k.
+
+    A generator: it yields the list of bandwidths it still needs (x1 and x2
+    together, then the whole final bracket at once) and is sent back their
+    scores. Returns (best, its score, sorted evaluations)."""
     cache: dict[int, float] = {}
-
-    def f(k):
-        if k not in cache:
-            cache[k] = objective(k)
-        return cache[k]
-
     a, b = lo, hi
     while b - a > 4:
         span = b - a
@@ -510,89 +583,157 @@ def _golden_integer(objective, lo: int, hi: int):
         x2 = round(a + GOLDEN * span)
         if x1 >= x2:
             break
-        if f(x1) <= f(x2):
+        yield from _visit(cache, (x1, x2))
+        if cache[x1] <= cache[x2]:
             b = x2
         else:
             a = x1
+    yield from _visit(cache, range(a, b + 1))
     best_k, best_v = None, float("inf")
     for k in range(a, b + 1):
-        v = f(k)
-        if v < best_v:
-            best_k, best_v = k, v
+        if cache[k] < best_v:
+            best_k, best_v = k, cache[k]
     return best_k, best_v, sorted(cache.items())
 
 
-def _golden_continuous(objective, lo: float, hi: float, rel_tol: float = 1e-3):
+def _continuous_section(lo: float, hi: float, rel_tol: float = 1e-3):
+    """Golden-section over [lo, hi] to a bracket of ``rel_tol``, then the best
+    of its ends and inner points; the same generator protocol as
+    ``_integer_section``."""
     cache: dict[float, float] = {}
-
-    def f(v):
-        if v not in cache:
-            cache[v] = objective(v)
-        return cache[v]
-
     a, b = lo, hi
     x1 = b - GOLDEN * (b - a)
     x2 = a + GOLDEN * (b - a)
     while (b - a) > rel_tol * max(abs(b), 1.0):
-        if f(x1) <= f(x2):
+        yield from _visit(cache, (x1, x2))
+        if cache[x1] <= cache[x2]:
             b, x2 = x2, x1
             x1 = b - GOLDEN * (b - a)
         else:
             a, x1 = x1, x2
             x2 = a + GOLDEN * (b - a)
     candidates = [a, x1, x2, b]
-    best = min(candidates, key=f)
-    return best, f(best), sorted(cache.items())
+    yield from _visit(cache, candidates)
+    best = min(candidates, key=cache.__getitem__)
+    return best, cache[best], sorted(cache.items())
 
 
-def _search(tables: _GramTables, covariates, mode: str, fit: bool = False):
-    """Golden-section search of the bandwidth on the Gram scores of ``tables``.
+def _minimize(section, objective):
+    """Run a golden-section generator, scoring each bandwidth with ``objective``."""
+    try:
+        values = next(section)
+        while True:
+            values = section.send([objective(v) for v in values])
+    except StopIteration as done:
+        return done.value
 
-    The chosen bandwidth is solved again by QR, so the result's score is the
-    ``aicc`` of ``gwr_fit`` or the ``gwr_cv_score`` there, bit for bit. Returns
-    the result and that fit's (aicc, global_r2), also bit for bit; under AICc
-    the one solve gives both, under CV the fit is solved only with ``fit``
-    (else None).
+
+def _golden_integer(objective, lo: int, hi: int):
+    """``_integer_section`` scored one bandwidth at a time by ``objective``."""
+    return _minimize(_integer_section(lo, hi), objective)
+
+
+def _golden_continuous(objective, lo: float, hi: float):
+    """``_continuous_section`` scored one bandwidth at a time by ``objective``."""
+    return _minimize(_continuous_section(lo, hi), objective)
+
+
+def _searches(tables: _GramTables, subsets, mode: str, fit: bool = False) -> list:
+    """Golden-section search of the bandwidth of every subset in ``subsets``
+    on the Gram scores of ``tables``, all in lockstep: each round collects the
+    bandwidths every unfinished search needs and scores them in one
+    ``tables.scores`` call.
+
+    The chosen bandwidth is then solved again by QR, so a result's score is
+    the ``aicc`` of ``gwr_fit`` or the ``gwr_cv_score`` there, bit for bit.
+    Returns, per subset, the result and that fit's (aicc, global_r2), also bit
+    for bit, or the package error or LinAlgError that ended its search. Under
+    AICc the one solve gives both; under CV the fit is solved only with
+    ``fit`` (else None).
     """
     data = tables.data
     if mode == "adaptive":
-        lo, hi = len(covariates) + 2, data.n - 1
-        if lo > hi:
-            raise NoFeasibleBandwidthError(f"no feasible k in [{lo}, {hi}]")
-        make, golden, name = Bandwidth.adaptive_knn, _golden_integer, "k"
+        make, name = Bandwidth.adaptive_knn, "k"
     elif mode == "fixed":
-        lo, hi = tables.fixed_range
-        make, golden, name = Bandwidth.fixed_distance, _golden_continuous, "d0"
+        make, name = Bandwidth.fixed_distance, "d0"
     else:
         raise ValueError(f"unknown bandwidth mode {mode!r}")
-    xy, _, _ = _design(data, covariates)
+    outcomes: list = [None] * len(subsets)
+    designs, sections, pending = {}, {}, {}
+    for s, covariates in enumerate(subsets):
+        try:
+            if mode == "adaptive":
+                lo, hi = len(covariates) + 2, data.n - 1
+                if lo > hi:
+                    raise NoFeasibleBandwidthError(f"no feasible k in [{lo}, {hi}]")
+                sections[s] = _integer_section(lo, hi)
+            else:
+                sections[s] = _continuous_section(*tables.fixed_range)
+        except FuelSpatialError as exc:
+            outcomes[s] = exc
+            continue
+        designs[s] = _design(data, covariates)[0]
+        pending[s] = next(sections[s])
 
-    best, value, evals = golden(lambda v: tables.score(covariates, make(v)), lo, hi)
-    if not math.isfinite(value):
-        raise NoFeasibleBandwidthError(f"criterion failed across the entire {name} range")
+    while pending:
+        requests = [(subsets[s], make(v)) for s, values in pending.items() for v in values]
+        scores = iter(tables.scores(requests))
+        for s, values in list(pending.items()):
+            got = [next(scores) for _ in values]
+            failure = next((v for v in got if isinstance(v, Exception)), None)
+            if failure is not None:
+                outcomes[s] = failure
+                del pending[s]
+                continue
+            try:
+                pending[s] = sections[s].send(got)
+            except StopIteration as done:
+                outcomes[s] = done.value
+                del pending[s]
 
-    spec = GwrSpec(tuple(covariates), tables.kernel, make(best))
-    w = _weight_matrix(data, spec)
-    rows = _support_rows(data, spec)
+    for s, found in enumerate(outcomes):
+        if isinstance(found, Exception):
+            continue
+        best, value, evaluations = found
+        try:
+            if not math.isfinite(value):
+                raise NoFeasibleBandwidthError(f"criterion failed across the entire {name} range")
+            spec = GwrSpec(tuple(subsets[s]), tables.kernel, make(best))
+            outcomes[s] = _settle(tables, spec, designs[s], evaluations, fit)
+        except (FuelSpatialError, np.linalg.LinAlgError) as exc:
+            outcomes[s] = exc
+    return outcomes
+
+
+def _settle(tables: _GramTables, spec: GwrSpec, xy: np.ndarray, evaluations, fit: bool):
+    """Solve a search's chosen bandwidth ``spec`` again by QR: the search
+    result with that solve's score, and the fit's (aicc, global_r2) as
+    ``_searches`` returns them."""
+    w = _weight_matrix(tables.data, spec)
+    rows = _support_rows(tables.data, spec)
     if tables.cv:
         score = _loo_rss(xy, w.copy() if fit else w, rows)
         if not fit:
-            return BandwidthSearchResult(spec.bandwidth, score, evals), None
+            return BandwidthSearchResult(spec.bandwidth, score, evaluations), None
     rss, aicc = _fit_scores(xy, w, rows)
-    result = BandwidthSearchResult(spec.bandwidth, score if tables.cv else aicc, evals)
+    result = BandwidthSearchResult(spec.bandwidth, score if tables.cv else aicc, evaluations)
     return result, (aicc, _global_r2(xy[:, -1], rss))
 
 
 def optimize_bandwidth(data: GwrDataset, covariates, kernel: KernelShape,
                        criterion: str = "aicc",
                        mode: str = "adaptive") -> BandwidthSearchResult:
-    """Minimize AICc or LOO-CV over the bandwidth.
+    """Minimize AICc or LOO-CV over the bandwidth: the one-search case of
+    ``_searches``.
 
     Adaptive mode searches integer k in [p+2, n-1] (golden section with a
     final exhaustive sweep of the bracket).
     Fixed mode searches d0 in [min positive NN distance, study-area diameter].
     """
-    return _search(_GramTables(data, covariates, kernel, criterion), covariates, mode)[0]
+    (outcome,) = _searches(_GramTables(data, covariates, kernel, criterion), [covariates], mode)
+    if isinstance(outcome, Exception):
+        raise outcome
+    return outcome[0]
 
 
 @dataclass(slots=True)
@@ -651,23 +792,27 @@ def enumerate_models(data: GwrDataset, all_covariates, kernels=None,
     package error or a LinAlgError are recorded and excluded from the ranking;
     any other exception (an unknown covariate, a programming error) propagates.
 
-    All searches of one kernel share its Gram tables, so a bandwidth costs one
-    kernel evaluation and one table whichever subsets visit it; the tables are
-    dropped before the next kernel. Entries stay in subset-major order.
+    All searches of one kernel share its Gram tables and run in lockstep
+    (``_searches``), so a bandwidth costs one kernel evaluation and one table
+    whichever subsets visit it, and each round scores every subset in one
+    batched call; the tables are dropped before the next kernel. Entries stay
+    in subset-major order.
     """
     kernels = list(kernels) if kernels is not None else list(KernelShape)
     subsets = _subsets(all_covariates)
     entries: list = [None] * (len(subsets) * len(kernels))
     for k, kernel in enumerate(kernels):
-        tables = _GramTables(data, all_covariates, kernel, criterion)
-        for s, subset in enumerate(subsets):
-            try:
-                search, (aicc, global_r2) = _search(tables, subset, mode, fit=True)
-                entry = ModelEntry(subset, kernel, search.bandwidth, aicc,
-                                   search.score if tables.cv else None, global_r2)
-            except (FuelSpatialError, np.linalg.LinAlgError) as exc:
+        outcomes = _searches(_GramTables(data, all_covariates, kernel, criterion),
+                             subsets, mode, fit=True)
+        for s, (subset, outcome) in enumerate(zip(subsets, outcomes)):
+            if isinstance(outcome, Exception):
                 entry = ModelEntry(subset, kernel, None, None, None, None,
-                                   failure=f"{type(exc).__name__}: {exc}")
+                                   failure=f"{type(outcome).__name__}: {outcome}")
+            else:
+                search, (aicc, global_r2) = outcome
+                entry = ModelEntry(subset, kernel, search.bandwidth, aicc,
+                                   search.score if criterion.lower() == "cv" else None,
+                                   global_r2)
             entries[s * len(kernels) + k] = entry
     ok = [i for i, e in enumerate(entries) if e.failure is None]
     if not ok:

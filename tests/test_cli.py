@@ -412,6 +412,47 @@ class TestRunManifest:
         for name, digest in after["gwr"]["artifacts"].items():
             assert cli._sha256(out / name) == digest, name
 
+    def test_enumerate_is_recorded_and_rerun_removes_its_files(self, chain_dir, tmp_path):
+        out = tmp_path / "run"
+        shutil.copytree(chain_dir, out)
+        assert run("gwr", *_inputs(chain_dir, out), "--kernel", "gaussian") == 0
+        default = json.loads((out / "manifest.json").read_text())["gwr"]
+        assert run("gwr", *_inputs(chain_dir, out), "--kernel", "gaussian",
+                   "--enumerate") == 0
+        enumerated = json.loads((out / "manifest.json").read_text())["gwr"]
+        assert enumerated["enumerate"] is True and "enumerate" not in default
+        assert enumerated["config"] == default["config"]
+        assert "model_selection.csv" in enumerated["artifacts"]
+        assert run("gwr", *_inputs(chain_dir, out), "--kernel", "gaussian") == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["gwr"] == default
+        assert not (out / "model_selection.csv").exists()
+        assert run("report", "--out", str(out)) == 0
+        summary = (out / "summary.txt").read_text()
+        assert "model_selection" not in summary and "artifacts:" not in summary
+
+    def test_rerun_deletes_only_files_no_entry_keeps(self, chain_dir, tmp_path):
+        out = tmp_path / "run"
+        shutil.copytree(chain_dir, out)
+        manifest = json.loads((out / "manifest.json").read_text())
+        for name in ("stale.csv", "shared.csv"):
+            (out / name).write_text("x\n")
+        (tmp_path / "outside.csv").write_text("x\n")
+        (out / "sub").mkdir()
+        manifest["gwr"]["artifacts"].update(
+            {name: "0" * 64 for name in ("stale.csv", "shared.csv", "../outside.csv",
+                                         "sub", "gone.csv")})
+        manifest["fe"]["artifacts"]["shared.csv"] = "0" * 64
+        (out / "manifest.json").write_text(json.dumps(manifest))
+        assert run("gwr", *_inputs(chain_dir, out), "--kernel", "gaussian") == 0
+        assert not (out / "stale.csv").exists()
+        assert (out / "shared.csv").exists() and (tmp_path / "outside.csv").exists()
+        assert (out / "sub").is_dir()
+        after = json.loads((out / "manifest.json").read_text())
+        assert sorted(after["gwr"]["artifacts"]) == sorted(_CHAIN_ENTRIES["gwr"])
+        for name in _CHAIN_ARTIFACTS:
+            assert (out / name).is_file(), name
+
     def test_report_flags_edited_and_deleted_artifacts(self, chain_dir, tmp_path):
         out = tmp_path / "run"
         shutil.copytree(chain_dir, out)

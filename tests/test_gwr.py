@@ -6,6 +6,7 @@ import pytest
 from fuelspatial import geo, gwr
 from fuelspatial.errors import (
     DegenerateBandwidthError,
+    FuelSpatialError,
     InsufficientSupportError,
     InvalidBandwidthError,
     InvalidKError,
@@ -507,6 +508,67 @@ class TestGramSearch:
         monkeypatch.setattr(gwr, "_exact_score", lambda *a: exact.append(a[2]) or real(*a))
         assert tables.score(spec.covariates, spec.bandwidth) == gwr_fit(data, spec).aicc
         assert exact == [spec]
+
+    @pytest.mark.parametrize("case", ["near_collinear", "duplicate_column"])
+    @pytest.mark.parametrize("kernel", [KernelShape.GAUSSIAN, KernelShape.BISQUARE])
+    def test_untrusted_request_in_a_batch_solved_alone(self, monkeypatch, case, kernel):
+        """In a batch of same-size subsets, only the request whose pivots
+        fail (near_collinear) or whose Cholesky raises and fails the whole
+        stack (duplicate_column) reaches the QR path; the healthy requests
+        keep their solo scores."""
+        base = make_random_gwr_dataset(31, n=40, p=1)
+        x = base.covariates["x0"]
+        rng = np.random.default_rng(1)
+        twin = x + rng.normal(0, 1e-5, x.size) if case == "near_collinear" else x.copy()
+        cov = {"x0": x, "x1": twin, "x2": rng.normal(0, 1, x.size)}
+        data = GwrDataset(ids=base.ids, points=base.points, covariates=cov,
+                          response=base.response)
+        tables = gwr._GramTables(data, list(cov), kernel, "aicc")
+        requests = [(("x0", "x2"), Bandwidth.adaptive_knn(20)),
+                    (("x0", "x1"), Bandwidth.adaptive_knn(20)),
+                    (("x1", "x2"), Bandwidth.adaptive_knn(20)),
+                    (("x0", "x2"), Bandwidth.adaptive_knn(25))]
+        solo = [tables.score(*request) for request in requests]
+        exact = []
+        real = gwr._exact_score
+        monkeypatch.setattr(gwr, "_exact_score", lambda *a: exact.append(a[2]) or real(*a))
+        scores = tables.scores(requests)
+        spec = GwrSpec(("x0", "x1"), kernel, Bandwidth.adaptive_knn(20))
+        assert exact == [spec]
+        try:
+            expected = gwr_fit(data, spec).aicc
+        except CAUGHT:
+            expected = float("inf")
+        assert scores[1] == expected
+        for i in (0, 2, 3):
+            assert math.isfinite(scores[i])
+            assert scores[i] == pytest.approx(solo[i], rel=1e-12, abs=0), requests[i]
+
+    @pytest.mark.parametrize("kernel", list(KernelShape))
+    @pytest.mark.parametrize("mode", ["adaptive", "fixed"])
+    @pytest.mark.parametrize("criterion", ["aicc", "cv"])
+    def test_lockstep_entries_equal_solo_searches(self, kernel, mode, criterion):
+        """Every enumeration entry, searched in lockstep with the other
+        subsets, equals the one-search ``optimize_bandwidth`` and the QR fit
+        of its subset bit for bit."""
+        for seed in (101, 7):
+            data = make_model_selection_dataset(seed, n=40)
+            report = enumerate_models(data, list(data.covariates), [kernel],
+                                      criterion=criterion, mode=mode)
+            for e in report.entries:
+                try:
+                    solo = optimize_bandwidth(data, e.covariates, kernel,
+                                              criterion=criterion, mode=mode)
+                except (FuelSpatialError, np.linalg.LinAlgError) as exc:
+                    assert e.failure == f"{type(exc).__name__}: {exc}", (seed, e)
+                    continue
+                assert e.failure is None, (seed, e)
+                spec = GwrSpec(e.covariates, kernel, solo.bandwidth)
+                fit = gwr_fit(data, spec)
+                cv = gwr_cv_score(data, spec) if criterion == "cv" else None
+                assert (e.bandwidth, e.aicc, e.cv_score, e.global_r2) == \
+                    (solo.bandwidth, fit.aicc, cv, fit.global_r2), (seed, e)
+                assert solo.score == (cv if criterion == "cv" else fit.aicc), (seed, e)
 
     def test_enumeration_builds_one_table_per_bandwidth(self, monkeypatch):
         """Every subset's search reads the tables of its kernel: the weights
