@@ -22,19 +22,10 @@ import sys
 import numpy as np
 
 from fuelspatial import gwr
-from fuelspatial.errors import (
-    DegenerateBandwidthError,
-    InsufficientSupportError,
-    NoFeasibleBandwidthError,
-    OversaturatedModelError,
-    PerfectFitError,
-    SingularFitError,
-)
+from fuelspatial.errors import NoFeasibleBandwidthError
 from fuelspatial.geo import Bandwidth, KernelShape
 from fuelspatial.synth import make_model_selection_dataset
 
-INFEASIBLE = (SingularFitError, InsufficientSupportError, OversaturatedModelError,
-              PerfectFitError, DegenerateBandwidthError)
 BANDWIDTH = {"adaptive": Bandwidth.adaptive_knn, "fixed": Bandwidth.fixed_distance}
 
 
@@ -46,13 +37,15 @@ def qr_search(data, covs, kernel, criterion, mode):
         try:
             return (gwr.gwr_fit(data, spec).aicc if criterion == "aicc"
                     else gwr.gwr_cv_score(data, spec))
-        except INFEASIBLE:
+        except gwr.INFEASIBLE:
             return math.inf
 
     if mode == "adaptive":
-        return gwr._golden_integer(objective, len(covs) + 2, data.n - 1)
-    d = data.distances[~np.eye(data.n, dtype=bool)]
-    return gwr._golden_continuous(objective, float(d[d > 0].min()), float(d.max()))
+        section = gwr._integer_section(len(covs) + 2, data.n - 1)
+    else:
+        d = data.distances[~np.eye(data.n, dtype=bool)]
+        section = gwr._continuous_section(float(d[d > 0].min()), float(d.max()))
+    return gwr._minimize(section, objective)
 
 
 def compare(tables, covs, mode, outcome):
@@ -92,14 +85,23 @@ def main() -> int:
     seeds = [int(s) for s in args.seeds.split(",")]
     sizes = [int(n) for n in args.n.split(",")]
 
+    # A QR fallback is a QR score taken inside ``_GramTables.scores``; the
+    # rescore of each chosen bandwidth and ``gwr_cv_score`` are not counted.
     fallbacks = []
-    exact_score = gwr._exact_score
+    qr_score, gram_scores = gwr._qr_score, gwr._GramTables.scores
 
     def counted(*a):
         fallbacks.append(a[2])
-        return exact_score(*a)
+        return qr_score(*a)
 
-    gwr._exact_score = counted
+    def scores(tables, requests):
+        gwr._qr_score = counted
+        try:
+            return gram_scores(tables, requests)
+        finally:
+            gwr._qr_score = qr_score
+
+    gwr._GramTables.scores = scores
     failed = 0
     for n in sizes:
         for criterion in args.criteria.split(","):

@@ -1,10 +1,12 @@
 """Geographic primitives: points, great-circle distances, kernels, spatial weights.
 
 Distances are great-circle (haversine) on a sphere of mean radius 6371.0 km.
-``SpatialWeights`` stores its matrix sparse; entries below ``WEIGHT_FLOOR`` are
-dropped, which bounds memory for kernels with unbounded support (exponential,
-gaussian). ``spatial_stats.moran_sweep`` applies the same floor to dense
-kernels.
+``weight_matrix`` holds the one fixed/adaptive bandwidth rule behind every
+kernel weight, for GWR and Moran's I alike. ``moran_weights`` adds Moran's
+rule on top: a zero diagonal, and entries below ``WEIGHT_FLOOR`` set to 0,
+which bounds memory for kernels with unbounded support (exponential,
+gaussian). ``build_weights`` stores those weights sparse, and
+``spatial_stats.moran_sweep`` uses them dense.
 """
 
 from __future__ import annotations
@@ -192,32 +194,42 @@ def adaptive_bandwidths(neighbors: NeighborTable, k: int) -> np.ndarray:
     return neighbors.distances[:, k].copy()
 
 
-def adaptive_weights(dist: np.ndarray, neighbors: NeighborTable, shape: KernelShape, k: int):
-    """Kernel weights where row i has its own bandwidth h_i, the distance from
-    i to its k-th nearest neighbor, read from ``neighbors``, the table of
-    ``dist``. Returns (w, h); the diagonal is kernel(0).
+def weight_matrix(dist: np.ndarray, neighbors: NeighborTable | None, shape: KernelShape,
+                  bw: Bandwidth) -> np.ndarray:
+    """Kernel weights of every location (columns) for every focal location
+    (rows); the diagonal is kernel(0) = 1.
+
+    A fixed bandwidth is one d0 for all rows. An adaptive one gives row i its
+    own bandwidth h_i, the distance from i to its k-th nearest neighbor, read
+    from ``neighbors``, the table of ``dist`` (None ranks ``dist`` here); only
+    an adaptive bandwidth reads it. Raises DegenerateBandwidthError for the
+    first row whose h_i is 0.
     """
-    h = adaptive_bandwidths(neighbors, k)
+    if not bw.is_adaptive:
+        return kernel_weight(shape, dist, bw.value)
+    if neighbors is None:
+        neighbors = neighbor_table(dist)
+    h = adaptive_bandwidths(neighbors, int(bw.value))
     degenerate = np.flatnonzero(h <= 0)
     if degenerate.size:
         raise DegenerateBandwidthError(int(degenerate[0]))
-    return kernel_weight(shape, dist, h[:, None]), h
+    return kernel_weight(shape, dist, h[:, None])
+
+
+def moran_weights(dist: np.ndarray, shape: KernelShape, bw: Bandwidth) -> np.ndarray:
+    """Dense Moran weights: ``weight_matrix`` with a zero diagonal and every
+    entry below ``WEIGHT_FLOOR`` set to 0."""
+    w = weight_matrix(dist, None, shape, bw)
+    np.fill_diagonal(w, 0.0)
+    w[w < WEIGHT_FLOOR] = 0.0
+    return w
 
 
 def build_weights(points: list[GeoPoint], shape: KernelShape, bw: Bandwidth) -> SpatialWeights:
-    """Pairwise kernel weights over locations; diagonal forced to zero.
-
-    FixedDistance uses one global bandwidth d0; AdaptiveKNN gives each row its
-    own bandwidth, the distance from i to its k-th nearest neighbor.
-    """
+    """Sparse ``moran_weights`` over locations."""
     n = len(points)
     if n < 2:
         raise InvalidBandwidthError(f"need at least 2 points, got {n}")
-    dist = distance_matrix(points)
-    if bw.is_adaptive:
-        w, _ = adaptive_weights(dist, neighbor_table(dist), shape, int(bw.value))
-    else:
-        w = kernel_weight(shape, dist, bw.value)
-    np.fill_diagonal(w, 0.0)
-    rows, cols = np.nonzero(w >= WEIGHT_FLOOR)
+    w = moran_weights(distance_matrix(points), shape, bw)
+    rows, cols = np.nonzero(w)
     return SpatialWeights(n, rows, cols, w[rows, cols], shape, bw)

@@ -11,10 +11,11 @@ sqrt(w_i) [X | y], taken in blocks of ``FOCAL_BLOCK`` focal rows so that
 memory stays bounded at large n. Its R factor gives beta_i by back
 substitution and the hat diagonal s_ii by forward substitution.
 
-The reported fit (``gwr_fit``) and the LOO-CV score (``gwr_cv_score``) call
-that solver. An adaptive bisquare weight is exactly 0 at and beyond the k-th
+The reported fit (``gwr_fit``) and the exact scorer (``_qr_score``) call that
+solver. An adaptive bisquare weight is exactly 0 at and beyond the k-th
 neighbour, so those fits stack only the k+1 nearest rows of each focal
-location; every other kernel and bandwidth stacks all n rows.
+location; every other kernel and bandwidth stacks all n rows. The kernel
+weights come from ``geo.weight_matrix``, the rule Moran's I uses too.
 
 A dataset ranks its distances once, into one neighbour table
 (``GwrDataset.neighbors``, built by ``geo.neighbor_table``). Those k+1 rows,
@@ -30,12 +31,13 @@ still need, and one driver (``_searches``) runs all subset searches of a
 kernel in lockstep: each round scores every search's bandwidths in one
 ``_GramTables.scores`` call, which stacks the blocks of each subset size and
 takes one batched Cholesky of them. An evaluation falls back, alone, to the
-QR solver when its Cholesky fails, when some pivot ratio is at most
+QR scorer when its Cholesky fails, when some pivot ratio is at most
 ``PIVOT_RATIO``, or, under AICc, when the RSS or n - 2 - tr(S) is within
 ``GUARD_MARGIN`` of 0, so a score is inf exactly where the QR path raises.
 ``optimize_bandwidth`` is the one-search case of the same driver. The chosen
-bandwidth is solved again by QR, so the search's score, and an enumeration
-entry's AICc and global R^2, equal the fit's bit for bit.
+bandwidth is solved again by the same scorer, so the search's score, and an
+enumeration entry's AICc and global R^2, equal the fit's bit for bit;
+``gwr_cv_score`` is that scorer too.
 """
 
 from __future__ import annotations
@@ -65,10 +67,9 @@ from .geo import (
     KernelShape,
     NeighborTable,
     adaptive_bandwidths,
-    adaptive_weights,
     distance_matrix,
-    kernel_weight,
     neighbor_table,
+    weight_matrix,
 )
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
@@ -192,11 +193,8 @@ def _design(data: GwrDataset, covariates):
 
 
 def _weight_matrix(data: GwrDataset, spec: GwrSpec) -> np.ndarray:
-    """Geographic weights per focal location (rows); self-weight is kernel(0)=1."""
-    bw = spec.bandwidth
-    if not bw.is_adaptive:
-        return kernel_weight(spec.kernel, data.distances, bw.value)
-    return adaptive_weights(data.distances, data.neighbors, spec.kernel, int(bw.value))[0]
+    """``geo.weight_matrix`` over the dataset's distances and neighbour table."""
+    return weight_matrix(data.distances, data.neighbors, spec.kernel, spec.bandwidth)
 
 
 def _support_rows(data: GwrDataset, spec: GwrSpec) -> np.ndarray | None:
@@ -299,14 +297,6 @@ def _loo_rss(xy: np.ndarray, w: np.ndarray, rows: np.ndarray | None) -> float:
     return float(residuals @ residuals)
 
 
-def _fit_scores(xy: np.ndarray, w: np.ndarray, rows: np.ndarray | None):
-    """(RSS, AICc) of the local fits, as ``gwr_fit`` computes them."""
-    betas, hat_diag = _local_fits(xy, w, rows)
-    residuals = _residuals(xy, betas)
-    rss = float(residuals @ residuals)
-    return rss, aicc_score(xy.shape[0], rss, float(hat_diag.sum()))
-
-
 def _global_r2(y: np.ndarray, rss: float) -> float:
     """1 - RSS/TSS, NaN for a constant response."""
     tss = float(np.sum((y - y.mean()) ** 2))
@@ -358,8 +348,7 @@ def gwr_cv_score(data: GwrDataset, spec: GwrSpec) -> float:
     Locations are checked in order: the first one that is singular or left
     with fewer than p+1 in-range neighbors raises.
     """
-    xy, _, _ = _design(data, spec.covariates)
-    return _loo_rss(xy, _weight_matrix(data, spec), _support_rows(data, spec))
+    return _qr_score(data, _design(data, spec.covariates)[0], spec, cv=True)[0]
 
 
 @dataclass
@@ -391,14 +380,26 @@ def _failed(exc: Exception):
     return float("inf") if isinstance(exc, INFEASIBLE) else exc
 
 
-def _exact_score(data: GwrDataset, xy: np.ndarray, spec: GwrSpec, cv: bool) -> float:
-    """The criterion at ``spec`` through the QR solver: the ``aicc`` of
-    ``gwr_fit(data, spec)`` or ``gwr_cv_score(data, spec)``, bit for bit."""
+def _qr_score(data: GwrDataset, xy: np.ndarray, spec: GwrSpec, cv: bool, fit: bool = False):
+    """The criterion at ``spec`` through the QR solver, on ``xy``, the
+    ``_design`` of ``spec.covariates``: the LOO-CV RSS with ``cv``, else the
+    ``aicc`` of ``gwr_fit(data, spec)``, bit for bit.
+
+    Returns (criterion, fitted), where ``fitted`` is the fit's
+    (aicc, global_r2), also bit for bit, under AICc or with ``fit``, and None
+    otherwise. Under CV with ``fit`` the one weight matrix serves both solves.
+    """
     w = _weight_matrix(data, spec)
     rows = _support_rows(data, spec)
     if cv:
-        return _loo_rss(xy, w, rows)
-    return _fit_scores(xy, w, rows)[1]
+        score = _loo_rss(xy, w.copy() if fit else w, rows)
+        if not fit:
+            return score, None
+    betas, hat_diag = _local_fits(xy, w, rows)
+    residuals = _residuals(xy, betas)
+    rss = float(residuals @ residuals)
+    aicc = aicc_score(xy.shape[0], rss, float(hat_diag.sum()))
+    return (score if cv else aicc), (aicc, _global_r2(xy[:, -1], rss))
 
 
 class _GramTables:
@@ -464,14 +465,6 @@ class _GramTables:
                                         np.ascontiguousarray(self.z[:, idx]))
         return self.subsets[covariates]
 
-    def score(self, covariates, bw: Bandwidth) -> float:
-        """AICc or LOO-CV of ``covariates`` at ``bw``: ``scores`` of one
-        request, raising the error it returns."""
-        (value,) = self.scores([(covariates, bw)])
-        if isinstance(value, Exception):
-            raise value
-        return value
-
     def scores(self, requests) -> list:
         """AICc or LOO-CV of each (covariates, bandwidth) request, inf exactly
         where the QR path raises. A request that raises another package error
@@ -503,7 +496,7 @@ class _GramTables:
             if out[i] is None:
                 spec = GwrSpec(tuple(covariates), self.kernel, bw)
                 try:
-                    out[i] = _exact_score(self.data, self.subset(covariates)[1], spec, self.cv)
+                    out[i] = _qr_score(self.data, self.subset(covariates)[1], spec, self.cv)[0]
                 except (FuelSpatialError, np.linalg.LinAlgError) as exc:
                     out[i] = _failed(exc)
         return out
@@ -628,16 +621,6 @@ def _minimize(section, objective):
         return done.value
 
 
-def _golden_integer(objective, lo: int, hi: int):
-    """``_integer_section`` scored one bandwidth at a time by ``objective``."""
-    return _minimize(_integer_section(lo, hi), objective)
-
-
-def _golden_continuous(objective, lo: float, hi: float):
-    """``_continuous_section`` scored one bandwidth at a time by ``objective``."""
-    return _minimize(_continuous_section(lo, hi), objective)
-
-
 def _searches(tables: _GramTables, subsets, mode: str, fit: bool = False) -> list:
     """Golden-section search of the bandwidth of every subset in ``subsets``
     on the Gram scores of ``tables``, all in lockstep: each round collects the
@@ -699,25 +682,12 @@ def _searches(tables: _GramTables, subsets, mode: str, fit: bool = False) -> lis
             if not math.isfinite(value):
                 raise NoFeasibleBandwidthError(f"criterion failed across the entire {name} range")
             spec = GwrSpec(tuple(subsets[s]), tables.kernel, make(best))
-            outcomes[s] = _settle(tables, spec, designs[s], evaluations, fit)
+            score, fitted = _qr_score(data, designs[s], spec, tables.cv, fit)
         except (FuelSpatialError, np.linalg.LinAlgError) as exc:
             outcomes[s] = exc
+        else:
+            outcomes[s] = BandwidthSearchResult(spec.bandwidth, score, evaluations), fitted
     return outcomes
-
-
-def _settle(tables: _GramTables, spec: GwrSpec, xy: np.ndarray, evaluations, fit: bool):
-    """Solve a search's chosen bandwidth ``spec`` again by QR: the search
-    result with that solve's score, and the fit's (aicc, global_r2) as
-    ``_searches`` returns them."""
-    w = _weight_matrix(tables.data, spec)
-    rows = _support_rows(tables.data, spec)
-    if tables.cv:
-        score = _loo_rss(xy, w.copy() if fit else w, rows)
-        if not fit:
-            return BandwidthSearchResult(spec.bandwidth, score, evaluations), None
-    rss, aicc = _fit_scores(xy, w, rows)
-    result = BandwidthSearchResult(spec.bandwidth, score if tables.cv else aicc, evaluations)
-    return result, (aicc, _global_r2(xy[:, -1], rss))
 
 
 def optimize_bandwidth(data: GwrDataset, covariates, kernel: KernelShape,

@@ -12,9 +12,9 @@ weights. ``moran_sweep`` evaluates many windows at once on one location
 universe, the locations of all evaluated windows: it averages every (window,
 location) cell in one grouped pass and computes one haversine distance matrix.
 Each window contributes its centred means, zero at absent locations, and its
-presence mask m. Per d0 one dense kernel W (zero diagonal, entries below
-``WEIGHT_FLOOR`` dropped) and one product give every window's cross product
-z'Wz and weight sum s0 = m'Wm.
+presence mask m. Per d0 one dense ``geo.moran_weights`` W (the weights of
+``build_weights``, not made sparse) and one product give every window's cross
+product z'Wz and weight sum s0 = m'Wm.
 """
 
 from __future__ import annotations
@@ -31,14 +31,13 @@ from .errors import (
     ZeroVarianceError,
 )
 from .geo import (  # noqa: F401  build_weights + moran_index is the one-window API
-    WEIGHT_FLOOR,
     Bandwidth,
     GeoPoint,
     KernelShape,
     SpatialWeights,
     build_weights,
     distance_matrix,
-    kernel_weight,
+    moran_weights,
 )
 from .groups import group_index, group_means
 
@@ -48,8 +47,6 @@ class MoranResult:
     index: float
     n: int
     sum_weights: float
-    window: str | None = None
-    d0: float | None = None
 
 
 @dataclass(frozen=True)
@@ -105,17 +102,6 @@ class MoranSweep:
                 ])
 
 
-def _quadratic_forms(dist: np.ndarray, cols: np.ndarray, d0: float,
-                     shape: KernelShape) -> np.ndarray:
-    """c_kᵀ W c_k for each column c_k of ``cols``, where W is the dense kernel
-    at d0 with zero diagonal and entries below ``WEIGHT_FLOOR`` dropped, as in
-    ``build_weights``."""
-    w = kernel_weight(shape, dist, d0)
-    np.fill_diagonal(w, 0.0)
-    w[w < WEIGHT_FLOOR] = 0.0
-    return np.einsum("ij,ij->j", cols, w @ cols)
-
-
 def moran_sweep(observations, locations: dict[object, GeoPoint], window_kind: str,
                 d0_list, shape: KernelShape = KernelShape.EXPONENTIAL) -> MoranSweep:
     """Moran's I per (time window, decay distance d0).
@@ -131,7 +117,7 @@ def moran_sweep(observations, locations: dict[object, GeoPoint], window_kind: st
         raise EmptyInputError("empty panel")
     if window_kind not in ("daily", "weekly"):
         raise ValueError(f"unknown window kind {window_kind!r}")
-    d0_values = [Bandwidth.fixed_distance(d0).value for d0 in d0_list]
+    bandwidths = [Bandwidth.fixed_distance(d0) for d0 in d0_list]
 
     # One group per (window, location) cell; locations are coded in str order,
     # so each window's cells are its locations in the order of its index.
@@ -163,7 +149,7 @@ def moran_sweep(observations, locations: dict[object, GeoPoint], window_kind: st
 
     # One location universe for the K = n_eval evaluated windows: column k
     # holds window k's centred means, zero where a location is absent, and
-    # column K + k its presence mask m_k. Per d0 one kernel and one product
+    # column K + k its presence mask m_k. Per d0 one W and one product
     # give every cross product z_kᵀWz_k and every weight sum s0 = m_kᵀWm_k.
     n_eval = len(evaluated)
     column = {w: k for k, w in enumerate(evaluated)}
@@ -179,7 +165,8 @@ def moran_sweep(observations, locations: dict[object, GeoPoint], window_kind: st
         sizes.append(rows.size)
         denom.append(float(z @ z))
     dist = distance_matrix([locations[ids[i]] for i in used])
-    forms = [_quadratic_forms(dist, cols, d0, shape) for d0 in d0_values]
+    forms = [np.einsum("ij,ij->j", cols, moran_weights(dist, shape, bw) @ cols)
+             for bw in bandwidths]
 
     sweep = MoranSweep()
     for w, start in enumerate(starts):
@@ -193,8 +180,7 @@ def moran_sweep(observations, locations: dict[object, GeoPoint], window_kind: st
                 sweep.skipped.append((start, f"all weights zero at d0={d0}"))
                 continue
             res = MoranResult(index=float((sizes[k] / s0) * q[k] / denom[k]),
-                              n=sizes[k], sum_weights=s0,
-                              window=start.isoformat(), d0=float(d0))
+                              n=sizes[k], sum_weights=s0)
             sweep.rows.append(SweepRow(start, window_kind, float(d0), res))
     return sweep
 

@@ -300,34 +300,6 @@ def make_county_panel(seed: int, n_counties: int = 300, corr_length_km: float = 
 # ---------------------------------------------------------------------------
 # Econometrics fixtures
 
-def make_state_effect_panel(seed: int, n_states: int = 8, stations_per_state: int = 12,
-                            n_days: int = 6, effect_sd: float = 0.2,
-                            noise_sd: float = 0.05):
-    """Panel where price = state effect + noise. Returns (panel, true_share)
-    where true_share is the realized between-state variance fraction."""
-    rng = rng_for(seed, "statepanel")
-    effects = rng.normal(0.0, effect_sd, size=n_states)
-    panel = []
-    sid = 0
-    for s in range(n_states):
-        state_id = f"{s + 10:02d}"
-        for st in range(stations_per_state):
-            sid += 1
-            fips = f"{state_id}{(st % 3) + 1:03d}"
-            for day in range(n_days):
-                price = 2.28 + effects[s] + float(rng.normal(0.0, noise_sd))
-                panel.append(PanelObservation(
-                    station_id=f"st{sid:05d}", state_id=state_id, county_fips=fips,
-                    day=START_DAY + dt.timedelta(days=day), price=price))
-    prices = np.array([o.price for o in panel])
-    states = np.array([o.state_id for o in panel])
-    grand = prices.mean()
-    total = np.sum((prices - grand) ** 2)
-    between = sum(prices[states == g].size * (prices[states == g].mean() - grand) ** 2
-                  for g in np.unique(states))
-    return panel, float(between / total)
-
-
 def make_random_panel(seed: int, n_stations: int = 20, n_days: int = 4,
                       n_counties: int = 5, n_states: int = 3):
     """Unstructured random panel for cross-module identity checks."""

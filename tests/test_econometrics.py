@@ -28,7 +28,7 @@ from fuelspatial.errors import (
     SingularDesignError,
 )
 from fuelspatial.spatial_stats import variance_decomposition
-from fuelspatial.synth import make_county_rows, make_random_panel, make_state_effect_panel
+from fuelspatial.synth import make_county_rows, make_random_panel
 
 FE_NAMES = [n for n in COUNTY_COVARIATES if n != "state_tax"]
 

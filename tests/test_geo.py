@@ -5,9 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fuelspatial import gwr
 from fuelspatial.errors import DegenerateBandwidthError, InvalidBandwidthError
 from fuelspatial.geo import (
     EARTH_RADIUS_KM,
+    WEIGHT_FLOOR,
     Bandwidth,
     GeoPoint,
     KernelShape,
@@ -215,6 +217,32 @@ class TestBuildWeights:
         with pytest.raises(DegenerateBandwidthError) as exc:
             build_weights(pts, KernelShape.GAUSSIAN, Bandwidth.adaptive_knn(1))
         assert exc.value.location in (0, 1)
+
+    def test_duplicate_coordinates_degenerate_in_gwr(self):
+        pts = [GeoPoint(41.0, -100.0), GeoPoint(40.0, -100.0), GeoPoint(40.0, -100.0)]
+        data = gwr.GwrDataset(ids=[0, 1, 2], points=pts, covariates={},
+                              response=[1.0, 2.0, 4.0])
+        bw = Bandwidth.adaptive_knn(1)
+        with pytest.raises(DegenerateBandwidthError) as moran:
+            build_weights(pts, KernelShape.GAUSSIAN, bw)
+        with pytest.raises(DegenerateBandwidthError) as fit:
+            gwr.gwr_fit(data, gwr.GwrSpec((), KernelShape.GAUSSIAN, bw))
+        assert fit.value.location == moran.value.location == 1
+
+    @pytest.mark.parametrize("kernel", list(KernelShape))
+    @pytest.mark.parametrize("bw", [Bandwidth.fixed_distance(150.0),
+                                    Bandwidth.adaptive_knn(4)])
+    def test_gwr_weights_under_moran_rule(self, kernel, bw):
+        """Moran's I and GWR share one weight rule: the sparse weights are the
+        GWR weights of the same points with a zero diagonal and every entry
+        below WEIGHT_FLOOR set to 0."""
+        pts = _random_points(12, seed=11)
+        data = gwr.GwrDataset(ids=list(range(12)), points=pts, covariates={},
+                              response=np.zeros(12))
+        w = gwr._weight_matrix(data, gwr.GwrSpec((), kernel, bw))
+        np.fill_diagonal(w, 0.0)
+        w[w < WEIGHT_FLOOR] = 0.0
+        assert np.array_equal(build_weights(pts, kernel, bw).to_dense(), w)
 
     def test_permutation_invariance(self):
         pts = _random_points(7, seed=9)

@@ -417,10 +417,9 @@ class TestSearchScorer:
         with pytest.raises(SingularFitError):
             gwr_fit(data, STEP_10KM)
         exact = []
-        real = gwr._exact_score
-        monkeypatch.setattr(gwr, "_exact_score",
-                            lambda *a: exact.append(a[2]) or real(*a))
-        assert tables.score(("x",), STEP_10KM.bandwidth) == float("inf")
+        real = gwr._qr_score
+        monkeypatch.setattr(gwr, "_qr_score", lambda *a: exact.append(a[2]) or real(*a))
+        assert tables.scores([(("x",), STEP_10KM.bandwidth)]) == [float("inf")]
         assert exact == [STEP_10KM]
 
     def test_search_builds_no_fit(self, monkeypatch):
@@ -453,8 +452,8 @@ class TestSearchScorer:
     def test_invalid_bandwidth_raises(self, kernel):
         data = make_random_gwr_dataset(29, n=30, p=1)
         tables = gwr._GramTables(data, ("x0",), kernel, "aicc")
-        with pytest.raises(InvalidBandwidthError):
-            tables.score(("x0",), Bandwidth.adaptive_knn(data.n))
+        (value,) = tables.scores([(("x0",), Bandwidth.adaptive_knn(data.n))])
+        assert isinstance(value, InvalidBandwidthError)
 
 
 def _qr_search(data, covs, kernel, criterion, mode):
@@ -469,9 +468,11 @@ def _qr_search(data, covs, kernel, criterion, mode):
             return float("inf")
 
     if mode == "adaptive":
-        return gwr._golden_integer(objective, len(covs) + 2, data.n - 1)
-    d = data.distances[~np.eye(data.n, dtype=bool)]
-    return gwr._golden_continuous(objective, float(d[d > 0].min()), float(d.max()))
+        section = gwr._integer_section(len(covs) + 2, data.n - 1)
+    else:
+        d = data.distances[~np.eye(data.n, dtype=bool)]
+        section = gwr._continuous_section(float(d[d > 0].min()), float(d.max()))
+    return gwr._minimize(section, objective)
 
 
 class TestGramSearch:
@@ -504,9 +505,9 @@ class TestGramSearch:
         spec = GwrSpec(tuple(cov), kernel, Bandwidth.adaptive_knn(20))
         tables = gwr._GramTables(data, list(cov), kernel, "aicc")
         exact = []
-        real = gwr._exact_score
-        monkeypatch.setattr(gwr, "_exact_score", lambda *a: exact.append(a[2]) or real(*a))
-        assert tables.score(spec.covariates, spec.bandwidth) == gwr_fit(data, spec).aicc
+        real = gwr._qr_score
+        monkeypatch.setattr(gwr, "_qr_score", lambda *a: exact.append(a[2]) or real(*a))
+        assert tables.scores([(spec.covariates, spec.bandwidth)]) == [gwr_fit(data, spec).aicc]
         assert exact == [spec]
 
     @pytest.mark.parametrize("case", ["near_collinear", "duplicate_column"])
@@ -528,10 +529,10 @@ class TestGramSearch:
                     (("x0", "x1"), Bandwidth.adaptive_knn(20)),
                     (("x1", "x2"), Bandwidth.adaptive_knn(20)),
                     (("x0", "x2"), Bandwidth.adaptive_knn(25))]
-        solo = [tables.score(*request) for request in requests]
+        solo = [tables.scores([request])[0] for request in requests]
         exact = []
-        real = gwr._exact_score
-        monkeypatch.setattr(gwr, "_exact_score", lambda *a: exact.append(a[2]) or real(*a))
+        real = gwr._qr_score
+        monkeypatch.setattr(gwr, "_qr_score", lambda *a: exact.append(a[2]) or real(*a))
         scores = tables.scores(requests)
         spec = GwrSpec(("x0", "x1"), kernel, Bandwidth.adaptive_knn(20))
         assert exact == [spec]
@@ -577,7 +578,7 @@ class TestGramSearch:
         data = make_model_selection_dataset(7, n=40)
         lookups, weights, solves = [], [], []
         real_table, real_fits = gwr._GramTables.table, gwr._local_fits
-        real_weight = gwr.kernel_weight
+        real_weight = geo.kernel_weight
 
         def table(self, bw):
             lookups.append((self.kernel, bw))
@@ -589,7 +590,6 @@ class TestGramSearch:
 
         monkeypatch.setattr(gwr._GramTables, "table", table)
         monkeypatch.setattr(gwr, "_local_fits", lambda *a: solves.append(a) or real_fits(*a))
-        monkeypatch.setattr(gwr, "kernel_weight", kernel_weight)
         monkeypatch.setattr(geo, "kernel_weight", kernel_weight)
         kernels = [KernelShape.GAUSSIAN, KernelShape.BISQUARE]
         report = enumerate_models(data, list(data.covariates), kernels)
