@@ -230,8 +230,9 @@ def _load_panel(cfg: RunConfig, command: str):
     fuel = cfg["fuel"]
     records = ing.filter_observations(ing.read_store(store_path),
                                       None if fuel == "all" else fuel)
-    # Store line order depends on worker interleaving; sort for reproducible
-    # float accumulation downstream.
+    # One crawl appends in plan order, but a store written by several crawls
+    # or by hand need not be sorted; sorting fixes the downstream float
+    # accumulation order (and raises where naive and aware timestamps mix).
     records = records.take(records.sort_order())
     panel, orphan = ing.aggregate_daily(records, stations)
     if orphan.any():

@@ -12,6 +12,8 @@ The store is one file of such lines and nothing else. A record's dedup key is
 its canonical line up to the last ``|``, so the set of stored keys is rebuilt
 from the file on open. Only LF-terminated lines count: an unterminated final
 line (a crash mid-append) is ignored when reading and cut by the next append.
+A collection run's pool threads only fetch; the calling thread parses the
+pages and appends them in plan order, so a run's store bytes repeat.
 """
 
 from __future__ import annotations
@@ -96,11 +98,10 @@ class ProxyPool:
                     return ep
             raise PoolExhaustedError("all proxy endpoints have failed")
 
-    def release(self, ep: ProxyEndpoint, success: bool = True) -> None:
+    def fail(self, ep: ProxyEndpoint) -> None:
         """Count a failed fetch against its endpoint."""
-        if not success:
-            with self._lock:
-                ep.failure_count += 1
+        with self._lock:
+            ep.failure_count += 1
 
 
 # ---------------------------------------------------------------------------
@@ -248,9 +249,10 @@ class ObservationStore:
     line (``record_line``) up to the last ``|``, and only LF-terminated lines
     count. ``torn_bytes`` is the size of the unterminated tail found on open;
     ``load`` ignores it and the next append cuts it. The first-seen price
-    wins. Appends are serialized across threads, not across instances or
-    processes: only one open store may write a file, since each append
-    truncates the file to the end this instance last wrote.
+    wins, so the file's line order is the order of the ``add`` calls (plan
+    order, under ``run_collection``). Appends are serialized across threads,
+    not across instances or processes: only one open store may write a file,
+    since each append truncates the file to the end this instance last wrote.
     """
 
     def __init__(self, path):
@@ -390,14 +392,16 @@ class _HostThrottle:
 
 def run_collection(plan: CollectionPlan, source, pool: ProxyPool,
                    store: ObservationStore) -> CollectionReport:
-    """Run a collection plan with bounded concurrency.
+    """Run a collection plan with bounded concurrency and one store writer.
 
-    ``plan.max_in_flight`` pool threads take the URLs in order; each URL is
-    attempted up to retries+1 times, and only a ``ProxyError`` counts against
-    the proxy endpoint; per-host delay is enforced across threads; each
-    parsed page goes to the deduplicating store in one append.
-    A failed append or an exhausted proxy pool aborts the run: URLs not yet
-    started are skipped. Any other exception is raised from here.
+    ``plan.max_in_flight`` pool threads fetch the URLs in order; each URL is
+    attempted up to retries+1 times, only a ``ProxyError`` counts against
+    the proxy endpoint, and the per-host delay holds across threads. The
+    calling thread parses the pages in plan order and adds each one to the
+    store in one append, so the store's lines and ``report.errors`` follow
+    the plan. A failed append or an exhausted proxy pool aborts the run: no
+    later page is stored and URLs not yet started are skipped. Any other
+    exception is raised from here.
     """
     report = CollectionReport()
     throttle = _HostThrottle(plan.per_host_delay_ms / 1000.0)
@@ -405,65 +409,56 @@ def run_collection(plan: CollectionPlan, source, pool: ProxyPool,
     in_flight = [0]
     stop = threading.Event()
 
-    def abort(url: str, exc: Exception) -> None:
-        with lock:
-            report.aborted = True
-            report.errors.append((url, str(exc)))
-        stop.set()
-
-    def handle(url: str) -> None:
+    def fetch(url: str):
+        """The page text, else the error that ended the last attempt, or None
+        if the run stopped before the URL started (after an earlier abort)."""
         if stop.is_set():
-            return
+            return None
         host = urlparse(url).netloc or url
-        for attempt in range(plan.retries + 1):
+        for _ in range(plan.retries + 1):
             with lock:
                 report.attempts[url] = report.attempts.get(url, 0) + 1
             throttle.wait(host)
             try:
                 proxy = pool.next()
             except PoolExhaustedError as exc:
-                abort(url, exc)
-                return
+                stop.set()
+                return exc
             with lock:
                 in_flight[0] += 1
                 report.peak_in_flight = max(report.peak_in_flight, in_flight[0])
             try:
-                page = source.fetch(url, proxy=proxy)
+                return source.fetch(url, proxy=proxy)
             except Exception as exc:
                 if isinstance(exc, ProxyError):
-                    pool.release(proxy, success=False)
+                    pool.fail(proxy)
+                error = exc
+            finally:
                 with lock:
                     in_flight[0] -= 1
-                if attempt == plan.retries:
-                    with lock:
-                        report.failed += 1
-                        report.errors.append((url, str(exc)))
-                    return
-                continue
-            with lock:
-                in_flight[0] -= 1
-                report.fetched += 1
-            try:
-                records, quarantined = parse_price_record(page, url)
-            except ParseError as exc:
-                with lock:
-                    report.failed += 1
-                    report.errors.append((url, str(exc)))
-                return
-            try:
-                stored = store.add(records)
-            except StoreWriteError as exc:
-                abort(url, exc)
-                return
-            with lock:
-                report.parsed += len(records)
-                report.quarantined += len(quarantined)
-                report.stored += stored
-                report.duplicates_dropped += len(records) - stored
-            return
+        return error
 
     with ThreadPoolExecutor(plan.max_in_flight) as executor:
-        list(executor.map(handle, plan.urls))
+        for url, outcome in zip(plan.urls, executor.map(fetch, plan.urls)):
+            if isinstance(outcome, str):
+                report.fetched += 1
+                try:
+                    records, quarantined = parse_price_record(outcome, url)
+                    stored = store.add(records)
+                except (ParseError, StoreWriteError) as exc:
+                    outcome = exc
+                else:
+                    report.parsed += len(records)
+                    report.quarantined += len(quarantined)
+                    report.stored += stored
+                    report.duplicates_dropped += len(records) - stored
+                    continue
+            report.errors.append((url, str(outcome)))
+            if isinstance(outcome, (PoolExhaustedError, StoreWriteError)):
+                report.aborted = True
+                stop.set()
+                break
+            report.failed += 1
     return report
 
 

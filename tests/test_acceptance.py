@@ -287,7 +287,8 @@ def test_criterion_9_pipeline_determinism(capfd, tmp_path):
     run_a = run_chain(tmp_path / "a" / "work")
     run_b = run_chain(tmp_path / "b" / "work")
     names = ["descriptives.csv", "variance_decomposition.csv", "moran_sweep.csv",
-             "gwr_fit.csv", "gwr_fit.geojson", "fe_variance.csv", "fe_table.csv"]
+             "gwr_fit.csv", "gwr_fit.geojson", "fe_variance.csv", "fe_table.csv",
+             "store.psv"]
     diffs = [n for n in names
              if (run_a / n).read_bytes() != (run_b / n).read_bytes()]
     verdict(capfd, 9, "pipeline determinism", not diffs, time.perf_counter() - t0,

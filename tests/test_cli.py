@@ -783,5 +783,5 @@ class TestDeterminism:
         run_b = run_chain(tmp_path / "b" / "work")
         for name in ("descriptives.csv", "variance_decomposition.csv",
                      "moran_sweep.csv", "gwr_fit.csv", "gwr_fit.geojson",
-                     "fe_variance.csv", "fe_table.csv", "manifest.json"):
+                     "fe_variance.csv", "fe_table.csv", "manifest.json", "store.psv"):
             assert (run_a / name).read_bytes() == (run_b / name).read_bytes(), name

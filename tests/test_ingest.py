@@ -92,9 +92,14 @@ def _records(*records):
     return parse_price_record("\n".join(r.line() for r in records))[0]
 
 
+def _text(records):
+    """The records' lines, each LF-terminated."""
+    return "".join(r.line() + "\n" for r in records)
+
+
 def _columns(path, records):
     """``read_store`` of a store file holding the records' lines in order."""
-    path.write_text("".join(r.line() + "\n" for r in records))
+    path.write_text(_text(records))
     return read_store(path)
 
 
@@ -143,11 +148,7 @@ class TestProxyPool:
     def test_round_robin(self):
         a, b = ProxyEndpoint("a:1"), ProxyEndpoint("b:1")
         pool = ProxyPool([a, b])
-        order = []
-        for _ in range(3):
-            ep = pool.next()
-            order.append(ep.address)
-            pool.release(ep)
+        order = [pool.next().address for _ in range(3)]
         assert order == ["a:1", "b:1", "a:1"]
 
     def test_skips_failed(self):
@@ -155,26 +156,21 @@ class TestProxyPool:
         b = ProxyEndpoint("b:1")
         pool = ProxyPool([a, b])
         for _ in range(4):
-            ep = pool.next()
-            assert ep.address == "b:1"
-            pool.release(ep)
+            assert pool.next().address == "b:1"
 
     def test_even_split_over_healthy_pool(self):
         eps = [ProxyEndpoint(f"p{i}:1") for i in range(4)]
         pool = ProxyPool(eps)
         counts = {ep.address: 0 for ep in eps}
         for _ in range(100):
-            ep = pool.next()
-            counts[ep.address] += 1
-            pool.release(ep)
+            counts[pool.next().address] += 1
         assert set(counts.values()) == {25}
 
     def test_failure_threshold_then_exhausted(self):
         a = ProxyEndpoint("a:1")
         pool = ProxyPool([a], failure_threshold=2)
         for _ in range(2):
-            ep = pool.next()
-            pool.release(ep, success=False)
+            pool.fail(pool.next())
         with pytest.raises(PoolExhaustedError):
             pool.next()
 
@@ -372,6 +368,40 @@ class _SlowSource:
                 self._active -= 1
 
 
+class _LateFirstSource:
+    """Wraps a source so that the first ``width`` plan URLs return in reverse
+    order: each one's fetch returns only after the next one's has returned.
+    They must all be in flight at once."""
+
+    def __init__(self, inner, urls, width=4):
+        self.inner = inner
+        self.next_url = dict(zip(urls[:width - 1], urls[1:width]))
+        self.returned = {url: threading.Event() for url in urls[:width]}
+
+    def fetch(self, url, proxy=None):
+        try:
+            if url in self.next_url:
+                assert self.returned[self.next_url[url]].wait(10)
+            return self.inner.fetch(url, proxy=proxy)
+        finally:
+            if url in self.returned:
+                self.returned[url].set()
+
+
+class _FailingStore(ObservationStore):
+    """A store whose ``fail_at``-th append raises StoreWriteError."""
+
+    def __init__(self, path, fail_at):
+        super().__init__(path)
+        self.fail_at, self.calls = fail_at, 0
+
+    def add(self, records):
+        self.calls += 1
+        if self.calls == self.fail_at:
+            raise StoreWriteError("disk full")
+        return super().add(records)
+
+
 class TestRunCollection:
     def _pool(self):
         return ProxyPool([ProxyEndpoint("a:1"), ProxyEndpoint("b:1")],
@@ -386,6 +416,42 @@ class TestRunCollection:
     def test_plan_rejects_out_of_range_setting(self, setting):
         with pytest.raises(ValueError, match=next(iter(setting))):
             CollectionPlan(urls=["mock://h/p0"], **setting)
+
+    def _late_first(self, store, pages=None, always_fail=()):
+        """Collect 8 pages of two records each at max_in_flight=4, the first
+        four returning in reverse order (``pages`` overrides some); returns
+        the report, the URLs in plan order and each URL's records."""
+        urls = [f"mock://h/p{i}" for i in range(8)]
+        records = {url: [obs(station=f"st{i}"), obs(station=f"st{i}", hour=13)]
+                   for i, url in enumerate(urls)}
+        source = MockSource({**{url: _text(records[url]) for url in urls}, **(pages or {})},
+                            always_fail=set(always_fail))
+        report = run_collection(CollectionPlan(urls=urls, max_in_flight=4),
+                                _LateFirstSource(source, urls), self._pool(), store)
+        return report, urls, records
+
+    def test_store_lines_in_plan_order(self, tmp_path):
+        report, urls, records = self._late_first(ObservationStore(tmp_path / "s.psv"))
+        assert (report.fetched, report.stored) == (8, 16)
+        assert (tmp_path / "s.psv").read_bytes() == "".join(
+            _text(records[u]) for u in urls).encode()
+
+    def test_errors_in_plan_order(self, tmp_path):
+        report, urls, _ = self._late_first(
+            ObservationStore(tmp_path / "s.psv"),
+            pages={"mock://h/p2": "not|a record\n"}, always_fail={"mock://h/p1"})
+        assert report.failed == 2
+        assert [url for url, _ in report.errors] == urls[1:3]
+        assert "server error" in report.errors[0][1]
+        assert "expected 5 fields" in report.errors[1][1]
+
+    def test_failed_append_stores_a_prefix(self, tmp_path):
+        report, urls, records = self._late_first(_FailingStore(tmp_path / "s.psv", fail_at=3))
+        assert report.aborted
+        assert (report.fetched, report.stored) == (3, 4)
+        assert report.errors == [(urls[2], "disk full")]
+        assert (tmp_path / "s.psv").read_bytes() == "".join(
+            _text(records[u]) for u in urls[:2]).encode()
 
     def test_all_pages_stored_concurrency_bounded(self, tmp_path):
         source = _SlowSource(MockSource(self._pages(10)))
@@ -434,11 +500,11 @@ class TestRunCollection:
         store = ObservationStore(tmp_path / "s.psv")
         plan = CollectionPlan(urls=sorted(pages), max_in_flight=2)
         run_collection(plan, MockSource(pages), self._pool(), store)
-        first = sorted((tmp_path / "s.psv").read_text().splitlines())
+        first = (tmp_path / "s.psv").read_bytes()
         report = run_collection(plan, MockSource(pages), self._pool(), store)
         assert report.stored == 0
         assert report.duplicates_dropped == 6
-        assert sorted((tmp_path / "s.psv").read_text().splitlines()) == first
+        assert (tmp_path / "s.psv").read_bytes() == first
 
     def test_per_host_delay_enforced(self, tmp_path):
         pages = self._pages(4)
