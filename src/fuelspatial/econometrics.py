@@ -80,10 +80,18 @@ class OlsResult:
     coefficients: np.ndarray
     residuals: np.ndarray
     r_squared: float
+    bread: np.ndarray  # (X'X)^-1 = R^-1 R^-T from the QR factor
+
+
+def r_squared(y: np.ndarray, rss: float) -> float:
+    """1 - RSS/TSS, NaN for a constant response."""
+    tss = float(np.sum((y - y.mean()) ** 2))
+    return 1.0 - rss / tss if tss > 0 else float("nan")
 
 
 def ols(design, response) -> OlsResult:
-    """Ordinary least squares with an explicit rank check."""
+    """Ordinary least squares with an explicit rank check. Raises
+    ``SingularDesignError`` naming the indices of the collinear columns."""
     x = np.asarray(design, dtype=float)
     y = np.asarray(response, dtype=float)
     n, k = x.shape
@@ -96,10 +104,10 @@ def ols(design, response) -> OlsResult:
         raise SingularDesignError(bad.tolist())
     beta = np.linalg.solve(r, q.T @ y)
     residuals = y - x @ beta
-    tss = float(np.sum((y - y.mean()) ** 2))
-    rss = float(residuals @ residuals)
-    r2 = 1.0 - rss / tss if tss > 0 else float("nan")
-    return OlsResult(coefficients=beta, residuals=residuals, r_squared=r2)
+    r_inv = linalg.solve_triangular(r, np.eye(k))
+    return OlsResult(coefficients=beta, residuals=residuals,
+                     r_squared=r_squared(y, float(residuals @ residuals)),
+                     bread=r_inv @ r_inv.T)
 
 
 def _two_way_residual(y: np.ndarray, groups: np.ndarray, group_counts: np.ndarray,
@@ -145,14 +153,12 @@ def fe_r_squared(price, groups, days, spec: FixedEffectSpec) -> dict:
     groups, counts = group_index(groups)
     if counts.size < 2:
         raise DegenerateGroupingError(f"only one {spec.level} group present")
-    tss = float(np.sum((price - price.mean()) ** 2))
     if spec.include_day_effect:
         days, _ = group_index(days)
         within = _two_way_residual(price, groups, counts, days)
     else:
         within = demean(price, groups, counts)
-    rss = float(within @ within)
-    return {"r_squared": 1.0 - rss / tss if tss > 0 else float("nan"),
+    return {"r_squared": r_squared(price, float(within @ within)),
             "n_groups": int(counts.size)}
 
 
@@ -215,28 +221,21 @@ def county_regression(rows, covariate_set, cluster: str = "state") -> FeFit:
             raise AbsorbedCovariateError(name)
     yd = demean(y, states, state_counts)
 
-    q, r = np.linalg.qr(xd)
-    diag = np.abs(np.diag(r))
-    bad = np.nonzero(diag <= 1e-10 * max(diag.max(), 1.0))[0]
-    if bad.size:
-        raise SingularDesignError([covariate_set[j] for j in bad])
-    beta = np.linalg.solve(r, q.T @ yd)
-    residuals = yd - xd @ beta
+    try:
+        fit = ols(xd, yd)
+    except SingularDesignError as exc:
+        raise SingularDesignError([covariate_set[j] for j in exc.columns]) from None
+    beta, residuals = fit.coefficients, fit.residuals
 
     # Recovered state effects make the fitted values, hence the reported R^2.
     fitted = x @ beta
     fitted += group_means(states, state_counts, y - fitted)[states]
-    tss = float(np.sum((y - y.mean()) ** 2))
-    rss = float(np.sum((y - fitted) ** 2))
-    r2 = 1.0 - rss / tss if tss > 0 else float("nan")
+    r2 = r_squared(y, float(np.sum((y - fitted) ** 2)))
 
     if np.max(np.abs(residuals)) <= 1e-12 * max(1.0, np.max(np.abs(yd))):
         raise PerfectFitError("zero residuals; clustered standard errors undefined")
 
-    # (X'X)^-1 = R^-1 R^-T from the QR factor above.
-    r_inv = linalg.solve_triangular(r, np.eye(k))
-    bread = r_inv @ r_inv.T
-    se = cluster_robust_se(xd, residuals, bread, states, k_total=k + n_states)
+    se = cluster_robust_se(xd, residuals, fit.bread, states, k_total=k + n_states)
     return FeFit(
         coefficients={name: float(b) for name, b in zip(covariate_set, beta)},
         standard_errors={name: float(s) for name, s in zip(covariate_set, se)},

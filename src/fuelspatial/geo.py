@@ -51,8 +51,8 @@ class Bandwidth:
 
     @classmethod
     def fixed_distance(cls, d0_km: float) -> "Bandwidth":
-        if not d0_km > 0:
-            raise InvalidBandwidthError(f"fixed bandwidth must be > 0, got {d0_km}")
+        if not 0 < d0_km < np.inf:
+            raise InvalidBandwidthError(f"fixed bandwidth must be finite and > 0, got {d0_km}")
         return cls("fixed", float(d0_km))
 
     @classmethod

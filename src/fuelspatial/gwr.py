@@ -11,11 +11,13 @@ sqrt(w_i) [X | y], taken in blocks of ``FOCAL_BLOCK`` focal rows so that
 memory stays bounded at large n. Its R factor gives beta_i by back
 substitution and the hat diagonal s_ii by forward substitution.
 
-The reported fit (``gwr_fit``) and the exact scorer (``_qr_score``) call that
-solver. An adaptive bisquare weight is exactly 0 at and beyond the k-th
-neighbour, so those fits stack only the k+1 nearest rows of each focal
-location; every other kernel and bandwidth stacks all n rows. The kernel
-weights come from ``geo.weight_matrix``, the rule Moran's I uses too.
+The reported fit (``gwr_fit``) and the exact scorer (``_qr_score``) share one
+QR fit step (``_qr_fit``): the kernel weights, the support rows, that solver,
+and the residuals, RSS and tr(S). An adaptive bisquare weight is exactly 0
+at and beyond the k-th neighbour, so those fits stack only the k+1 nearest
+rows of each focal location; every other kernel and bandwidth stacks all n
+rows. The kernel weights come from ``geo.weight_matrix``, the rule Moran's I
+uses too.
 
 A dataset ranks its distances once, into one neighbour table
 (``GwrDataset.neighbors``, built by ``geo.neighbor_table``). Those k+1 rows,
@@ -30,10 +32,12 @@ subsets. The golden sections are generators that yield the bandwidths they
 still need, and one driver (``_searches``) runs all subset searches of a
 kernel in lockstep: each round scores every search's bandwidths in one
 ``_GramTables.scores`` call, which stacks the blocks of each subset size and
-takes one batched Cholesky of them. An evaluation falls back, alone, to the
-QR scorer when its Cholesky fails, when some pivot ratio is at most
-``PIVOT_RATIO``, or, under AICc, when the RSS or n - 2 - tr(S) is within
-``GUARD_MARGIN`` of 0, so a score is inf exactly where the QR path raises.
+takes one batched Cholesky of them. The tables hold each subset's design
+(``_GramTables.subset``), which both the QR fallback and the rescore read.
+An evaluation falls back, alone, to the QR scorer when its Cholesky fails,
+when some pivot ratio is at most ``PIVOT_RATIO``, or, under AICc, when the
+RSS or n - 2 - tr(S) is within ``GUARD_MARGIN`` of 0, so a score is inf
+exactly where the QR path raises.
 ``optimize_bandwidth`` is the one-search case of the same driver. The chosen
 bandwidth is solved again by the same scorer, so the search's score, and an
 enumeration entry's AICc and global R^2, equal the fit's bit for bit;
@@ -50,6 +54,7 @@ from functools import cached_property
 
 import numpy as np
 
+from .econometrics import r_squared
 from .errors import (
     DegenerateBandwidthError,
     EmptyReportError,
@@ -94,9 +99,13 @@ class GwrDataset:
         n = len(self.points)
         if len(self.ids) != n or self.response.shape[0] != n:
             raise ValueError("ids, points and response must have equal length")
+        if not np.isfinite(self.response).all():
+            raise ValueError("response has a non-finite value")
         for name, col in self.covariates.items():
             if col.shape[0] != n:
                 raise ValueError(f"covariate {name!r} has wrong length")
+            if not np.isfinite(col).all():
+                raise ValueError(f"covariate {name!r} has a non-finite value")
 
     @property
     def n(self) -> int:
@@ -297,24 +306,21 @@ def _loo_rss(xy: np.ndarray, w: np.ndarray, rows: np.ndarray | None) -> float:
     return float(residuals @ residuals)
 
 
-def _global_r2(y: np.ndarray, rss: float) -> float:
-    """1 - RSS/TSS, NaN for a constant response."""
-    tss = float(np.sum((y - y.mean()) ** 2))
-    return 1.0 - rss / tss if tss > 0 else float("nan")
+def _qr_fit(data: GwrDataset, xy: np.ndarray, spec: GwrSpec):
+    """The QR fit step of ``gwr_fit`` and ``_qr_score`` on ``xy``, the
+    ``_design`` of ``spec.covariates``: kernel weights, local fits over the
+    support rows, residuals. Returns (w, betas, residuals, rss, hat_trace)."""
+    w = _weight_matrix(data, spec)
+    betas, hat_diag = _local_fits(xy, w, _support_rows(data, spec))
+    residuals = _residuals(xy, betas)
+    return w, betas, residuals, float(residuals @ residuals), float(hat_diag.sum())
 
 
 def gwr_fit(data: GwrDataset, spec: GwrSpec) -> GwrFit:
     """Fit a GWR model, one weighted regression per location."""
     xy, means, scales = _design(data, spec.covariates)
     x, y = xy[:, :-1], xy[:, -1]
-    n = xy.shape[0]
-    w = _weight_matrix(data, spec)
-
-    betas, hat_diag = _local_fits(xy, w, _support_rows(data, spec))
-
-    residuals = _residuals(xy, betas)
-    rss = float(residuals @ residuals)
-    hat_trace = float(hat_diag.sum())
+    w, betas, residuals, rss, hat_trace = _qr_fit(data, xy, spec)
 
     # Weighted local R^2 around each focal point.
     pred = x @ betas.T                      # pred[j, i] = x_j . beta(i)
@@ -326,8 +332,8 @@ def gwr_fit(data: GwrDataset, spec: GwrSpec) -> GwrFit:
     with np.errstate(divide="ignore", invalid="ignore"):
         local_r2 = 1.0 - rss_w / tss_w
 
-    global_r2 = _global_r2(y, rss)
-    aicc = aicc_score(n, rss, hat_trace)
+    global_r2 = r_squared(y, rss)
+    aicc = aicc_score(xy.shape[0], rss, hat_trace)
 
     # De-normalize: slope_raw = slope / scale, intercept shifts by the means.
     raw = betas.copy()
@@ -387,19 +393,15 @@ def _qr_score(data: GwrDataset, xy: np.ndarray, spec: GwrSpec, cv: bool, fit: bo
 
     Returns (criterion, fitted), where ``fitted`` is the fit's
     (aicc, global_r2), also bit for bit, under AICc or with ``fit``, and None
-    otherwise. Under CV with ``fit`` the one weight matrix serves both solves.
+    otherwise.
     """
-    w = _weight_matrix(data, spec)
-    rows = _support_rows(data, spec)
     if cv:
-        score = _loo_rss(xy, w.copy() if fit else w, rows)
+        score = _loo_rss(xy, _weight_matrix(data, spec), _support_rows(data, spec))
         if not fit:
             return score, None
-    betas, hat_diag = _local_fits(xy, w, rows)
-    residuals = _residuals(xy, betas)
-    rss = float(residuals @ residuals)
-    aicc = aicc_score(xy.shape[0], rss, float(hat_diag.sum()))
-    return (score if cv else aicc), (aicc, _global_r2(xy[:, -1], rss))
+    *_, rss, hat_trace = _qr_fit(data, xy, spec)
+    aicc = aicc_score(xy.shape[0], rss, hat_trace)
+    return (score if cv else aicc), (aicc, r_squared(xy[:, -1], rss))
 
 
 class _GramTables:
@@ -418,10 +420,10 @@ class _GramTables:
         if criterion not in ("aicc", "cv"):
             raise ValueError(f"unknown criterion {criterion!r}")
         self.data, self.kernel, self.cv = data, kernel, criterion == "cv"
-        self.z = _standardize(data, names)[0]
-        q = self.z.shape[1]
+        z = _standardize(data, names)[0]
+        q = z.shape[1]
         a, b = np.triu_indices(q)
-        self.products = self.z[:, a] * self.z[:, b]
+        self.products = z[:, a] * z[:, b]
         self.pair = np.empty((q, q), dtype=np.intp)
         self.pair[a, b] = self.pair[b, a] = np.arange(a.size)
         self.column = {name: j for j, name in enumerate(names, start=1)}
@@ -456,13 +458,13 @@ class _GramTables:
         return self.tables[bw]
 
     def subset(self, covariates) -> tuple:
-        """(table columns of the subset's Gram block, its design in
-        ``_design``'s layout), once per subset."""
+        """(table columns of the subset's Gram block, its ``_design``), once
+        per subset. Raises ``_design``'s ValueError unless n > p+2."""
         covariates = tuple(covariates)
         if covariates not in self.subsets:
             idx = [0, *(self.column[c] for c in covariates), -1]
             self.subsets[covariates] = (self.pair[np.ix_(idx, idx)],
-                                        np.ascontiguousarray(self.z[:, idx]))
+                                        _design(self.data, covariates)[0])
         return self.subsets[covariates]
 
     def scores(self, requests) -> list:
@@ -574,8 +576,6 @@ def _integer_section(lo: int, hi: int):
         span = b - a
         x1 = round(b - GOLDEN * span)
         x2 = round(a + GOLDEN * span)
-        if x1 >= x2:
-            break
         yield from _visit(cache, (x1, x2))
         if cache[x1] <= cache[x2]:
             b = x2
@@ -642,7 +642,7 @@ def _searches(tables: _GramTables, subsets, mode: str, fit: bool = False) -> lis
     else:
         raise ValueError(f"unknown bandwidth mode {mode!r}")
     outcomes: list = [None] * len(subsets)
-    designs, sections, pending = {}, {}, {}
+    sections, pending = {}, {}
     for s, covariates in enumerate(subsets):
         try:
             if mode == "adaptive":
@@ -655,7 +655,7 @@ def _searches(tables: _GramTables, subsets, mode: str, fit: bool = False) -> lis
         except FuelSpatialError as exc:
             outcomes[s] = exc
             continue
-        designs[s] = _design(data, covariates)[0]
+        tables.subset(covariates)  # raises _design's ValueError before any scoring
         pending[s] = next(sections[s])
 
     while pending:
@@ -682,7 +682,7 @@ def _searches(tables: _GramTables, subsets, mode: str, fit: bool = False) -> lis
             if not math.isfinite(value):
                 raise NoFeasibleBandwidthError(f"criterion failed across the entire {name} range")
             spec = GwrSpec(tuple(subsets[s]), tables.kernel, make(best))
-            score, fitted = _qr_score(data, designs[s], spec, tables.cv, fit)
+            score, fitted = _qr_score(data, tables.subset(subsets[s])[1], spec, tables.cv, fit)
         except (FuelSpatialError, np.linalg.LinAlgError) as exc:
             outcomes[s] = exc
         else:

@@ -222,16 +222,16 @@ def parse_price_record(raw: str, source_url: str = ""):
 # ---------------------------------------------------------------------------
 # Observation store
 
-def _complete_bytes(path: Path) -> tuple[bytes, int]:
-    """A store file's bytes and the offset just past its last LF."""
+def _store_text(path: Path) -> tuple[str, int, int]:
+    """A store file's LF-terminated lines, decoded, with the offset just past
+    its last LF and the size of the unterminated tail after it. Raises
+    ParseError naming the file and the offset of a byte that is not UTF-8."""
     data = path.read_bytes() if path.exists() else b""
-    return data, data.rfind(b"\n") + 1
-
-
-def _store_text(path: Path) -> str:
-    """A store file's LF-terminated lines, decoded."""
-    data, end = _complete_bytes(path)
-    return data[:end].decode()
+    end = data.rfind(b"\n") + 1
+    try:
+        return data[:end].decode(), end, len(data) - end
+    except UnicodeDecodeError as exc:
+        raise ParseError(str(path), f"byte {exc.start} is not UTF-8") from None
 
 
 def read_store(path) -> ObservationColumns:
@@ -239,7 +239,7 @@ def read_store(path) -> ObservationColumns:
     ``parse_price_record``: a malformed line raises its ``ParseError`` and a
     record it would quarantine is dropped. A torn final line is ignored and an
     absent file holds none."""
-    return parse_price_record(_store_text(Path(path)), str(path))[0]
+    return parse_price_record(_store_text(Path(path))[0], str(path))[0]
 
 
 class ObservationStore:
@@ -258,10 +258,8 @@ class ObservationStore:
     def __init__(self, path):
         self.path = Path(path)
         self._lock = threading.Lock()
-        data, self._end = _complete_bytes(self.path)
-        self.torn_bytes = len(data) - self._end
-        self._seen = {line.rpartition("|")[0]
-                      for line in data[:self._end].decode().splitlines()}
+        text, self._end, self.torn_bytes = _store_text(self.path)
+        self._seen = {line.rpartition("|")[0] for line in text.splitlines()}
 
     def add(self, records: ObservationColumns) -> int:
         """Append the canonical lines of the records with new keys in one

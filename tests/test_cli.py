@@ -165,7 +165,13 @@ class TestExitCodes:
     def test_nan_decay_distance_is_one(self, tmp_path, chain_dir, capsys):
         argv = _inputs(chain_dir, tmp_path / "out")
         assert run("moran", *argv, "--d0-grid", "10,nan") == 1
-        assert "fixed bandwidth must be > 0, got nan" in capsys.readouterr().err
+        assert "fixed bandwidth must be finite and > 0, got nan" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "moran_sweep.csv").exists()
+
+    def test_infinite_decay_distance_is_one(self, tmp_path, chain_dir, capsys):
+        argv = _inputs(chain_dir, tmp_path / "out")
+        assert run("moran", *argv, "--d0-grid", "10,inf") == 1
+        assert "fixed bandwidth must be finite and > 0, got inf" in capsys.readouterr().err
         assert not (tmp_path / "out" / "moran_sweep.csv").exists()
 
     @pytest.mark.parametrize("grid", ["10,abc", "10,,30"])
@@ -589,6 +595,23 @@ class TestStoreInput:
         assert run("stats", *_inputs(chain_dir, tmp_path / "out", store=store)) == 1
         err = capsys.readouterr().err
         assert f"bad field in line {bad!r}" in err and str(store) in err
+
+    @pytest.mark.parametrize("command", ["ingest", "stats"])
+    def test_non_utf8_store_is_a_validation_error(self, chain_dir, tmp_path, capsys,
+                                                  command):
+        data = (chain_dir / "store.psv").read_bytes()
+        at = data.index(b"|") + 1
+        store = tmp_path / "store.psv"
+        store.write_bytes(data[:at] + b"\xff" + data[at:])
+        if command == "ingest":
+            argv = ["--out", str(tmp_path / "out"), "--store", str(store),
+                    "--pages", str(chain_dir.parent / "data" / "pages")]
+        else:
+            argv = _inputs(chain_dir, tmp_path / "out", store=store)
+        assert run(command, *argv) == 1
+        err = capsys.readouterr().err
+        assert f"byte {at} is not UTF-8 (source: {store})" in err
+        assert store.read_bytes()[at:at + 1] == b"\xff"
 
     @pytest.mark.parametrize("command", ["stats", "moran", "gwr", "fe"])
     def test_reads_through_the_public_names(self, chain_dir, tmp_path, monkeypatch,

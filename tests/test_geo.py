@@ -161,6 +161,10 @@ class TestBandwidth:
         with pytest.raises(InvalidBandwidthError):
             Bandwidth.fixed_distance(float("nan"))
 
+    def test_fixed_inf(self):
+        with pytest.raises(InvalidBandwidthError):
+            Bandwidth.fixed_distance(float("inf"))
+
     def test_adaptive_positive_integer(self):
         with pytest.raises(InvalidBandwidthError):
             Bandwidth.adaptive_knn(0)

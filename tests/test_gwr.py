@@ -1,3 +1,4 @@
+import csv
 import math
 
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 from fuelspatial import geo, gwr
 from fuelspatial.errors import (
     DegenerateBandwidthError,
+    EmptyReportError,
     FuelSpatialError,
     InsufficientSupportError,
     InvalidBandwidthError,
@@ -150,6 +152,27 @@ class TestGwrFit:
         with pytest.raises(InvalidBandwidthError):
             gwr_fit(data, GwrSpec(("x0",), KernelShape.GAUSSIAN,
                                   Bandwidth.adaptive_knn(20)))
+
+    @pytest.mark.parametrize("column", ["income", "response"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_input_rejected(self, column, value):
+        data = make_model_selection_dataset(101, n=20)
+        covariates = {k: v.copy() for k, v in data.covariates.items()}
+        response = data.response.copy()
+        (response if column == "response" else covariates[column])[3] = value
+        with pytest.raises(ValueError, match=f"{column}.* non-finite"):
+            GwrDataset(ids=data.ids, points=data.points, covariates=covariates,
+                       response=response)
+
+    def test_constant_covariate_scaled_by_one(self):
+        data = make_random_gwr_dataset(8, n=20, p=1)
+        data = GwrDataset(ids=data.ids, points=data.points,
+                          covariates={"x0": data.covariates["x0"], "flat": np.full(20, 4.0)},
+                          response=data.response)
+        xy, means, scales = gwr._standardize(data, ("x0", "flat"))
+        assert means[1] == 4.0 and scales[1] == 1.0
+        assert not xy[:, 2].any()
+        assert scales[0] == data.covariates["x0"].std(ddof=1)
 
 
 def _lstsq_local_fits(data, spec):
@@ -775,6 +798,43 @@ class TestEnumerateModels:
             spec = GwrSpec(e.covariates, e.kernel, e.bandwidth)
             assert e.cv_score == gwr_cv_score(data, spec)
             assert e.aicc == gwr_fit(data, spec).aicc
+
+    def test_failed_entries_left_out_of_ranking(self, tmp_path):
+        # At n=6 the adaptive k range [p+2, 5] is empty for p >= 4, and every
+        # k of it leaves n - 2 - tr(S) <= 0 for p = 3: 16 of 31 subsets fail.
+        data = make_model_selection_dataset(101, n=6)
+        report = enumerate_models(data, list(data.covariates), [KernelShape.GAUSSIAN])
+        failed = [e for e in report.entries if e.failure is not None]
+        ok = [e for e in report.entries if e.failure is None]
+        assert (len(report.entries), report.n_failed, len(failed)) == (31, 16, 16)
+        assert {len(e.covariates) for e in failed} == {3, 4, 5}
+        for e in failed:
+            assert e.failure.startswith("NoFeasibleBandwidthError: ")
+            assert (e.bandwidth, e.aicc, e.cv_score, e.global_r2) == (None,) * 4
+        best = report.best_entry()
+        assert best.failure is None and best.aicc == min(e.aicc for e in ok)
+        gaps = [e.aicc - best.aicc for e in ok if e is not best]
+        assert report.median_aicc_gap == float(np.median(gaps))
+
+        path = tmp_path / "models.csv"
+        report.to_csv(path)
+        with open(path, newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        ranked, failure_rows = rows[:len(ok)], rows[len(ok):]
+        assert [row["rank"] for row in ranked] == [str(r) for r in range(1, len(ok) + 1)]
+        assert ranked[0]["covariates"] == "+".join(best.covariates)
+        assert all(row["failure"] == "" for row in ranked)
+        assert [(row["covariates"], row["failure"]) for row in failure_rows] == \
+            [("+".join(e.covariates), e.failure) for e in failed]
+        for row in failure_rows:
+            assert row["kernel"] == "gaussian"
+            assert {row[c] for c in ("rank", "bandwidth_mode", "bandwidth", "aicc",
+                                     "cv_score", "global_r2")} == {""}
+
+    def test_every_configuration_failed_raises(self):
+        data = make_model_selection_dataset(101, n=4)
+        with pytest.raises(EmptyReportError, match="every configuration failed"):
+            enumerate_models(data, list(data.covariates), [KernelShape.GAUSSIAN])
 
     def test_csv_export(self, tmp_path):
         data = make_random_gwr_dataset(20, n=30, p=1)
