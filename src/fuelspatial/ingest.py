@@ -10,10 +10,14 @@ Fetched pages and the store go through one parser, ``parse_price_record``,
 into ``ObservationColumns``; ``record_line`` writes a record's canonical line.
 The store is one file of such lines and nothing else. A record's dedup key is
 its canonical line up to the last ``|``, so the set of stored keys is rebuilt
-from the file on open. Only LF-terminated lines count: an unterminated final
-line (a crash mid-append) is ignored when reading and cut by the next append.
-A collection run's pool threads only fetch; the calling thread parses the
-pages and appends them in plan order, so a run's store bytes repeat.
+from the file on open. A page line that is already canonical (a naive
+timestamp to the second, a price to three decimals) is stored as received;
+any other is written by ``record_line``. On open, a store whose lines are all
+canonical is keyed from its text; otherwise it is parsed and each record is
+keyed by its canonical line. Only LF-terminated lines count: an unterminated
+final line (a crash mid-append) is ignored when reading and cut by the next
+append. A collection run's pool threads only fetch; the calling thread parses
+the pages and appends them in plan order, so a run's store bytes repeat.
 """
 
 from __future__ import annotations
@@ -23,8 +27,9 @@ import datetime as dt
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
-from itertools import repeat
+from collections import deque
+from dataclasses import dataclass, field, replace
+from itertools import compress, repeat
 from pathlib import Path
 from urllib.parse import urlparse
 
@@ -116,6 +121,49 @@ _BLOCK_LINES = 4096
 # below the price band, under its top); formatted with the line's fields.
 _REASONS = ("unknown fuel type {2!r}", "unknown payment mode {3!r}",
             "below plausibility band", "above plausibility band")
+# The fixed forms of a canonical timestamp field (a naive ``isoformat()`` to
+# the second) and price field (``:.3f`` below 10), each digit written as 0.
+_STAMP_FORM, _PRICE_FORM = "0000-00-00T00:00:00", "0.000"
+_ZERO_DIGITS = str.maketrans("123456789", "000000000")
+
+
+def _record_lines(raw: str) -> list:
+    """A document's lines as records are read from it: stripped, blank lines
+    dropped."""
+    return [line for line in map(str.strip, raw.splitlines()) if line]
+
+
+def _fixed_form(fields: list, form: str) -> bool:
+    """Whether every field (none holding ``|``) is ``form`` with each 0 read
+    as any ASCII digit: one join, one translation and one comparison, no
+    per-field Python code."""
+    return "|".join(fields).translate(_ZERO_DIGITS) == "|".join([form] * len(fields))
+
+
+def _canonical(lines: list, parsed: bool = True) -> bool:
+    """Whether every line is in canonical form: five fields, the timestamp
+    and the price in their fixed forms (``_STAMP_FORM``, ``_PRICE_FORM``).
+
+    A ``parsed`` line is one ``parse_price_record`` kept, so ``fromisoformat``
+    has read its timestamp; then the line equals ``record_line`` of its
+    record, since such a timestamp is its own ``isoformat()`` and a ``D.DDD``
+    price its own ``:.3f``. Lines not ``parsed`` have their field counts and
+    timestamps checked here too.
+    """
+    for start in range(0, len(lines), _BLOCK_LINES):
+        block = lines[start:start + _BLOCK_LINES]
+        if not parsed and list(map(str.count, block, repeat("|"))).count(4) != len(block):
+            return False
+        fields = "|".join(block).split("|")
+        stamps = fields[1::5]
+        if not (_fixed_form(stamps, _STAMP_FORM) and _fixed_form(fields[4::5], _PRICE_FORM)):
+            return False
+        if not parsed:
+            try:
+                deque(map(dt.datetime.fromisoformat, stamps), 0)
+            except ValueError:
+                return False
+    return True
 
 
 def _codes(labels) -> tuple[list, np.ndarray]:
@@ -133,7 +181,9 @@ class ObservationColumns:
     ``station`` indexes ``station_ids`` (sorted; a label may have no row),
     ``timestamp`` holds the parsed datetimes, ``fuel`` and ``mode`` index the
     sorted ``FUEL_TYPES`` and ``PAYMENT_MODES`` and ``day`` is the ordinal of
-    the timestamp's own calendar date.
+    the timestamp's own calendar date. ``source`` is the list of the rows'
+    lines as ``parse_price_record`` read them (the parser's own list when it
+    kept every line); ``take`` drops it.
     """
 
     station_ids: list
@@ -143,6 +193,7 @@ class ObservationColumns:
     fuel: np.ndarray
     mode: np.ndarray
     price: np.ndarray
+    source: list | None = field(default=None, repr=False, compare=False)
 
     def __len__(self) -> int:
         return self.price.size
@@ -160,7 +211,11 @@ class ObservationColumns:
         return np.lexsort((self.mode, self.fuel, time_rank, self.station))
 
     def lines(self) -> list:
-        """Each row's canonical line, in row order."""
+        """Each row's canonical line, in row order: the ``source`` list itself
+        when every line in it is canonical (``_canonical``), else each row
+        written by ``record_line``."""
+        if self.source is not None and _canonical(self.source):
+            return self.source
         return list(map(record_line, map(self.station_ids.__getitem__, self.station.tolist()),
                         self.timestamp, map(_FUEL_NAMES.__getitem__, self.fuel.tolist()),
                         map(_MODE_NAMES.__getitem__, self.mode.tolist()),
@@ -177,7 +232,7 @@ def parse_price_record(raw: str, source_url: str = ""):
     line without 5 fields or with an unreadable timestamp or price raises
     ParseError naming the first such line.
     """
-    lines = [line for line in map(str.strip, raw.splitlines()) if line]
+    lines = _record_lines(raw)
     n = len(lines)
     station, stamps, fuel, mode, price = [], [], [], [], []
     try:
@@ -208,7 +263,8 @@ def parse_price_record(raw: str, source_url: str = ""):
     price = np.array(price, dtype=float)
     cols = ObservationColumns(
         station_ids, station, np.fromiter(stamps, object, n),
-        np.fromiter(map(dt.datetime.toordinal, stamps), np.intp, n), fuel, mode, price)
+        np.fromiter(map(dt.datetime.toordinal, stamps), np.intp, n), fuel, mode, price,
+        lines)
     # One mask per rule of _REASONS; a row's reason is the first rule it
     # fails, so a NaN price, which fails only the last, is above the band.
     passed = np.array([fuel >= 0, mode >= 0, ~(price <= PRICE_BAND[0]),
@@ -216,7 +272,9 @@ def parse_price_record(raw: str, source_url: str = ""):
     keep, rule = passed.all(axis=0), passed.argmin(axis=0)
     quarantined = [(lines[i], _REASONS[rule[i]].format(*lines[i].split("|")))
                    for i in np.flatnonzero(~keep).tolist()]
-    return cols.take(keep), quarantined
+    if quarantined:
+        cols = replace(cols.take(keep), source=list(compress(lines, keep.tolist())))
+    return cols, quarantined
 
 
 # ---------------------------------------------------------------------------
@@ -247,38 +305,48 @@ class ObservationStore:
 
     The file is the only state: the dedup key of a record is its canonical
     line (``record_line``) up to the last ``|``, and only LF-terminated lines
-    count. ``torn_bytes`` is the size of the unterminated tail found on open;
+    count. On open, the lines are keyed from their text when all of them are
+    canonical (``_canonical``); else the file is parsed as ``read_store``
+    parses it (a malformed line raises its ``ParseError``), each record is
+    keyed by its canonical line and each line the parser quarantines by its
+    text. ``torn_bytes`` is the size of the unterminated tail found on open;
     ``load`` ignores it and the next append cuts it. The first-seen price
     wins, so the file's line order is the order of the ``add`` calls (plan
-    order, under ``run_collection``). Appends are serialized across threads,
-    not across instances or processes: only one open store may write a file,
-    since each append truncates the file to the end this instance last wrote.
+    order, under ``run_collection``). The lock serializes ``add`` calls made
+    on one instance from several threads; ``run_collection`` adds from its
+    calling thread only, so there it is never contended. Only one open store
+    may write a file, across instances or processes, since each append
+    truncates the file to the end this instance last wrote.
     """
 
     def __init__(self, path):
         self.path = Path(path)
         self._lock = threading.Lock()
         text, self._end, self.torn_bytes = _store_text(self.path)
-        self._seen = {line.rpartition("|")[0] for line in text.splitlines()}
+        lines = _record_lines(text)
+        if not _canonical(lines, parsed=False):
+            records, quarantined = parse_price_record(text, str(self.path))
+            lines = records.lines() + [line for line, _ in quarantined]
+        self._seen = {line.rpartition("|")[0] for line in lines}
 
     def add(self, records: ObservationColumns) -> int:
         """Append the canonical lines of the records with new keys in one
         write; returns how many were new (duplicates within the call count
-        once).
+        once). Canonical source lines are written as received.
 
         Each write first truncates the file to the end of its last complete
         line, which cuts a torn tail and any bytes of an earlier write that
         raised ``StoreWriteError``.
         """
         lines = records.lines()
+        keys = [line.rpartition("|")[0] for line in lines]
         with self._lock:
+            if self._seen.issuperset(keys):
+                return 0
             fresh = {}
-            for line in lines:
-                key = line.rpartition("|")[0]
+            for key, line in zip(keys, lines):
                 if key not in self._seen:
                     fresh.setdefault(key, line)
-            if not fresh:
-                return 0
             data = "".join(line + "\n" for line in fresh.values()).encode()
             try:
                 with open(self.path, "ab") as fh:

@@ -596,6 +596,18 @@ class TestStoreInput:
         err = capsys.readouterr().err
         assert f"bad field in line {bad!r}" in err and str(store) in err
 
+    def test_malformed_store_line_stops_ingest(self, chain_dir, tmp_path, capsys):
+        lines = (chain_dir / "store.psv").read_text().splitlines()
+        bad = lines[5] = lines[5].rpartition("|")[0]
+        store = tmp_path / "store.psv"
+        store.write_text("\n".join(lines) + "\n")
+        data = store.read_bytes()
+        assert run("ingest", "--out", str(tmp_path / "out"), "--store", str(store),
+                   "--pages", str(chain_dir.parent / "data" / "pages")) == 1
+        err = capsys.readouterr().err
+        assert f"expected 5 fields, got 4: {bad!r} (source: {store})" in err
+        assert store.read_bytes() == data
+
     @pytest.mark.parametrize("command", ["ingest", "stats"])
     def test_non_utf8_store_is_a_validation_error(self, chain_dir, tmp_path, capsys,
                                                   command):

@@ -6,6 +6,8 @@ from collections import namedtuple
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from fuelspatial import ingest
 from fuelspatial.errors import (
@@ -121,8 +123,13 @@ def _record_rows(records):
 
 def _parsed(path):
     """The reference parser's records of a store file's complete lines."""
+    return _reference_parse(_complete_text(path), str(path))[0]
+
+
+def _complete_text(path):
+    """A store file's complete lines, decoded."""
     text = path.read_bytes().decode()
-    return _reference_parse(text[:text.rfind("\n") + 1], str(path))[0]
+    return text[:text.rfind("\n") + 1]
 
 
 def _cells(panel):
@@ -282,6 +289,40 @@ class TestStore:
         assert ObservationStore(path).add(parse_price_record(canonical)[0]) == 0
         assert path.read_text() == canonical
 
+    def test_non_canonical_store_line_not_stored_again(self, tmp_path):
+        path = tmp_path / "s.psv"
+        path.write_text("st1|2017-01-10 12:00:00|Regular|Credit|2.1\n")
+        store = ObservationStore(path)
+        assert store.add(_records(obs(price=2.1))) == 0
+        assert read_store(path).price.size == 1
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_open_keys_each_line_by_its_canonical_key(self, tmp_path, seed):
+        path = tmp_path / "s.psv"
+        _random_store(path, seed, _stations())
+        records, quarantined = _reference_parse(_complete_text(path))
+        store = ObservationStore(path)
+        assert store._seen == ({r.line().rpartition("|")[0] for r in records}
+                               | {line.rpartition("|")[0] for line, _ in quarantined})
+        data = path.read_bytes()
+        assert store.add(_records(*records)) == 0
+        assert path.read_bytes() == data
+
+    @pytest.mark.parametrize("bad", ["st1|2017-01-10T12:00:00|Regular|Credit",
+                                     "st1|2017-01-10T12:00:00|Regular|Credit|2.100|x",
+                                     "st1|2017-13-10T12:00:00|Regular|Credit|2.100",
+                                     "st1|2017-01-10T12:00:00|Jetfuel|Credit|two"])
+    def test_open_raises_the_parse_error_of_a_malformed_line(self, tmp_path, bad):
+        path = tmp_path / "s.psv"
+        text = obs().line() + "\n" + bad + "\n" + obs(hour=13).line() + "\n"
+        path.write_text(text)
+        with pytest.raises(ParseError) as expected:
+            read_store(path)
+        with pytest.raises(ParseError) as got:
+            ObservationStore(path)
+        assert str(got.value) == str(expected.value)
+        assert path.read_text() == text
+
     def test_torn_tail_ignored_then_cut(self, tmp_path):
         path = tmp_path / "s.psv"
         complete = obs().line() + "\n" + obs(hour=13).line() + "\n"
@@ -332,6 +373,117 @@ class TestStore:
         lines = (tmp_path / "s.psv").read_text().split("\n")
         assert lines == [obs().line(), obs(hour=14).line(), ""]
         assert _rows(store.load()) == _record_rows([obs(), obs(hour=14)])
+
+
+def _readable(stamp: str) -> bool:
+    """Whether this Python's ``fromisoformat`` reads the timestamp."""
+    try:
+        dt.datetime.fromisoformat(stamp)
+    except ValueError:
+        return False
+    return True
+
+
+def _stamp_spellings(ts: dt.datetime) -> list:
+    """A timestamp spelled canonically (first) and in the other ways this
+    Python's ``fromisoformat`` reads (3.11 reads more than 3.10), some of
+    them 19 characters long."""
+    year, week, weekday = ts.isocalendar()
+    minutes = ts.isoformat(timespec="minutes")
+    spellings = [ts.isoformat(), ts.isoformat(sep=" "), minutes, ts.isoformat() + "Z",
+                 ts.isoformat() + "+01:00", minutes + "+01",
+                 ts.isoformat(timespec="microseconds"),
+                 f"{year:04d}-W{week:02d}-{weekday}T{ts.time().isoformat()}"]
+    return [spelling for spelling in spellings if _readable(spelling)]
+
+
+def _price_spellings(thousandths: int) -> list:
+    """A price in the band spelled canonically (first) and in other ways
+    ``float`` reads, some of them 5 characters long."""
+    canonical = f"{thousandths / 1000:.3f}"
+    arabic = canonical.translate(str.maketrans("0123456789", "٠١٢٣٤٥٦٧٨٩"))
+    return [canonical, f"{thousandths / 1000:.1f}", "0" + canonical, canonical + "0", arabic,
+            f"{round(thousandths / 1000)}e000", f"0{thousandths / 1000:.2f}"]
+
+
+_records_to_spell = st.lists(st.tuples(
+    st.sampled_from(["st1", "st2", "st 3"]),
+    st.datetimes(dt.datetime(1990, 1, 1), dt.datetime(2030, 12, 31)).map(
+        lambda ts: ts.replace(microsecond=0)),
+    st.sampled_from(FUEL_TYPES), st.sampled_from(PAYMENT_MODES),
+    st.integers(501, 9999), st.booleans()), max_size=20)
+# Which spelling the odd rows of a page take: (timestamp, price), as indexes
+# into the spelling lists, 0 for canonical.
+_spellings = st.one_of(st.tuples(st.integers(0, 7), st.just(0)),
+                       st.tuples(st.just(0), st.integers(0, 6)),
+                       st.tuples(st.integers(0, 7), st.integers(0, 6)))
+_ONE_ODD_ROW = [("st1", dt.datetime(2017, 1, 17, 6, 50), "Regular", "Credit", 2617, True)]
+
+
+def _each_odd_spelling(test):
+    """Runs the test on one odd row in each spelling, then on random pages."""
+    for spelling in [(i, 0) for i in range(1, 8)] + [(0, j) for j in range(1, 7)]:
+        test = example(_ONE_ODD_ROW, spelling)(test)
+    return test
+
+
+class TestCanonicalLines:
+    """``lines`` reuses a page's own lines only when they are canonical."""
+
+    @_each_odd_spelling
+    @given(_records_to_spell, _spellings)
+    @settings(max_examples=300, deadline=None)
+    def test_lines_equal_record_line_of_each_row(self, tmp_path_factory, records, spelling):
+        """Each page spells the timestamps and prices of some rows one way
+        (if this Python reads it) and every other row canonically."""
+        lines, canonical = [], True
+        stamp, price = spelling
+        for station, ts, fuel, mode, thousandths, odd in records:
+            stamps, prices = _stamp_spellings(ts), _price_spellings(thousandths)
+            spelled = (stamps[stamp % len(stamps)], prices[price]) if odd else \
+                (stamps[0], prices[0])
+            if PRICE_BAND[0] < float(spelled[1]) < PRICE_BAND[1]:  # a kept row
+                canonical &= spelled == (stamps[0], prices[0])
+            lines.append("|".join([station, spelled[0], fuel, mode, spelled[1]]))
+        cols = parse_price_record("\n".join(lines))[0]
+        expected = [record_line(*row[:2], *row[3:]) for row in _rows(cols)]
+        assert cols.lines() == expected
+        assert (cols.lines() is cols.source) == canonical
+        path = tmp_path_factory.mktemp("store") / "s.psv"
+        path.touch()
+        first = {}
+        for line in expected:
+            first.setdefault(line.rpartition("|")[0], line)
+        assert ObservationStore(path).add(cols) == len(first)
+        assert path.read_text() == "".join(line + "\n" for line in first.values())
+        assert ObservationStore(path).add(cols) == 0
+
+    def test_mock_corpus_ingest_formats_no_line(self, tmp_path, monkeypatch):
+        truth = make_mock_corpus(3, tmp_path / "data")
+        source = MockSource.from_directory(tmp_path / "data" / "pages")
+        plan = CollectionPlan(urls=sorted(source.pages))
+        calls = []
+        monkeypatch.setattr(ingest, "record_line",
+                            lambda *row: calls.append(row) or record_line(*row))
+        path = tmp_path / "s.psv"
+        stored = [run_collection(plan, source, ProxyPool([ProxyEndpoint("a:1")]),
+                                 ObservationStore(path)).stored for _ in range(2)]
+        assert stored == [truth.unique_records, 0]
+        assert calls == []
+
+        page = obs(hour=15).line() + "\nst1|2017-01-10 16:00|Regular|Credit|2.3\n"
+        end = path.stat().st_size
+        assert ObservationStore(path).add(parse_price_record(page)[0]) == 2
+        assert len(calls) == 2
+        assert path.read_text()[end:] == _text([obs(hour=15), obs(hour=16)])
+
+    def test_source_lines_are_the_kept_lines_until_take(self):
+        kept = [obs().line(), obs(hour=13).line()]
+        page = "\n".join([kept[0], "st1|2017-01-10T14:00:00|Jetfuel|Credit|2.100", kept[1]])
+        records, quarantined = parse_price_record(page)
+        assert records.source == kept and len(quarantined) == 1
+        assert records.take(np.arange(2)).source is None
+        assert filter_observations(records).source is None
 
 
 class _ProxyDown:
