@@ -1,12 +1,20 @@
 """Geographic primitives: points, great-circle distances, kernels, spatial weights.
 
 Distances are great-circle (haversine) on a sphere of mean radius 6371.0 km.
+One pair-block rule gives every distance matrix: ``pair_blocks`` walks the
+upper triangle in row blocks of ``PAIR_BLOCK`` rows, each block holding the
+distances from its rows to every location from its first row on, so each
+unordered pair is evaluated once in O(PAIR_BLOCK * n) memory.
+``distance_matrix`` mirrors the blocks across the diagonal (the haversine is
+exactly symmetric), and ``spatial_stats.moran_sweep`` consumes them without
+ever holding an n x n array.
+
 ``weight_matrix`` holds the one fixed/adaptive bandwidth rule behind every
 kernel weight, for GWR and Moran's I alike. ``moran_weights`` adds Moran's
 rule on top: a zero diagonal, and entries below ``WEIGHT_FLOOR`` set to 0,
 which bounds memory for kernels with unbounded support (exponential,
 gaussian). ``build_weights`` stores those weights sparse, and
-``spatial_stats.moran_sweep`` uses them dense.
+``spatial_stats.moran_sweep`` uses them dense, one row block at a time.
 """
 
 from __future__ import annotations
@@ -20,6 +28,8 @@ from .errors import DegenerateBandwidthError, InvalidBandwidthError
 
 EARTH_RADIUS_KM = 6371.0
 WEIGHT_FLOOR = 1e-12
+# Rows per upper-triangle block of ``pair_blocks``.
+PAIR_BLOCK = 256
 
 
 class KernelShape(Enum):
@@ -76,31 +86,52 @@ def haversine_distance(a: GeoPoint, b: GeoPoint) -> float:
     return float(2.0 * EARTH_RADIUS_KM * np.arcsin(np.sqrt(np.clip(s, 0.0, 1.0))))
 
 
-def distance_matrix(points: list[GeoPoint]) -> np.ndarray:
-    """Full pairwise haversine distance matrix (km), vectorized."""
+def pair_blocks(points: list[GeoPoint]):
+    """The upper triangle of the haversine distance matrix (km) in row blocks.
+
+    Yields ``(r0, r1, block)`` for consecutive blocks of ``PAIR_BLOCK`` rows
+    (the last may be shorter): ``block[a, b]`` is the distance from point
+    ``r0 + a`` to point ``r0 + b``, for every column from ``r0`` on. Its
+    leading square ``block[:, :r1 - r0]`` holds the pairs within the block,
+    with the self pairs on its diagonal; the rest holds each pair with a
+    later block once.
+    """
     lat = np.radians(np.array([p.lat for p in points]))
     lon = np.radians(np.array([p.lon for p in points]))
-    # s = sin(dlat/2)^2 + cos(lat_i) cos(lat_j) sin(dlon/2)^2, evaluated in
-    # place in the formula's own order, so at most three n x n arrays live.
-    s = lat[:, None] - lat[None, :]
-    s /= 2.0
-    np.sin(s, out=s)
-    np.square(s, out=s)
     cos = np.cos(lat)
-    term = cos[:, None] * cos[None, :]
-    half = lon[:, None] - lon[None, :]
-    half /= 2.0
-    np.sin(half, out=half)
-    np.square(half, out=half)
-    term *= half
-    del half
-    s += term
-    del term
-    np.clip(s, 0.0, 1.0, out=s)
-    np.sqrt(s, out=s)
-    np.arcsin(s, out=s)
-    s *= 2.0 * EARTH_RADIUS_KM
-    return s
+    for r0 in range(0, len(points), PAIR_BLOCK):
+        r1 = min(r0 + PAIR_BLOCK, len(points))
+        # s = sin(dlat/2)^2 + cos(lat_i) cos(lat_j) sin(dlon/2)^2, evaluated
+        # in place in the formula's own order, so at most three blocks live.
+        s = lat[r0:r1, None] - lat[None, r0:]
+        s /= 2.0
+        np.sin(s, out=s)
+        np.square(s, out=s)
+        term = cos[r0:r1, None] * cos[None, r0:]
+        half = lon[r0:r1, None] - lon[None, r0:]
+        half /= 2.0
+        np.sin(half, out=half)
+        np.square(half, out=half)
+        term *= half
+        del half
+        s += term
+        del term
+        np.clip(s, 0.0, 1.0, out=s)
+        np.sqrt(s, out=s)
+        np.arcsin(s, out=s)
+        s *= 2.0 * EARTH_RADIUS_KM
+        yield r0, r1, s
+
+
+def distance_matrix(points: list[GeoPoint]) -> np.ndarray:
+    """Full pairwise haversine distance matrix (km): each ``pair_blocks``
+    block and its mirror image across the diagonal."""
+    n = len(points)
+    d = np.empty((n, n))
+    for r0, r1, block in pair_blocks(points):
+        d[r0:r1, r0:] = block
+        d[r1:, r0:r1] = block[:, r1 - r0:].T
+    return d
 
 
 def kernel_weight(shape: KernelShape, d, h):
@@ -218,10 +249,11 @@ def weight_matrix(dist: np.ndarray, neighbors: NeighborTable | None, shape: Kern
 
 def moran_weights(dist: np.ndarray, shape: KernelShape, bw: Bandwidth) -> np.ndarray:
     """Dense Moran weights: ``weight_matrix`` with a zero diagonal and every
-    entry below ``WEIGHT_FLOOR`` set to 0."""
+    entry below ``WEIGHT_FLOOR`` set to 0. On a ``pair_blocks`` block, whose
+    columns start at its first row, the zeroed diagonal is the self pairs."""
     w = weight_matrix(dist, None, shape, bw)
     np.fill_diagonal(w, 0.0)
-    w[w < WEIGHT_FLOOR] = 0.0
+    w *= w >= WEIGHT_FLOOR
     return w
 
 

@@ -2,13 +2,24 @@
 
 Labels are mapped once to codes 0..G-1 (in sorted label order); group sums,
 counts and means then come from ``np.bincount`` in O(n), not from one boolean
-mask per group in O(n*G). Rows already sorted by group form runs, whose
-means ``run_means`` gives exactly as ``np.mean`` would.
+mask per group in O(n*G). ``group_index`` codes labels with ``np.unique``;
+``label_codes`` gives the same codes together with the sorted distinct
+labels, from a dict, for the ingest layer's station and county labels. Rows
+already sorted by group form runs, whose means ``run_means`` gives exactly
+as ``np.mean`` would.
 """
 
 from __future__ import annotations
 
 import numpy as np
+
+
+def label_codes(labels) -> tuple[list, np.ndarray]:
+    """The sorted distinct labels and each label's index among them, so that
+    code order is label order."""
+    distinct = sorted(set(labels))
+    index = {label: i for i, label in enumerate(distinct)}
+    return distinct, np.fromiter(map(index.__getitem__, labels), np.intp, len(labels))
 
 
 def group_index(labels) -> tuple[np.ndarray, np.ndarray]:

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import csv
 import datetime as dt
+import math
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -44,7 +45,7 @@ from .errors import (
     StoreWriteError,
 )
 from .geo import GeoPoint
-from .groups import run_means, run_starts
+from .groups import label_codes, run_means, run_starts
 
 FUEL_TYPES = ("Diesel", "Regular", "Midgrade", "Premium")
 PAYMENT_MODES = ("Credit", "Cash", "Other")
@@ -166,14 +167,6 @@ def _canonical(lines: list, parsed: bool = True) -> bool:
     return True
 
 
-def _codes(labels) -> tuple[list, np.ndarray]:
-    """The sorted distinct labels and each label's index among them, so that
-    code order is label order."""
-    distinct = sorted(set(labels))
-    index = {label: i for i, label in enumerate(distinct)}
-    return distinct, np.fromiter(map(index.__getitem__, labels), np.intp, len(labels))
-
-
 @dataclass(frozen=True)
 class ObservationColumns:
     """Observations as columns, one row per record.
@@ -258,7 +251,7 @@ def parse_price_record(raw: str, source_url: str = ""):
             except ValueError as exc:
                 raise ParseError(source_url, f"bad field in line {line!r}: {exc}") from exc
         raise
-    station_ids, station = _codes(station)
+    station_ids, station = label_codes(station)
     fuel, mode = np.array(fuel, dtype=np.intp), np.array(mode, dtype=np.intp)
     price = np.array(price, dtype=float)
     cols = ObservationColumns(
@@ -556,8 +549,8 @@ class StationDayColumns:
         """The sorted distinct values of a ``Station`` attribute (such as
         ``county_fips``) over the panel's stations, and each row's index
         among them."""
-        labels, of_station = _codes([getattr(stations[s], attribute)
-                                     for s in self.station_ids])
+        labels, of_station = label_codes([getattr(stations[s], attribute)
+                                          for s in self.station_ids])
         return labels, of_station[self.station]
 
 
@@ -622,9 +615,9 @@ def _number(path, key: str, column: str, text: str) -> float:
     try:
         value = float(text)
     except ValueError:
-        value = np.nan
-    limit = _LIMITS.get(column, np.inf)
-    if not (np.isfinite(value) and abs(value) <= limit):
+        value = math.nan
+    limit = _LIMITS.get(column, math.inf)
+    if not (math.isfinite(value) and abs(value) <= limit):
         bounds = f" in [-{limit:g}, {limit:g}]" if column in _LIMITS else ""
         raise ParseError(str(path), f"{key}: {column} must be a finite number{bounds}, "
                                     f"got {text!r}")

@@ -10,11 +10,17 @@ with raw (not row-standardized) kernel weights.
 ``moran_index`` with ``geo.build_weights`` is the one-window API, on sparse
 weights. ``moran_sweep`` evaluates many windows at once on one location
 universe, the locations of all evaluated windows: it averages every (window,
-location) cell in one grouped pass and computes one haversine distance matrix.
-Each window contributes its centred means, zero at absent locations, and its
-presence mask m. Per d0 one dense ``geo.moran_weights`` W (the weights of
-``build_weights``, not made sparse) and one product give every window's cross
-product z'Wz and weight sum s0 = m'Wm.
+location) cell in one grouped pass. Each window contributes its centred
+means, zero at absent locations, and its presence mask m, as columns of one
+matrix C = [Z | M]. The sweep walks the upper triangle of the distance
+matrix in ``geo.pair_blocks`` row blocks, so each location pair is evaluated
+once and memory is O(PAIR_BLOCK * n), never n x n: per block and d0 one dense
+``geo.moran_weights`` block (the weights of ``build_weights``, not made
+sparse) and one product add the block's share of C'WC, whose diagonal holds
+every window's cross product z'Wz and weight sum s0 = m'Wm. W is symmetric,
+so a block's square on the diagonal counts once and the part beyond it
+twice. The sums run in block order, so a sweep agrees with the one-window
+API to rounding, not bit for bit.
 """
 
 from __future__ import annotations
@@ -36,8 +42,8 @@ from .geo import (  # noqa: F401  build_weights + moran_index is the one-window 
     KernelShape,
     SpatialWeights,
     build_weights,
-    distance_matrix,
     moran_weights,
+    pair_blocks,
 )
 from .groups import group_index, group_means
 
@@ -149,8 +155,8 @@ def moran_sweep(observations, locations: dict[object, GeoPoint], window_kind: st
 
     # One location universe for the K = n_eval evaluated windows: column k
     # holds window k's centred means, zero where a location is absent, and
-    # column K + k its presence mask m_k. Per d0 one W and one product
-    # give every cross product z_kᵀWz_k and every weight sum s0 = m_kᵀWm_k.
+    # column K + k its presence mask m_k. Per d0 the diagonal of CᵀWC holds
+    # every cross product z_kᵀWz_k and every weight sum s0 = m_kᵀWm_k.
     n_eval = len(evaluated)
     column = {w: k for k, w in enumerate(evaluated)}
     used = np.unique(cell_loc[np.isin(cell_window, evaluated)])
@@ -164,9 +170,15 @@ def moran_sweep(observations, locations: dict[object, GeoPoint], window_kind: st
         cols[rows, n_eval + k] = 1.0
         sizes.append(rows.size)
         denom.append(float(z @ z))
-    dist = distance_matrix([locations[ids[i]] for i in used])
-    forms = [np.einsum("ij,ij->j", cols, moran_weights(dist, shape, bw) @ cols)
-             for bw in bandwidths]
+    # Block r0:r1 adds C[r0:r1]ᵀ W[r0:r1, r0:] C[r0:] to CᵀWC. Each pair
+    # beyond the block's diagonal square stands for its mirror pair too,
+    # so C's rows from r1 on count twice.
+    forms = np.zeros((len(bandwidths), 2 * n_eval))
+    for r0, r1, dist in pair_blocks([locations[ids[i]] for i in used]):
+        block_cols = cols[r0:r1]
+        paired = np.concatenate([block_cols, 2.0 * cols[r1:]])
+        for q, bw in zip(forms, bandwidths):
+            q += np.einsum("ij,ij->j", block_cols, moran_weights(dist, shape, bw) @ paired)
 
     sweep = MoranSweep()
     for w, start in enumerate(starts):

@@ -5,10 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fuelspatial import gwr
+from fuelspatial import geo, gwr
 from fuelspatial.errors import DegenerateBandwidthError, InvalidBandwidthError
 from fuelspatial.geo import (
     EARTH_RADIUS_KM,
+    PAIR_BLOCK,
     WEIGHT_FLOOR,
     Bandwidth,
     GeoPoint,
@@ -24,6 +25,20 @@ coords = st.tuples(st.floats(-89.0, 89.0), st.floats(-179.0, 179.0))
 
 def _point(c):
     return GeoPoint(c[0], c[1])
+
+
+def _whole_array_distances(n, seed):
+    """Random points and their distance matrix from the one-expression
+    haversine over whole n x n arrays."""
+    rng = np.random.default_rng(seed)
+    lat_deg, lon_deg = rng.uniform(-89, 89, n), rng.uniform(-179, 179, n)
+    pts = [GeoPoint(float(la), float(lo)) for la, lo in zip(lat_deg, lon_deg)]
+    lat, lon = np.radians(lat_deg), np.radians(lon_deg)
+    dlat = lat[:, None] - lat[None, :]
+    dlon = lon[:, None] - lon[None, :]
+    s = (np.sin(dlat / 2.0) ** 2
+         + np.cos(lat)[:, None] * np.cos(lat)[None, :] * np.sin(dlon / 2.0) ** 2)
+    return pts, 2.0 * EARTH_RADIUS_KM * np.arcsin(np.sqrt(np.clip(s, 0.0, 1.0)))
 
 
 class TestGeoPoint:
@@ -76,16 +91,26 @@ class TestHaversine:
 
     def test_matrix_equals_whole_array_formula(self):
         # The in-place evaluation must give the one-expression formula's bits.
-        rng = np.random.default_rng(5)
-        lat_deg, lon_deg = rng.uniform(-89, 89, 97), rng.uniform(-179, 179, 97)
-        pts = [GeoPoint(float(la), float(lo)) for la, lo in zip(lat_deg, lon_deg)]
-        lat, lon = np.radians(lat_deg), np.radians(lon_deg)
-        dlat = lat[:, None] - lat[None, :]
-        dlon = lon[:, None] - lon[None, :]
-        s = (np.sin(dlat / 2.0) ** 2
-             + np.cos(lat)[:, None] * np.cos(lat)[None, :] * np.sin(dlon / 2.0) ** 2)
-        want = 2.0 * EARTH_RADIUS_KM * np.arcsin(np.sqrt(np.clip(s, 0.0, 1.0)))
+        pts, want = _whole_array_distances(97, seed=5)
         assert np.array_equal(distance_matrix(pts), want)
+
+    def test_row_blocks_equal_whole_array_formula(self):
+        # Three row blocks, the last one short: every upper block and its
+        # mirror image must give the formula's bits, so the matrix is
+        # exactly symmetric.
+        n = 2 * PAIR_BLOCK + 97
+        pts, want = _whole_array_distances(n, seed=6)
+        assert np.array_equal(want, want.T)
+        d = distance_matrix(pts)
+        assert np.array_equal(d, want)
+        assert np.array_equal(d, d.T)
+        assert [(r0, r1, block.shape) for r0, r1, block in geo.pair_blocks(pts)] == [
+            (0, PAIR_BLOCK, (PAIR_BLOCK, n)),
+            (PAIR_BLOCK, 2 * PAIR_BLOCK, (PAIR_BLOCK, n - PAIR_BLOCK)),
+            (2 * PAIR_BLOCK, n, (97, 97))]
+
+    def test_matrix_of_no_points(self):
+        assert distance_matrix([]).shape == (0, 0)
 
 
 class TestKernelWeight:

@@ -1,6 +1,35 @@
-import numpy as np
+import datetime as dt
 
-from fuelspatial.groups import PAIRWISE_MIN, run_means, run_starts
+import numpy as np
+import pytest
+
+from fuelspatial.groups import PAIRWISE_MIN, group_index, label_codes, run_means, run_starts
+
+
+def _labels(kind):
+    rng = np.random.default_rng(17)
+    if kind == "str":
+        pool = ["TX", "tx", "T", "T X", "É", "48201", "48-201", "0", "AL", "a\u00e9"]
+        return [pool[i] for i in rng.integers(0, len(pool), 500)]
+    if kind == "int":
+        return [int(i) for i in rng.integers(-40, 1000, 500)]
+    day0 = dt.date(2017, 1, 10)
+    return [(day0 + dt.timedelta(days=int(d))).toordinal()
+            for d in rng.integers(0, 60, 500)]
+
+
+class TestLabelCodes:
+    @pytest.mark.parametrize("kind", ["str", "int", "day"])
+    def test_codes_equal_np_unique(self, kind):
+        labels = _labels(kind)
+        distinct, inverse = np.unique(np.asarray(labels), return_inverse=True)
+        names, codes = label_codes(labels)
+        assert names == distinct.tolist()
+        assert codes.dtype == inverse.dtype
+        assert codes.tolist() == inverse.ravel().tolist()
+        same, counts = group_index(labels)
+        assert same.tolist() == codes.tolist()
+        assert counts.tolist() == np.bincount(inverse.ravel()).tolist()
 
 
 class TestRuns:

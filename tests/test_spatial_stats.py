@@ -1,4 +1,5 @@
 import datetime as dt
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -293,6 +294,33 @@ class TestMoranSweepOracle:
         sweep = moran_sweep(panel, locations, "daily", self.D0)
         assert len({r.window_start for r in sweep.rows}) == 9
         assert len(calls) == len(self.D0)
+
+    @pytest.mark.parametrize("shape", [KernelShape.EXPONENTIAL, KernelShape.BISQUARE])
+    def test_matches_per_window_oracle_over_row_blocks(self, shape):
+        # 640 locations make three row blocks; the windows cycle through all
+        # locations and two random subsets, so every block pairs present and
+        # absent locations.
+        ids = [f"c{i:03d}" for i in range(2 * geo.PAIR_BLOCK + 128)]
+        panel, locations = _varying_panel(ids, 4, seed=31)
+        sweep = moran_sweep(panel, locations, "daily", self.D0, shape)
+        rows, skipped = sweep_oracle(panel, locations, "daily", self.D0, shape)
+        assert len({len(means) for _, _, _, _, means in rows}) == 3
+        assert_sweep_matches_oracle(sweep, rows, skipped)
+
+    def test_sweep_never_holds_a_full_matrix(self):
+        # 4000 locations: one n x n float array would take 128 MB; the row
+        # blocks hold a few PAIR_BLOCK x n arrays (about 8 MB each).
+        n = 4000
+        ids = list(range(n))
+        panel, locations = _varying_panel(ids, 2, seed=41)
+        tracemalloc.start()
+        try:
+            sweep = moran_sweep(panel, locations, "daily", [30.0, 300.0])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(sweep.rows) == 4
+        assert peak < n * n * 8 / 2
 
     def test_integer_ids_in_str_order(self):
         ids = [2, 10, 33, 4, 100, 7, 58, 9]
