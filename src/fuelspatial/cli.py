@@ -26,7 +26,7 @@ from . import spatial_stats as stats
 from . import synth
 from .errors import FuelSpatialError
 from .geo import Bandwidth, GeoPoint, KernelShape
-from .groups import run_means, run_starts
+from .groups import cell_means
 
 # ---------------------------------------------------------------------------
 # Config keys. A parser takes a key and its text and returns the typed value,
@@ -344,15 +344,12 @@ def cmd_moran(cfg: RunConfig, run: Run) -> int:
     # County-day means of the station-day prices, stations in id order within
     # a cell; county location comes from the covariate table.
     fips, county = panel.station_codes(stations, "county_fips")
-    order = np.lexsort((panel.station, panel.day, county))
-    county, day = county[order], panel.day[order]
-    starts = run_starts(county, day)
-    means = run_means(panel.price[order], starts)
+    (county, day), means, _ = cell_means(panel.price, county, panel.day)
     locations = {fips[i]: GeoPoint(table[fips[i]]["lat"], table[fips[i]]["lon"])
                  for i in _counties_with(table, fips, ("lat", "lon"))}
     dates = {d: dt.date.fromordinal(d) for d in np.unique(panel.day).tolist()}
     observations = [(fips[c], dates[d], m) for c, d, m in
-                    zip(county[starts].tolist(), day[starts].tolist(), means.tolist())
+                    zip(county.tolist(), day.tolist(), means.tolist())
                     if fips[c] in locations]
 
     sweep = stats.moran_sweep(observations, locations, cfg["window"], cfg["d0_grid"])
@@ -406,8 +403,7 @@ def cmd_fe(cfg: RunConfig, run: Run) -> int:
 
     rows = [["level", "r_squared", "n_groups"]]
     for level in ("state", "county", "station"):
-        res = econ.fe_r_squared(panel.price, groups[level], panel.day,
-                                econ.FixedEffectSpec(level))
+        res = econ.fe_r_squared(panel.price, groups[level], level)
         rows.append([level, f"{res['r_squared']:.10g}", res["n_groups"]])
     run.write_csv("fe_variance.csv", rows)
 

@@ -72,7 +72,6 @@ class FeFit:
     r_squared: float
     n_observations: int
     n_clusters: int
-    fe_level: str
 
 
 @dataclass
@@ -89,6 +88,16 @@ def r_squared(y: np.ndarray, rss: float) -> float:
     return 1.0 - rss / tss if tss > 0 else float("nan")
 
 
+RANK_RATIO = 1e-10  # a weak R pivot at this ratio marks an OLS or GWR design singular
+
+
+def weak_pivots(pivots: np.ndarray, ratio: float) -> np.ndarray:
+    """Which pivots, along the last axis, are at most ``ratio`` times the
+    largest magnitude among them (or times 1, if all are below 1)."""
+    pivots = np.abs(pivots)
+    return pivots <= ratio * np.maximum(pivots.max(axis=-1, keepdims=True), 1.0)
+
+
 def ols(design, response) -> OlsResult:
     """Ordinary least squares with an explicit rank check. Raises
     ``SingularDesignError`` naming the indices of the collinear columns."""
@@ -98,8 +107,7 @@ def ols(design, response) -> OlsResult:
     if n <= k:
         raise ValueError(f"need n > k, got n={n}, k={k}")
     q, r = np.linalg.qr(x)
-    diag = np.abs(np.diag(r))
-    bad = np.nonzero(diag <= 1e-10 * max(diag.max(), 1.0))[0]
+    bad = np.flatnonzero(weak_pivots(np.diag(r), RANK_RATIO))
     if bad.size:
         raise SingularDesignError(bad.tolist())
     beta = np.linalg.solve(r, q.T @ y)
@@ -141,23 +149,22 @@ def fe_variance_explained(panel, spec: FixedEffectSpec) -> dict:
     key = {"state": "state_id", "county": "county_fips", "station": "station_id"}[spec.level]
     days = [o.day.toordinal() for o in panel] if spec.include_day_effect else None
     return fe_r_squared(np.array([o.price for o in panel]),
-                        [getattr(o, key) for o in panel], days, spec)
+                        [getattr(o, key) for o in panel], spec.level, days)
 
 
-def fe_r_squared(price, groups, days, spec: FixedEffectSpec) -> dict:
+def fe_r_squared(price, groups, level: str, days=None) -> dict:
     """``fe_variance_explained`` on columns: each row's price, its group label
-    at ``spec.level`` and, when ``spec`` asks for a day effect, its day label."""
+    at ``level`` and, for day effects too, its day label (None for none)."""
     price = np.asarray(price, dtype=float)
     if price.size < 2:
         raise EmptyInputError("need at least 2 observations")
     groups, counts = group_index(groups)
     if counts.size < 2:
-        raise DegenerateGroupingError(f"only one {spec.level} group present")
-    if spec.include_day_effect:
-        days, _ = group_index(days)
-        within = _two_way_residual(price, groups, counts, days)
-    else:
+        raise DegenerateGroupingError(f"only one {level} group present")
+    if days is None:
         within = demean(price, groups, counts)
+    else:
+        within = _two_way_residual(price, groups, counts, group_index(days)[0])
     return {"r_squared": r_squared(price, float(within @ within)),
             "n_groups": int(counts.size)}
 
@@ -239,7 +246,7 @@ def county_regression(rows, covariate_set, cluster: str = "state") -> FeFit:
     return FeFit(
         coefficients={name: float(b) for name, b in zip(covariate_set, beta)},
         standard_errors={name: float(s) for name, s in zip(covariate_set, se)},
-        r_squared=r2, n_observations=n, n_clusters=int(n_states), fe_level="state",
+        r_squared=r2, n_observations=n, n_clusters=int(n_states),
     )
 
 

@@ -4,9 +4,11 @@ Labels are mapped once to codes 0..G-1 (in sorted label order); group sums,
 counts and means then come from ``np.bincount`` in O(n), not from one boolean
 mask per group in O(n*G). ``group_index`` codes labels with ``np.unique``;
 ``label_codes`` gives the same codes together with the sorted distinct
-labels, from a dict, for the ingest layer's station and county labels. Rows
-already sorted by group form runs, whose means ``run_means`` gives exactly
-as ``np.mean`` would.
+labels, from a dict, for the ingest layer's station and county labels.
+
+``cell_means`` is the one cell-mean rule: every price cell of the package,
+from the station-day to the county mean and the Moran window, is the
+``np.mean`` of its rows, bit for bit, in row order.
 """
 
 from __future__ import annotations
@@ -53,21 +55,20 @@ def demean(values, codes: np.ndarray, counts: np.ndarray) -> np.ndarray:
 PAIRWISE_MIN = 8
 
 
-def run_starts(*keys: np.ndarray) -> np.ndarray:
-    """Offsets where a new run of equal rows begins in sorted key columns."""
-    new = np.ones(keys[0].size, dtype=bool)
+def cell_means(values, *keys: np.ndarray) -> tuple[list, np.ndarray, np.ndarray]:
+    """Each cell of rows with equal ``keys``, in key order (the first key
+    sorts first): its keys (one array per key), its mean, bit for bit
+    ``np.mean`` of its ``values`` in row order, and its size. Cells shorter
+    than ``PAIRWISE_MIN`` share one ``group_means``; longer ones use np.mean."""
+    order = np.lexsort(keys[::-1])
+    keys = [k[order] for k in keys]
+    new = np.ones(order.size, dtype=bool)
     new[1:] = np.logical_or.reduce([k[1:] != k[:-1] for k in keys])
-    return np.flatnonzero(new)
-
-
-def run_means(values: np.ndarray, starts: np.ndarray) -> np.ndarray:
-    """Mean of each run ``values[starts[i]:starts[i + 1]]`` (the last run
-    ends at the end of ``values``), equal bit for bit to ``np.mean`` of the
-    run: one ``group_means`` for the runs shorter than ``PAIRWISE_MIN`` and
-    ``np.mean`` on each longer one."""
-    values = np.asarray(values, dtype=float)
-    counts = np.diff(np.append(starts, values.size))
-    means = group_means(np.repeat(np.arange(counts.size), counts), counts, values)
-    for i in np.flatnonzero(counts >= PAIRWISE_MIN):
-        means[i] = values[starts[i]:starts[i] + counts[i]].mean()
-    return means
+    cell = np.cumsum(new) - 1
+    sizes = np.bincount(cell)
+    values = np.asarray(values, dtype=float)[order]
+    means = group_means(cell, sizes, values)
+    starts = np.flatnonzero(new)
+    for i in np.flatnonzero(sizes >= PAIRWISE_MIN):
+        means[i] = values[starts[i]:starts[i] + sizes[i]].mean()
+    return [k[new] for k in keys], means, sizes

@@ -54,7 +54,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .econometrics import r_squared
+from .econometrics import RANK_RATIO, r_squared, weak_pivots
 from .errors import (
     DegenerateBandwidthError,
     EmptyReportError,
@@ -244,8 +244,7 @@ def _forward_substitute_t(r: np.ndarray, b: np.ndarray) -> np.ndarray:
 def _check_rank(r: np.ndarray, focal: np.ndarray) -> None:
     """Raise SingularFitError for the first focal location whose R factor
     (one per focal row of ``r``) marks its local design rank deficient."""
-    diag = np.abs(np.diagonal(r, axis1=1, axis2=2))
-    singular = diag.min(axis=1) <= 1e-10 * np.maximum(diag.max(axis=1), 1.0)
+    singular = weak_pivots(np.diagonal(r, axis1=1, axis2=2), RANK_RATIO).any(axis=1)
     if singular.any():
         raise SingularFitError(int(focal[np.argmax(singular)]))
 
@@ -364,9 +363,9 @@ class BandwidthSearchResult:
     evaluations: list = field(default_factory=list)  # (bandwidth value, score)
 
 
-# A search falls back to the QR path for a whole evaluation when some row's
-# smallest Cholesky pivot is at most PIVOT_RATIO times its largest (or times
-# 1, if all are below 1), the ratio ``_check_rank`` tests at 1e-10. A Gram
+# A search falls back to the QR path for a whole evaluation when some row
+# has ``weak_pivots`` at PIVOT_RATIO among its Cholesky pivots; the QR fit
+# (``_check_rank``) tests its R factor's pivots at RANK_RATIO, 1e-10. A Gram
 # block squares the condition number, so a score from it is off by about
 # 2e-16 / ratio^2 relative: 1e-3 keeps that near 1e-10 (at a ratio of 1e-5,
 # an AICc was off by 3e-7).
@@ -522,8 +521,7 @@ class _GramTables:
                 return [None]
             return [self._gram_scores([one])[0] for one in batch]
         pivots = np.diagonal(chol, axis1=1, axis2=2)
-        loose = pivots.min(axis=1) <= PIVOT_RATIO * np.maximum(pivots.max(axis=1), 1.0)
-        loose = loose.reshape(len(batch), n).any(axis=1)
+        loose = weak_pivots(pivots, PIVOT_RATIO).reshape(len(batch), -1).any(axis=1)
         if loose.any():
             trusted = [one for one, bad in zip(batch, loose) if not bad]
             values = iter(self._gram_scores(trusted) if trusted else ())

@@ -45,7 +45,7 @@ from .errors import (
     StoreWriteError,
 )
 from .geo import GeoPoint
-from .groups import label_codes, run_means, run_starts
+from .groups import cell_means, label_codes
 
 FUEL_TYPES = ("Diesel", "Regular", "Midgrade", "Premium")
 PAYMENT_MODES = ("Credit", "Cash", "Other")
@@ -562,25 +562,23 @@ def aggregate_daily(records: ObservationColumns,
     station_ids, station, day = records.station_ids, records.station, records.day
     registered = np.array([s in stations for s in station_ids], dtype=bool)
     orphan = ~registered[station]
-    known = np.flatnonzero(~orphan)
-    order = known[np.lexsort((day[known], station[known]))]
+    known = ~orphan
     recode = np.cumsum(registered) - 1
-    cell_station, cell_day = recode[station[order]], day[order]
-    starts = run_starts(cell_station, cell_day)
-    panel = StationDayColumns(
-        [s for s, ok in zip(station_ids, registered) if ok],
-        cell_station[starts], cell_day[starts], run_means(records.price[order], starts),
-        np.diff(np.append(starts, order.size)))
+    (cell_station, cell_day), price, n_prices = cell_means(
+        records.price[known], recode[station[known]], day[known])
+    panel = StationDayColumns([s for s, ok in zip(station_ids, registered) if ok],
+                              cell_station, cell_day, price, n_prices)
     return panel, orphan
 
 
 def aggregate_county(panel: StationDayColumns, stations: dict) -> tuple[list, np.ndarray]:
-    """The sorted FIPS codes of the panel's counties and each county's mean
-    price; every station-day row weighs equally and each county's rows are
-    averaged in panel order."""
+    """The sorted FIPS codes of the counties with panel rows and each
+    county's mean price; every station-day row weighs equally and each
+    county's rows are averaged in panel order. A county whose stations have
+    no rows (a fuel filter can leave them so) has no mean and is left out."""
     fips, county = panel.station_codes(stations, "county_fips")
-    rows = np.argsort(county, kind="stable")
-    return fips, run_means(panel.price[rows], run_starts(county[rows]))
+    (county,), means, _ = cell_means(panel.price, county)
+    return [fips[c] for c in county.tolist()], means
 
 
 def descriptive_stats(values) -> dict:

@@ -10,7 +10,7 @@ with raw (not row-standardized) kernel weights.
 ``moran_index`` with ``geo.build_weights`` is the one-window API, on sparse
 weights. ``moran_sweep`` evaluates many windows at once on one location
 universe, the locations of all evaluated windows: it averages every (window,
-location) cell in one grouped pass. Each window contributes its centred
+location) cell with ``groups.cell_means``. Each window contributes its centred
 means, zero at absent locations, and its presence mask m, as columns of one
 matrix C = [Z | M]. The sweep walks the upper triangle of the distance
 matrix in ``geo.pair_blocks`` row blocks, so each location pair is evaluated
@@ -45,7 +45,7 @@ from .geo import (  # noqa: F401  build_weights + moran_index is the one-window 
     moran_weights,
     pair_blocks,
 )
-from .groups import group_index, group_means
+from .groups import cell_means, group_index, group_means
 
 
 @dataclass(frozen=True)
@@ -125,8 +125,8 @@ def moran_sweep(observations, locations: dict[object, GeoPoint], window_kind: st
         raise ValueError(f"unknown window kind {window_kind!r}")
     bandwidths = [Bandwidth.fixed_distance(d0) for d0 in d0_list]
 
-    # One group per (window, location) cell; locations are coded in str order,
-    # so each window's cells are its locations in the order of its index.
+    # One cell per (window, location); locations are coded in str order, so
+    # each window's cells are its locations in the order of its index.
     ids = sorted(dict.fromkeys(loc for loc, _, _ in obs), key=str)
     position = {loc: i for i, loc in enumerate(ids)}
     day = np.array([d.toordinal() for _, d, _ in obs])
@@ -134,12 +134,8 @@ def moran_sweep(observations, locations: dict[object, GeoPoint], window_kind: st
         day = day.min() + (day - day.min()) // 7 * 7
     ordinals, window = np.unique(day, return_inverse=True)
     starts = [dt.date.fromordinal(int(o)) for o in ordinals]
-    cell = window.ravel() * len(ids) + np.array([position[i] for i, _, _ in obs])
-    codes, counts = group_index(cell)
-    means = group_means(codes, counts, np.array([float(v) for _, _, v in obs]))
-    cell_label = np.empty(counts.size, dtype=cell.dtype)
-    cell_label[codes] = cell
-    cell_window, cell_loc = np.divmod(cell_label, len(ids))
+    (cell_window, cell_loc), means, _ = cell_means(
+        [float(v) for _, _, v in obs], window.ravel(), np.array([position[i] for i, _, _ in obs]))
     bounds = np.searchsorted(cell_window, np.arange(len(starts) + 1))
 
     skipped: dict[int, str] = {}

@@ -381,6 +381,19 @@ class TestChainArtifacts:
         assert feature["geometry"]["type"] == "Point"
         assert "local_r2" in feature["properties"]
 
+    def test_stats_and_fe_read_every_fuel(self, chain_dir, tmp_path, capsys):
+        store = read_store(chain_dir / "store.psv")
+        every = filter_observations(store, None).price.size
+        assert every > filter_observations(store).price.size
+        out = tmp_path / "all"
+        for command in ("stats", "fe"):
+            assert run(command, *_inputs(chain_dir, out), "--fuel", "all") == 0
+        assert f"stats: {every} observations" in capsys.readouterr().out
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["stats"]["config"]["fuel"] == manifest["fe"]["config"]["fuel"] == "all"
+        for name in ("descriptives.csv", "fe_variance.csv", "fe_table.csv"):
+            assert (out / name).read_text() != (chain_dir / name).read_text()
+
     def test_report_flags_missing_artifacts(self, tmp_path):
         assert run("report", "--out", str(tmp_path)) == 0
         assert (tmp_path / "summary.txt").read_text().endswith(
@@ -712,32 +725,51 @@ class TestStoreInput:
 
 
 class TestMoranCrossCheck:
-    def test_sweep_cell_matches_direct_index(self, tmp_path):
-        # Three counties, one day, values chosen by hand.
-        stations = "station_id,lat,lon,city,county_fips,state_id\n" + "".join(
-            f"s{i},{40 + i * 0.2},-100,c,10{i:03d},10\n" for i in range(3))
-        (tmp_path / "stations.csv").write_text(stations)
+    @pytest.mark.parametrize("window", ["daily", "weekly"])
+    def test_sweep_cell_matches_direct_index(self, tmp_path, window):
+        # Four counties of two or three stations over two days of one week.
+        # A county's last station reports on the first day only, so its
+        # weekly cell, the mean of its two daily county means, is not the
+        # mean of its station-days.
+        rng = np.random.default_rng(3)
+        stations, lines, daily = [], [], {10: {}, 12: {}}
+        for c in range(4):
+            n = 2 + c % 2
+            for j in range(n):
+                stations.append(f"s{c}{j},{40 + c * 0.2},-100,c,10{c:03d},10\n")
+                for day in (10, 12) if j < n - 1 else (10,):
+                    price = round(float(rng.uniform(1.9, 2.9)), 3)
+                    lines.append(f"s{c}{j}|2017-01-{day}T12:00:00|Regular|Credit|{price:.3f}\n")
+                    daily[day].setdefault(c, []).append(price)
+        (tmp_path / "stations.csv").write_text(
+            "station_id,lat,lon,city,county_fips,state_id\n" + "".join(stations))
         (tmp_path / "covariates.csv").write_text(
             "county_fips,lat,lon\n" + "".join(
-                f"10{i:03d},{40 + i * 0.2},-100\n" for i in range(3)))
-        prices = [2.0, 2.5, 2.2]
-        (tmp_path / "store.psv").write_text("".join(
-            f"s{i}|2017-01-10T12:00:00|Regular|Credit|{p:.3f}\n"
-            for i, p in enumerate(prices)))
+                f"10{c:03d},{40 + c * 0.2},-100\n" for c in range(4)))
+        (tmp_path / "store.psv").write_text("".join(lines))
         assert run("moran", "--out", str(tmp_path),
                    "--store", str(tmp_path / "store.psv"),
                    "--stations", str(tmp_path / "stations.csv"),
                    "--covariates", str(tmp_path / "covariates.csv"),
-                   "--d0-grid", "100") == 0
+                   "--d0-grid", "100", "--window", window) == 0
         with open(tmp_path / "moran_sweep.csv", newline="") as fh:
             rows = list(csv.DictReader(fh))
-        assert len(rows) == 1
-        points = [GeoPoint(40 + i * 0.2, -100) for i in range(3)]
+
+        points = [GeoPoint(40 + c * 0.2, -100) for c in range(4)]
         w = build_weights(points, KernelShape.EXPONENTIAL,
                           Bandwidth.fixed_distance(100.0))
-        expected = moran_index(np.array(prices), w)
-        assert float(rows[0]["moran_i"]) == pytest.approx(expected.index, abs=1e-10)
-        assert int(rows[0]["n"]) == 3
+        means = {day: [np.mean(by_county[c]) for c in range(4)]
+                 for day, by_county in daily.items()}
+        if window == "daily":
+            cells = [means[10], means[12]]
+        else:
+            cells = [np.mean([means[10], means[12]], axis=0)]
+            pooled = [np.mean(daily[10][c] + daily[12][c]) for c in range(4)]
+            assert abs(moran_index(pooled, w).index - moran_index(cells[0], w).index) > 1e-6
+        assert [(r["window_kind"], int(r["n"])) for r in rows] == [(window, 4)] * len(cells)
+        for row, cell in zip(rows, cells):
+            expected = moran_index(np.array(cell), w)
+            assert float(row["moran_i"]) == pytest.approx(expected.index, abs=1e-10)
 
 
 class TestGwrModes:

@@ -168,7 +168,7 @@ class TestFeVarianceExplained:
 
     def test_single_group_error(self):
         panel = self._panel([1.0, 2.0], ["a", "b"])
-        with pytest.raises(DegenerateGroupingError):
+        with pytest.raises(DegenerateGroupingError, match="only one state group"):
             fe_variance_explained(panel, FixedEffectSpec("state"))
 
     def test_equals_one_minus_within_over_total(self):

@@ -1011,7 +1011,7 @@ class TestCountyMeans:
                       float(rng.uniform(2, 3)), 1) for _ in range(300)]
         fips, means = aggregate_county(_panel(panel, stations), stations)
         want = _object_county(panel, stations)
-        # Runs of 8 or more rows take run_means' np.mean branch.
+        # Cells of 8 or more rows take cell_means' np.mean branch.
         assert want and min(n for _, _, n in want) >= 8
         assert list(zip(fips, means.tolist())) == [(f, m) for f, m, _ in want]
 
@@ -1021,6 +1021,17 @@ class TestCountyMeans:
                                   np.array([2.0, 3.0, 2.5]), np.ones(3, dtype=int))
         fips, means = aggregate_county(panel, _stations())
         assert (fips, means.tolist()) == (["10001", "11001"], [2.25, 3.0])
+
+    def test_county_without_rows_left_out(self, tmp_path):
+        # st3 sells no Diesel, so the Diesel panel keeps its station id but
+        # has no row of its county, 11001.
+        records = [obs(price=2.1), obs(fuel="Diesel", price=2.4),
+                   obs(station="st2", fuel="Diesel", price=2.6), obs(station="st3")]
+        diesel = filter_observations(_columns(tmp_path / "s.psv", records), "Diesel")
+        panel, _ = aggregate_daily(diesel, _stations())
+        assert panel.station_ids == ["st1", "st2", "st3"]
+        fips, means = aggregate_county(panel, _stations())
+        assert (fips, means.tolist()) == (["10001"], [2.5])
 
 
 class TestDescriptiveStats:

@@ -155,6 +155,19 @@ class TestMoranSweep:
         starts = sorted({r.window_start for r in sweep.rows})
         assert starts == [DAY0, DAY0 + dt.timedelta(days=7)]
 
+    def test_cell_of_eight_is_np_mean(self):
+        # np.mean sums eight or more values pairwise, and this cell's pairwise
+        # mean differs from its sequential one in the last bit. The two other
+        # locations hold np.mean's value, so the window is constant only if
+        # the sweep averages the cell as np.mean does.
+        values = [2.524, 3.401, 1.788, 3.397, 2.124, 2.347, 3.155, 2.318]
+        mean = float(np.mean(values))
+        assert np.cumsum(values)[-1] / len(values) != mean
+        locations = {str(i): p for i, p in enumerate(_random_points(3, seed=2))}
+        panel = [("0", DAY0, v) for v in values] + [("1", DAY0, mean), ("2", DAY0, mean)]
+        sweep = moran_sweep(panel, locations, "daily", [300.0])
+        assert (sweep.rows, sweep.skipped) == ([], [(DAY0, "constant values")])
+
     def test_empty_panel(self):
         with pytest.raises(EmptyInputError):
             moran_sweep([], {}, "daily", [10.0])
