@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import datetime as dt
 import hashlib
 import json
 import sys
@@ -342,20 +341,19 @@ def cmd_moran(cfg: RunConfig, run: Run) -> int:
     table = ing.load_covariate_table(cfg.path("covariates", must_exist=True))
 
     # County-day means of the station-day prices, stations in id order within
-    # a cell; county location comes from the covariate table.
+    # a cell, for the counties whose covariate row gives their location,
+    # coded by their position among those (FIPS order).
     fips, county = panel.station_codes(stations, "county_fips")
-    (county, day), means, _ = cell_means(panel.price, county, panel.day)
-    locations = {fips[i]: GeoPoint(table[fips[i]]["lat"], table[fips[i]]["lon"])
-                 for i in _counties_with(table, fips, ("lat", "lon"))}
-    dates = {d: dt.date.fromordinal(d) for d in np.unique(panel.day).tolist()}
-    observations = [(fips[c], dates[d], m) for c, d, m in
-                    zip(county.tolist(), day.tolist(), means.tolist())
-                    if fips[c] in locations]
+    keep = _counties_with(table, fips, ("lat", "lon"))
+    rows = np.isin(county, keep)
+    cells, means, _ = cell_means(panel.price[rows], np.searchsorted(keep, county[rows]),
+                                 panel.day[rows])
+    points = [GeoPoint(table[fips[i]]["lat"], table[fips[i]]["lon"]) for i in keep]
 
-    sweep = stats.moran_sweep(observations, locations, cfg["window"], cfg["d0_grid"])
+    sweep = stats.moran_sweep((*cells, means), points, cfg["window"], cfg["d0_grid"])
     sweep.to_csv(run.path("moran_sweep.csv"))
     print(f"moran: {len(sweep.rows)} (window, d0) cells, {len(sweep.skipped)} skipped, "
-          f"{len(fips) - len(locations)} counties left out without coordinates")
+          f"{len(fips) - len(keep)} counties left out without coordinates")
     return 0
 
 

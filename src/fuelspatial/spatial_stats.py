@@ -8,19 +8,20 @@ Moran's I uses the classical cross-product form
 with raw (not row-standardized) kernel weights.
 
 ``moran_index`` with ``geo.build_weights`` is the one-window API, on sparse
-weights. ``moran_sweep`` evaluates many windows at once on one location
-universe, the locations of all evaluated windows: it averages every (window,
-location) cell with ``groups.cell_means``. Each window contributes its centred
-means, zero at absent locations, and its presence mask m, as columns of one
-matrix C = [Z | M]. The sweep walks the upper triangle of the distance
-matrix in ``geo.pair_blocks`` row blocks, so each location pair is evaluated
-once and memory is O(PAIR_BLOCK * n), never n x n: per block and d0 one dense
-``geo.moran_weights`` block (the weights of ``build_weights``, not made
-sparse) and one product add the block's share of C'WC, whose diagonal holds
-every window's cross product z'Wz and weight sum s0 = m'Wm. W is symmetric,
-so a block's square on the diagonal counts once and the part beyond it
-twice. The sums run in block order, so a sweep agrees with the one-window
-API to rounding, not bit for bit.
+weights. ``moran_sweep`` takes the panel as columns of location codes (into a
+sequence of points), day ordinals and values, and evaluates many windows at
+once on one location universe, the locations of all evaluated windows in code
+order: it averages every (window, location) cell with ``groups.cell_means``.
+Each window contributes its centred means, zero at absent locations, and its
+presence mask m, as columns of one matrix C = [Z | M]. The sweep walks the
+upper triangle of the distance matrix in ``geo.pair_blocks`` row blocks, so
+each location pair is evaluated once and memory is O(PAIR_BLOCK * n), never
+n x n: per block and d0 one dense ``geo.moran_weights`` block (the weights of
+``build_weights``, not made sparse) and one product add the block's share of
+C'WC, whose diagonal holds every window's cross product z'Wz and weight sum
+s0 = m'Wm. W is symmetric, so a block's square on the diagonal counts once
+and the part beyond it twice. The sums run in block order, so a sweep agrees
+with the one-window API to rounding, not bit for bit.
 """
 
 from __future__ import annotations
@@ -108,34 +109,36 @@ class MoranSweep:
                 ])
 
 
-def moran_sweep(observations, locations: dict[object, GeoPoint], window_kind: str,
-                d0_list, shape: KernelShape = KernelShape.EXPONENTIAL) -> MoranSweep:
+def moran_sweep(observations, points: list[GeoPoint], window_kind: str, d0_list,
+                shape: KernelShape = KernelShape.EXPONENTIAL) -> MoranSweep:
     """Moran's I per (time window, decay distance d0).
 
-    ``observations`` is an iterable of (location_id, date, value); values are
-    averaged per location within each window before the index is computed.
-    Windows with fewer than 3 locations or a constant average are skipped, as
-    is a (window, d0) whose weights all fall below ``WEIGHT_FLOOR``. Rows and
-    skipped entries come in window order, then ``d0_list`` order.
+    ``observations`` is three aligned 1-D columns (location, day, value):
+    integer codes indexing ``points``, a sequence of ``GeoPoint``, date
+    ordinals and prices. Values are averaged per location within each window,
+    locations in code order, before the index is computed. Windows with fewer
+    than 3 locations or a constant average are skipped, as is a (window, d0)
+    whose weights all fall below ``WEIGHT_FLOOR``. Rows and skipped entries
+    come in window order, then ``d0_list`` order.
     """
-    obs = list(observations)
-    if not obs:
+    location, day, value = (np.asarray(column) for column in observations)
+    if not location.shape == day.shape == value.shape == (location.size,):
+        raise ValueError("location, day and value must be 1-D columns of one length")
+    if not location.size:
         raise EmptyInputError("empty panel")
     if window_kind not in ("daily", "weekly"):
         raise ValueError(f"unknown window kind {window_kind!r}")
+    if not (np.issubdtype(location.dtype, np.integer)
+            and 0 <= location.min() and location.max() < len(points)):
+        raise ValueError(f"location codes must be integers in [0, {len(points)})")
     bandwidths = [Bandwidth.fixed_distance(d0) for d0 in d0_list]
 
-    # One cell per (window, location); locations are coded in str order, so
-    # each window's cells are its locations in the order of its index.
-    ids = sorted(dict.fromkeys(loc for loc, _, _ in obs), key=str)
-    position = {loc: i for i, loc in enumerate(ids)}
-    day = np.array([d.toordinal() for _, d, _ in obs])
+    # One cell per (window, location), a window's cells in code order.
     if window_kind == "weekly":
         day = day.min() + (day - day.min()) // 7 * 7
     ordinals, window = np.unique(day, return_inverse=True)
     starts = [dt.date.fromordinal(int(o)) for o in ordinals]
-    (cell_window, cell_loc), means, _ = cell_means(
-        [float(v) for _, _, v in obs], window.ravel(), np.array([position[i] for i, _, _ in obs]))
+    (cell_window, cell_loc), means, _ = cell_means(value, window.ravel(), location)
     bounds = np.searchsorted(cell_window, np.arange(len(starts) + 1))
 
     skipped: dict[int, str] = {}
@@ -170,7 +173,7 @@ def moran_sweep(observations, locations: dict[object, GeoPoint], window_kind: st
     # beyond the block's diagonal square stands for its mirror pair too,
     # so C's rows from r1 on count twice.
     forms = np.zeros((len(bandwidths), 2 * n_eval))
-    for r0, r1, dist in pair_blocks([locations[ids[i]] for i in used]):
+    for r0, r1, dist in pair_blocks([points[i] for i in used]):
         block_cols = cols[r0:r1]
         paired = np.concatenate([block_cols, 2.0 * cols[r1:]])
         for q, bw in zip(forms, bandwidths):

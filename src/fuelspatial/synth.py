@@ -271,8 +271,10 @@ def make_county_panel(seed: int, n_counties: int = 300, corr_length_km: float = 
     """County locations with a planted spatially correlated price field.
 
     The field is a Gaussian random field with covariance exp(-d/L); values are
-    constant in time with small day-level noise. Returns (locations, panel
-    observations) in moran_sweep input form.
+    constant in time with small day-level noise. Returns ``(points,
+    (location, day, value))``, the ``moran_sweep`` input: one ``GeoPoint``
+    per county and one row per (day, county), days in order and counties in
+    code order within a day.
     """
     rng = rng_for(seed, "countypanel")
     lat = rng.uniform(30.0, 47.0, size=n_counties)
@@ -287,14 +289,10 @@ def make_county_panel(seed: int, n_counties: int = 300, corr_length_km: float = 
     chol = cholesky_in_place(cov)
     field_values = base + amplitude * (chol @ rng.normal(0.0, 1.0, size=n_counties))
 
-    locations = {f"{i:05d}": points[i] for i in range(n_counties)}
-    observations = []
-    for day in range(n_days):
-        date = START_DAY + dt.timedelta(days=day)
-        noise = rng.normal(0.0, 0.005, size=n_counties)
-        for i in range(n_counties):
-            observations.append((f"{i:05d}", date, float(field_values[i] + noise[i])))
-    return locations, observations
+    noise = rng.normal(0.0, 0.005, size=(n_days, n_counties))
+    location = np.tile(np.arange(n_counties), n_days)
+    day = np.repeat(START_DAY.toordinal() + np.arange(n_days), n_counties)
+    return points, (location, day, (field_values + noise).ravel())
 
 
 # ---------------------------------------------------------------------------

@@ -297,9 +297,9 @@ def test_criterion_9_pipeline_determinism(capfd, tmp_path):
 
 def test_criterion_10_decay_curve(capfd):
     t0 = time.perf_counter()
-    locations, panel = make_county_panel(31, n_counties=300, corr_length_km=100.0)
+    points, panel = make_county_panel(31, n_counties=300, corr_length_km=100.0)
     grid = [10.0, 30.0, 100.0, 300.0, 1000.0]
-    sweep = moran_sweep(panel, locations, "daily", grid)
+    sweep = moran_sweep(panel, points, "daily", grid)
     by_d0 = {d0: [] for d0 in grid}
     for row in sweep.rows:
         by_d0[row.d0_km].append(row.result.index)

@@ -659,14 +659,28 @@ class TestStoreInput:
         assert [calls.get(name, 0) for name in names] == [1, 1, 1, county]
 
     def test_moran_leaves_out_a_county_without_longitude(self, chain_dir, tmp_path, capsys):
+        # The sweep must be the one of a store without that county's stations,
+        # byte for byte, for daily and weekly windows.
+        data = chain_dir.parent / "data"
         covariates = tmp_path / "covariates.csv"
-        _edited_csv(chain_dir.parent / "data" / "covariates.csv", covariates,
-                    _in_station_county(chain_dir), "lon", "")
+        fips = _edited_csv(data / "covariates.csv", covariates,
+                           _in_station_county(chain_dir), "lon", "")["county_fips"]
+        with open(data / "stations.csv", newline="") as fh:
+            gone = {r["station_id"] for r in csv.DictReader(fh) if r["county_fips"] == fips}
+        lines = (chain_dir / "store.psv").read_text().splitlines(keepends=True)
+        kept = [line for line in lines if line.split("|")[0] not in gone]
+        assert len(kept) < len(lines)
+        store = tmp_path / "store.psv"
+        store.write_text("".join(kept))
         argv = _inputs(chain_dir, tmp_path / "out", covariates=covariates)
-        assert run("moran", *argv) == 0
-        assert "1 counties left out without coordinates" in capsys.readouterr().out
-        with open(tmp_path / "out" / "moran_sweep.csv", newline="") as fh:
-            assert list(csv.DictReader(fh))
+        for window in ("daily", "weekly"):
+            assert run("moran", *argv, "--window", window) == 0
+            assert "1 counties left out without coordinates" in capsys.readouterr().out
+            assert run("moran", *_inputs(chain_dir, tmp_path / "without", store=store),
+                       "--window", window) == 0
+            sweep = (tmp_path / "out" / "moran_sweep.csv").read_bytes()
+            assert sweep.count(b"\n") > 1
+            assert sweep == (tmp_path / "without" / "moran_sweep.csv").read_bytes()
         assert run("gwr", *argv) == 0
 
     def test_mixed_naive_and_aware_timestamps_are_a_runtime_error(self, chain_dir, tmp_path,

@@ -30,6 +30,17 @@ def _random_points(n, seed=0):
             for la, lo in zip(rng.uniform(30, 47, n), rng.uniform(-120, -75, n))]
 
 
+def sweep_input(observations, locations):
+    """``moran_sweep``'s columns and points for (id, date, value) tuples and an
+    id -> GeoPoint dict: the ids coded in str order, the points in code order."""
+    ids = sorted(locations, key=str)
+    code = {i: k for k, i in enumerate(ids)}
+    columns = (np.array([code[i] for i, _, _ in observations], dtype=np.intp),
+               np.array([d.toordinal() for _, d, _ in observations], dtype=np.int64),
+               np.array([v for _, _, v in observations], dtype=float))
+    return columns, [locations[i] for i in ids]
+
+
 def moran_oracle(values, dense):
     """Independent double-loop evaluation of the cross-product formula."""
     x = np.asarray(values, dtype=float)
@@ -102,7 +113,7 @@ class TestMoranSweep:
         pts = _random_points(5, seed=4)
         locations = {str(i): p for i, p in enumerate(pts)}
         values = np.random.default_rng(4).normal(2.3, 0.2, 5)
-        sweep = moran_sweep(self._panel(values), locations, "daily", [50.0])
+        sweep = moran_sweep(*sweep_input(self._panel(values), locations), "daily", [50.0])
         w = build_weights(pts, KernelShape.EXPONENTIAL, Bandwidth.fixed_distance(50.0))
         assert len(sweep.rows) == 1
         assert sweep.rows[0].result.index == pytest.approx(
@@ -116,7 +127,7 @@ class TestMoranSweep:
         for d in range(4):
             panel += [(str(i), DAY0 + dt.timedelta(days=d), v)
                       for i, v in enumerate(values)]
-        sweep = moran_sweep(panel, locations, "daily", [100.0])
+        sweep = moran_sweep(*sweep_input(panel, locations), "daily", [100.0])
         indices = [r.result.index for r in sweep.rows]
         assert len(indices) == 4
         assert np.ptp(indices) < 1e-12
@@ -131,7 +142,7 @@ class TestMoranSweep:
         locations = {str(i): p for i, p in enumerate(pts)}
         values = np.sin((lon + 110) / 30 * np.pi) + rng.normal(0, 0.02, 40)
         panel = self._panel(values)
-        sweep = moran_sweep(panel, locations, "daily", [50.0, 3000.0])
+        sweep = moran_sweep(*sweep_input(panel, locations), "daily", [50.0, 3000.0])
         by_d0 = {r.d0_km: r.result.index for r in sweep.rows}
         assert by_d0[50.0] > 0
         assert by_d0[50.0] > by_d0[3000.0]
@@ -139,7 +150,8 @@ class TestMoranSweep:
     def test_small_window_skipped(self):
         pts = _random_points(2, seed=1)
         locations = {str(i): p for i, p in enumerate(pts)}
-        sweep = moran_sweep(self._panel([1.0, 2.0]), locations, "daily", [100.0])
+        sweep = moran_sweep(*sweep_input(self._panel([1.0, 2.0]), locations), "daily",
+                            [100.0])
         assert not sweep.rows
         assert sweep.skipped and "fewer than 3" in sweep.skipped[0][1]
 
@@ -151,7 +163,7 @@ class TestMoranSweep:
         for d in (0, 3, 8):
             panel += [(str(i), DAY0 + dt.timedelta(days=d), v)
                       for i, v in enumerate(values)]
-        sweep = moran_sweep(panel, locations, "weekly", [200.0])
+        sweep = moran_sweep(*sweep_input(panel, locations), "weekly", [200.0])
         starts = sorted({r.window_start for r in sweep.rows})
         assert starts == [DAY0, DAY0 + dt.timedelta(days=7)]
 
@@ -165,18 +177,19 @@ class TestMoranSweep:
         assert np.cumsum(values)[-1] / len(values) != mean
         locations = {str(i): p for i, p in enumerate(_random_points(3, seed=2))}
         panel = [("0", DAY0, v) for v in values] + [("1", DAY0, mean), ("2", DAY0, mean)]
-        sweep = moran_sweep(panel, locations, "daily", [300.0])
+        sweep = moran_sweep(*sweep_input(panel, locations), "daily", [300.0])
         assert (sweep.rows, sweep.skipped) == ([], [(DAY0, "constant values")])
 
     def test_empty_panel(self):
         with pytest.raises(EmptyInputError):
-            moran_sweep([], {}, "daily", [10.0])
+            moran_sweep(*sweep_input([], {}), "daily", [10.0])
 
     def test_csv_round_trip(self, tmp_path):
         pts = _random_points(4, seed=9)
         locations = {str(i): p for i, p in enumerate(pts)}
         values = np.random.default_rng(9).normal(2.3, 0.2, 4)
-        sweep = moran_sweep(self._panel(values), locations, "daily", [30.0, 100.0])
+        sweep = moran_sweep(*sweep_input(self._panel(values), locations), "daily",
+                            [30.0, 100.0])
         path = tmp_path / "sweep.csv"
         sweep.to_csv(path)
         lines = path.read_text().splitlines()
@@ -263,7 +276,7 @@ class TestMoranSweepOracle:
         ids = [f"c{i:02d}" for i in range(14)]
         panel, locations = _varying_panel(ids, days, seed=21, repeats=repeats,
                                           block=block)
-        sweep = moran_sweep(panel, locations, window_kind, self.D0, shape)
+        sweep = moran_sweep(*sweep_input(panel, locations), window_kind, self.D0, shape)
         rows, skipped = sweep_oracle(panel, locations, window_kind, self.D0, shape)
         sizes = list({start: len(means) for start, _, _, _, means in rows}.values())
         assert len(set(sizes)) > 1 and len(set(sizes)) < len(sizes)
@@ -284,7 +297,7 @@ class TestMoranSweepOracle:
         members = [ids[:6], ids[6:], ids[1:5], ids, ["lone", "c00"]]
         panel = [(i, d, float(rng.normal())) for d, ids_d in zip(day, members)
                  for i in ids_d]
-        sweep = moran_sweep(panel, locations, "daily", self.D0, shape)
+        sweep = moran_sweep(*sweep_input(panel, locations), "daily", self.D0, shape)
         rows, skipped = sweep_oracle(panel, locations, "daily", self.D0, shape)
         assert {r.window_start: r.result.n for r in sweep.rows} == dict(
             zip(day, [6, 6, 4, 12]))
@@ -304,7 +317,7 @@ class TestMoranSweepOracle:
             return kernel_weight(*args, **kwargs)
 
         monkeypatch.setattr(geo, "kernel_weight", counting)
-        sweep = moran_sweep(panel, locations, "daily", self.D0)
+        sweep = moran_sweep(*sweep_input(panel, locations), "daily", self.D0)
         assert len({r.window_start for r in sweep.rows}) == 9
         assert len(calls) == len(self.D0)
 
@@ -315,7 +328,7 @@ class TestMoranSweepOracle:
         # absent locations.
         ids = [f"c{i:03d}" for i in range(2 * geo.PAIR_BLOCK + 128)]
         panel, locations = _varying_panel(ids, 4, seed=31)
-        sweep = moran_sweep(panel, locations, "daily", self.D0, shape)
+        sweep = moran_sweep(*sweep_input(panel, locations), "daily", self.D0, shape)
         rows, skipped = sweep_oracle(panel, locations, "daily", self.D0, shape)
         assert len({len(means) for _, _, _, _, means in rows}) == 3
         assert_sweep_matches_oracle(sweep, rows, skipped)
@@ -325,25 +338,53 @@ class TestMoranSweepOracle:
         # blocks hold a few PAIR_BLOCK x n arrays (about 8 MB each).
         n = 4000
         ids = list(range(n))
-        panel, locations = _varying_panel(ids, 2, seed=41)
+        columns, points = sweep_input(*_varying_panel(ids, 2, seed=41))
         tracemalloc.start()
         try:
-            sweep = moran_sweep(panel, locations, "daily", [30.0, 300.0])
+            sweep = moran_sweep(columns, points, "daily", [30.0, 300.0])
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert len(sweep.rows) == 4
         assert peak < n * n * 8 / 2
 
-    def test_integer_ids_in_str_order(self):
-        ids = [2, 10, 33, 4, 100, 7, 58, 9]
-        assert sorted(ids, key=str) != sorted(ids)
+    def test_relabelled_codes_give_the_same_rows(self):
+        # Codes only index points: permuting the codes, with the points
+        # permuted to match, changes the order of each window's locations
+        # but not its rows.
+        ids = [f"c{i:02d}" for i in range(9)]
         panel, locations = _varying_panel(ids, 6, seed=5)
-        sweep = moran_sweep(panel, locations, "daily", [300.0, 1500.0],
-                            KernelShape.GAUSSIAN)
+        (location, day, value), points = sweep_input(panel, locations)
+        perm = np.random.default_rng(5).permutation(len(points))
+        assert (perm != np.arange(len(points))).any()
+        relabelled = [points[k] for k in np.argsort(perm)]
         rows, skipped = sweep_oracle(panel, locations, "daily", [300.0, 1500.0],
                                      KernelShape.GAUSSIAN)
-        assert_sweep_matches_oracle(sweep, rows, skipped)
+        for codes, pts in ((location, points), (perm[location], relabelled)):
+            sweep = moran_sweep((codes, day, value), pts, "daily", [300.0, 1500.0],
+                                KernelShape.GAUSSIAN)
+            assert_sweep_matches_oracle(sweep, rows, skipped)
+
+    def test_columns_of_different_lengths_raise(self):
+        (location, day, value), points = sweep_input(
+            *_varying_panel([f"c{i}" for i in range(5)], 2, seed=3))
+        with pytest.raises(ValueError, match="one length"):
+            moran_sweep((location, day, value[:-1]), points, "daily", [100.0])
+
+    def test_non_integer_codes_raise(self):
+        (location, day, value), points = sweep_input(
+            *_varying_panel([f"c{i}" for i in range(5)], 2, seed=3))
+        with pytest.raises(ValueError, match="integers"):
+            moran_sweep((location.astype(float), day, value), points, "daily", [100.0])
+
+    @pytest.mark.parametrize("bad", [-1, 5])
+    def test_code_outside_points_raises(self, bad):
+        # -1 would otherwise read the last point and 5 run past the end.
+        (location, day, value), points = sweep_input(
+            *_varying_panel([f"c{i}" for i in range(5)], 2, seed=3))
+        location[0] = bad
+        with pytest.raises(ValueError, match=r"\[0, 5\)"):
+            moran_sweep((location, day, value), points, "daily", [100.0])
 
     def test_skipped_order(self):
         pts = _random_points(5, seed=13)
@@ -354,7 +395,7 @@ class TestMoranSweepOracle:
         panel += [(str(i), day[1], 2.0) for i in range(5)]
         panel += [(str(i), day[2], float(rng.normal())) for i in range(5)]
         panel += [(str(i), day[3], float(rng.normal())) for i in range(1, 5)]
-        sweep = moran_sweep(panel, locations, "daily", [0.001, 3000.0])
+        sweep = moran_sweep(*sweep_input(panel, locations), "daily", [0.001, 3000.0])
         assert sweep.skipped == [
             (day[0], "fewer than 3 locations"),
             (day[1], "constant values"),
@@ -371,12 +412,12 @@ class TestMoranSweepOracle:
     def test_non_positive_d0_raises(self, d0):
         panel, locations = _varying_panel([f"c{i}" for i in range(5)], 2, seed=3)
         with pytest.raises(InvalidBandwidthError):
-            moran_sweep(panel, locations, "daily", [100.0, d0])
+            moran_sweep(*sweep_input(panel, locations), "daily", [100.0, d0])
 
     def test_unknown_window_kind(self):
         panel, locations = _varying_panel([f"c{i}" for i in range(5)], 2, seed=3)
         with pytest.raises(ValueError, match="monthly"):
-            moran_sweep(panel, locations, "monthly", [100.0])
+            moran_sweep(*sweep_input(panel, locations), "monthly", [100.0])
 
 
 class TestVarianceDecomposition:
@@ -425,8 +466,8 @@ class TestCountyPanelFixture:
         from fuelspatial.synth import START_DAY, make_county_panel, rng_for
 
         n, days, length = 40, 2, 100.0
-        locations, obs = make_county_panel(3, n_counties=n, n_days=days,
-                                           corr_length_km=length)
+        located, (location, day, value) = make_county_panel(3, n_counties=n, n_days=days,
+                                                            corr_length_km=length)
         rng = rng_for(3, "countypanel")
         lat, lon = rng.uniform(30.0, 47.0, size=n), rng.uniform(-120.0, -75.0, size=n)
         points = [GeoPoint(float(a), float(b)) for a, b in zip(lat, lon)]
@@ -434,12 +475,13 @@ class TestCountyPanelFixture:
         chol = np.linalg.cholesky(cov + 1e-8 * np.eye(n))
         field = 2.28 + 0.2 * (chol @ rng.normal(0.0, 1.0, size=n))
         want = []
-        for day in range(days):
+        for d in range(days):
             noise = rng.normal(0.0, 0.005, size=n)
-            want += [(f"{i:05d}", START_DAY + dt.timedelta(days=day),
+            want += [(i, (START_DAY + dt.timedelta(days=d)).toordinal(),
                       float(field[i] + noise[i])) for i in range(n)]
-        assert obs == want
-        assert list(locations.values()) == points
+        assert location.dtype.kind == day.dtype.kind == "i"
+        assert list(zip(location.tolist(), day.tolist(), value.tolist())) == want
+        assert located == points
 
     @pytest.mark.parametrize("n,band", [(1, 128), (40, 128), (40, 7), (129, 128), (300, 64)])
     def test_cholesky_in_place_equals_numpy(self, n, band):
