@@ -20,7 +20,7 @@ SUBCOMMANDS = ("ingest", "stats", "moran", "gwr", "fe")
 
 def main() -> int:
     run = Path(sys.argv[1])
-    manifest = json.loads((run / "manifest.json").read_text())
+    manifest = json.loads((run / "manifest.json").read_text(encoding="utf-8"))
     problems = [f"manifest.json has no {name} entry" for name in SUBCOMMANDS
                 if name not in manifest]
     problems += [f"{name} ({command}) is missing or does not match its recorded sha256"
@@ -29,7 +29,7 @@ def main() -> int:
                  if not (run / name).is_file()
                  or hashlib.sha256((run / name).read_bytes()).hexdigest() != digest]
     problems += [f"summary.txt flags {line}" for line in
-                 (run / "summary.txt").read_text().splitlines()
+                 (run / "summary.txt").read_text(encoding="utf-8").splitlines()
                  if line.startswith(("missing artifacts:", "changed artifacts:"))]
     for problem in problems:
         print(f"{run}: {problem}", file=sys.stderr)

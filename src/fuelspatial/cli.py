@@ -62,8 +62,11 @@ def _kernel_or_all(key: str, text: str):
 
 
 def _d0_grid(key: str, text: str) -> tuple:
-    return tuple(Bandwidth.fixed_distance(_cast(float, key, d0)).value
+    grid = tuple(Bandwidth.fixed_distance(_cast(float, key, d0)).value
                  for d0 in text.split(","))
+    if len(set(grid)) < len(grid):
+        raise _invalid(key, f"must list distinct distances, got {text!r}")
+    return grid
 
 
 def _names(key: str, text: str) -> tuple:
@@ -122,7 +125,7 @@ class RunConfig:
 
 def load_config(path) -> dict:
     values = {}
-    for raw in Path(path).read_text().splitlines():
+    for raw in Path(path).read_text(encoding="utf-8").splitlines():
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -190,11 +193,11 @@ class Run:
         return self.out / name
 
     def write_csv(self, name: str, rows) -> None:
-        with open(self.path(name), "w", newline="") as fh:
+        with open(self.path(name), "w", newline="", encoding="utf-8") as fh:
             csv.writer(fh, lineterminator="\n").writerows(rows)
 
     def write_json(self, name: str, doc) -> None:
-        self.path(name).write_text(_json_text(doc))
+        self.path(name).write_text(_json_text(doc), encoding="utf-8")
 
 
 def write_manifest(run: Run) -> None:
@@ -218,7 +221,7 @@ def write_manifest(run: Run) -> None:
         path = run.out / name
         if path.name == name and path.is_file():
             path.unlink()
-    (run.out / "manifest.json").write_text(_json_text(run.manifest))
+    (run.out / "manifest.json").write_text(_json_text(run.manifest), encoding="utf-8")
 
 
 def _load_panel(cfg: RunConfig, command: str):
@@ -358,9 +361,14 @@ def cmd_moran(cfg: RunConfig, run: Run) -> int:
 
 
 def cmd_gwr(cfg: RunConfig, run: Run) -> int:
-    data, left_out, names = _county_dataset(cfg)
     kernel = cfg["kernel"]
-    if run.enumerate_all or kernel == "all":
+    searching = run.enumerate_all or kernel == "all"
+    if searching and cfg["bandwidth_k"] is not None:
+        clash = "--enumerate" if run.enumerate_all else "kernel 'all'"
+        raise FuelSpatialError(f"config value 'bandwidth_k' cannot be combined with {clash}, "
+                               "which searches every k")
+    data, left_out, names = _county_dataset(cfg)
+    if searching:
         kernels = list(KernelShape) if kernel == "all" else [kernel]
         report = gwrmod.enumerate_models(data, names, kernels, criterion=cfg["criterion"])
         report.to_csv(run.path("model_selection.csv"))
@@ -385,11 +393,11 @@ def cmd_gwr(cfg: RunConfig, run: Run) -> int:
               f"{left_out} counties left out without coordinates or covariates")
     gwrmod.fit_to_csv(fit, data, run.path("gwr_fit.csv"))
     gwrmod.fit_to_geojson(fit, data, run.path("gwr_fit.geojson"))
-    if fit.spec.bandwidth.is_adaptive:
-        k = int(fit.spec.bandwidth.value)
-        scale = gwrmod.nearest_neighbor_scale(data.neighbors, k)
-        run.write_csv("neighbor_scale.csv", [["k", "median_km", "interquartile_km"], [
-            k, f"{scale.median:.6g}", f"{scale.interquartile:.6g}"]])
+    # Every bandwidth chosen or set here is adaptive.
+    k = int(fit.spec.bandwidth.value)
+    scale = gwrmod.nearest_neighbor_scale(data.neighbors, k)
+    run.write_csv("neighbor_scale.csv", [["k", "median_km", "interquartile_km"], [
+        k, f"{scale.median:.6g}", f"{scale.interquartile:.6g}"]])
     return 0
 
 
@@ -411,8 +419,8 @@ def cmd_fe(cfg: RunConfig, run: Run) -> int:
         state_id=fips[i][:2], covariates=table[fips[i]])
         for i in _counties_with(table, fips, covariate_set)]
     fit = econ.county_regression(rows, covariate_set)
-    econ.fe_table_to_csv([fit], run.path("fe_table.csv"))
-    run.path("fe_table.txt").write_text(econ.render_fe_table([fit]))
+    econ.fe_table_to_csv(fit, run.path("fe_table.csv"))
+    run.path("fe_table.txt").write_text(econ.render_fe_table(fit), encoding="utf-8")
     print(f"fe: county regression R2 {fit.r_squared:.3f}, N {fit.n_observations}, "
           f"{fit.n_clusters} state clusters")
     return 0
@@ -437,7 +445,7 @@ def cmd_report(cfg: RunConfig, run: Run) -> int:
         lines.append(f"no artifacts recorded in {run.out / 'manifest.json'}")
     lines += [f"{problem} artifacts: {', '.join(names)}"
               for problem, names in flagged.items() if names]
-    (run.out / "summary.txt").write_text("\n".join(lines) + "\n")
+    (run.out / "summary.txt").write_text("\n".join(lines) + "\n", encoding="utf-8")
     print("\n".join(lines))
     return 0
 

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import csv
 import datetime as dt
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import linalg, sparse, special
@@ -31,7 +31,7 @@ from .errors import (
     PerfectFitError,
     SingularDesignError,
 )
-from .groups import demean, group_index, group_means, group_sums
+from .groups import demean, group_index, group_sums
 
 GWR_COVARIATES = ("income", "population", "wage_per_job", "jobs_per_capita", "jobs")
 COUNTY_COVARIATES = ("density", "log_population", "log_total_income", "unemployment",
@@ -203,7 +203,8 @@ def county_regression(rows, covariate_set, cluster: str = "state") -> FeFit:
     ``cluster`` must be "state"; any other value raises ``ValueError``.
 
     R^2 follows the convention that fitted values include the recovered state
-    effects.
+    effects: y less those fitted values is the within residual, so R^2 is
+    1 - RSS_within / TSS(y).
     """
     if cluster != "state":
         raise ValueError(f"unknown cluster level {cluster!r}")
@@ -233,12 +234,6 @@ def county_regression(rows, covariate_set, cluster: str = "state") -> FeFit:
     except SingularDesignError as exc:
         raise SingularDesignError([covariate_set[j] for j in exc.columns]) from None
     beta, residuals = fit.coefficients, fit.residuals
-
-    # Recovered state effects make the fitted values, hence the reported R^2.
-    fitted = x @ beta
-    fitted += group_means(states, state_counts, y - fitted)[states]
-    r2 = r_squared(y, float(np.sum((y - fitted) ** 2)))
-
     if np.max(np.abs(residuals)) <= 1e-12 * max(1.0, np.max(np.abs(yd))):
         raise PerfectFitError("zero residuals; clustered standard errors undefined")
 
@@ -246,7 +241,8 @@ def county_regression(rows, covariate_set, cluster: str = "state") -> FeFit:
     return FeFit(
         coefficients={name: float(b) for name, b in zip(covariate_set, beta)},
         standard_errors={name: float(s) for name, s in zip(covariate_set, se)},
-        r_squared=r2, n_observations=n, n_clusters=int(n_states),
+        r_squared=r_squared(y, float(residuals @ residuals)), n_observations=n,
+        n_clusters=int(n_states),
     )
 
 
@@ -269,52 +265,41 @@ def significance_stars(coef: float, se: float, n_clusters: int) -> str:
     return ""
 
 
-def _table_cells(fits, labels, spec: str) -> tuple[list, list]:
-    """The column labels and, for each coefficient name of any fit (first
-    seen first), its row of coefficient cells with stars and of SE cells in
-    parentheses, numbers in format ``spec``; a fit without the name has
-    empty cells."""
-    labels = labels or [f"({i})" for i in range(1, len(fits) + 1)]
+def _table_rows(fit: FeFit, spec: str) -> list:
+    """For each coefficient name of ``fit``, in its order, the name, its
+    coefficient cell with stars and its SE cell in parentheses, numbers in
+    format ``spec``."""
     rows = []
-    for name in dict.fromkeys(name for fit in fits for name in fit.coefficients):
-        coef_cells, se_cells = [], []
-        for fit in fits:
-            if name in fit.coefficients:
-                c, s = fit.coefficients[name], fit.standard_errors[name]
-                coef_cells.append(f"{c:{spec}}{significance_stars(c, s, fit.n_clusters)}")
-                se_cells.append(f"({s:{spec}})")
-            else:
-                coef_cells.append("")
-                se_cells.append("")
-        rows.append((name, coef_cells, se_cells))
-    return labels, rows
+    for name, c in fit.coefficients.items():
+        s = fit.standard_errors[name]
+        rows.append((name, f"{c:{spec}}{significance_stars(c, s, fit.n_clusters)}",
+                     f"({s:{spec}})"))
+    return rows
 
 
-def render_fe_table(fits, labels=None) -> str:
-    """Aligned-text regression table: coefficient, SE in parentheses, stars."""
-    fits = list(fits)
-    labels, rows = _table_cells(fits, labels, ".3f")
+def render_fe_table(fit: FeFit) -> str:
+    """Aligned-text table of one fit in column ``(1)``: each coefficient with
+    its stars, its SE in parentheses below it, then R-squared and N."""
+    rows = _table_rows(fit, ".3f")
     width = max([len(name) for name, _, _ in rows] + [12]) + 2
     col = 18
-    lines = [" " * width + "".join(f"{lab:>{col}}" for lab in labels)]
-    for name, coef_cells, se_cells in rows:
-        lines.append(f"{name:<{width}}" + "".join(f"{c:>{col}}" for c in coef_cells))
-        lines.append(" " * width + "".join(f"{s:>{col}}" for s in se_cells))
-    lines.append(f"{'R-squared':<{width}}"
-                 + "".join(f"{fit.r_squared:>{col}.3f}" for fit in fits))
-    lines.append(f"{'N':<{width}}"
-                 + "".join(f"{fit.n_observations:>{col}}" for fit in fits))
+    lines = [" " * width + f"{'(1)':>{col}}"]
+    for name, coef, se in rows:
+        lines.append(f"{name:<{width}}{coef:>{col}}")
+        lines.append(" " * width + f"{se:>{col}}")
+    lines.append(f"{'R-squared':<{width}}{fit.r_squared:>{col}.3f}")
+    lines.append(f"{'N':<{width}}{fit.n_observations:>{col}}")
     return "\n".join(lines) + "\n"
 
 
-def fe_table_to_csv(fits, path, labels=None) -> None:
-    fits = list(fits)
-    labels, rows = _table_cells(fits, labels, ".6g")
-    with open(path, "w", newline="") as fh:
+def fe_table_to_csv(fit: FeFit, path) -> None:
+    """One fit as CSV in column ``(1)``: a coefficient row (with stars) and a
+    ``<name>_se`` row per covariate, then ``r_squared`` and ``n``."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
         wr = csv.writer(fh, lineterminator="\n")
-        wr.writerow(["variable"] + labels)
-        for name, coef_cells, se_cells in rows:
-            wr.writerow([name] + coef_cells)
-            wr.writerow([name + "_se"] + se_cells)
-        wr.writerow(["r_squared"] + [f"{fit.r_squared:.6g}" for fit in fits])
-        wr.writerow(["n"] + [str(fit.n_observations) for fit in fits])
+        wr.writerow(["variable", "(1)"])
+        for name, coef, se in _table_rows(fit, ".6g"):
+            wr.writerow([name, coef])
+            wr.writerow([name + "_se", se])
+        wr.writerow(["r_squared", f"{fit.r_squared:.6g}"])
+        wr.writerow(["n", str(fit.n_observations)])

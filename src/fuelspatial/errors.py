@@ -12,9 +12,9 @@ class InvalidBandwidthError(FuelSpatialError):
 class DegenerateBandwidthError(FuelSpatialError):
     """Adaptive bandwidth collapsed to zero (duplicate coordinates)."""
 
-    def __init__(self, location, message=None):
+    def __init__(self, location):
         self.location = location
-        super().__init__(message or f"degenerate bandwidth at location {location}")
+        super().__init__(f"degenerate bandwidth at location {location}")
 
 
 class ZeroVarianceError(FuelSpatialError):
@@ -32,15 +32,15 @@ class EmptyInputError(FuelSpatialError):
 class SingularFitError(FuelSpatialError):
     """Local or global design matrix is rank deficient."""
 
-    def __init__(self, location=None, message=None):
+    def __init__(self, location):
         self.location = location
-        super().__init__(message or f"singular fit at location {location}")
+        super().__init__(f"singular fit at location {location}")
 
 
 class SingularDesignError(FuelSpatialError):
-    def __init__(self, columns, message=None):
+    def __init__(self, columns):
         self.columns = list(columns)
-        super().__init__(message or f"collinear design columns: {self.columns}")
+        super().__init__(f"collinear design columns: {self.columns}")
 
 
 class OversaturatedModelError(FuelSpatialError):

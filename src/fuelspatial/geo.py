@@ -178,8 +178,6 @@ class SpatialWeights:
     rows: np.ndarray
     cols: np.ndarray
     data: np.ndarray
-    shape: KernelShape = KernelShape.EXPONENTIAL
-    bandwidth: Bandwidth | None = None
 
     def sum(self) -> float:
         return float(self.data.sum())
@@ -264,4 +262,4 @@ def build_weights(points: list[GeoPoint], shape: KernelShape, bw: Bandwidth) -> 
         raise InvalidBandwidthError(f"need at least 2 points, got {n}")
     w = moran_weights(distance_matrix(points), shape, bw)
     rows, cols = np.nonzero(w)
-    return SpatialWeights(n, rows, cols, w[rows, cols], shape, bw)
+    return SpatialWeights(n, rows, cols, w[rows, cols])

@@ -78,6 +78,9 @@ from .geo import (
 )
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+# A fixed-bandwidth search stops once its bracket is at most this fraction of
+# its upper end (or of 1 km, if that is below 1).
+SECTION_REL_TOL = 1e-3
 
 # Focal locations per batched QR. A block stacks FOCAL_BLOCK * n * (p+2)
 # floats (14 MB at n=1000, p=5), and the QR works on a copy of it.
@@ -587,15 +590,15 @@ def _integer_section(lo: int, hi: int):
     return best_k, best_v, sorted(cache.items())
 
 
-def _continuous_section(lo: float, hi: float, rel_tol: float = 1e-3):
-    """Golden-section over [lo, hi] to a bracket of ``rel_tol``, then the best
-    of its ends and inner points; the same generator protocol as
+def _continuous_section(lo: float, hi: float):
+    """Golden-section over [lo, hi] to a bracket of ``SECTION_REL_TOL``, then
+    the best of its ends and inner points; the same generator protocol as
     ``_integer_section``."""
     cache: dict[float, float] = {}
     a, b = lo, hi
     x1 = b - GOLDEN * (b - a)
     x2 = a + GOLDEN * (b - a)
-    while (b - a) > rel_tol * max(abs(b), 1.0):
+    while (b - a) > SECTION_REL_TOL * max(abs(b), 1.0):
         yield from _visit(cache, (x1, x2))
         if cache[x1] <= cache[x2]:
             b, x2 = x2, x1
@@ -728,7 +731,7 @@ class ModelSelectionReport:
     def to_csv(self, path) -> None:
         ok = sorted((e for e in self.entries if e.failure is None), key=lambda e: e.aicc)
         failed = [e for e in self.entries if e.failure is not None]
-        with open(path, "w", newline="") as fh:
+        with open(path, "w", newline="", encoding="utf-8") as fh:
             wr = csv.writer(fh, lineterminator="\n")
             wr.writerow(["rank", "covariates", "kernel", "bandwidth_mode", "bandwidth",
                          "aicc", "cv_score", "global_r2", "failure"])
@@ -818,7 +821,7 @@ def fit_to_csv(fit: GwrFit, data: GwrDataset, path) -> None:
               + [f"{c}_raw" for c in names]
               + ["intercept_norm"] + [f"{c}_norm" for c in names]
               + ["local_r2", "residual"])
-    with open(path, "w", newline="") as fh:
+    with open(path, "w", newline="", encoding="utf-8") as fh:
         wr = csv.writer(fh, lineterminator="\n")
         wr.writerow(header)
         for i, loc in enumerate(fit.ids):
@@ -848,7 +851,6 @@ def fit_to_geojson(fit: GwrFit, data: GwrDataset, path) -> None:
             "geometry": {"type": "Point", "coordinates": [round(pt.lon, 8), round(pt.lat, 8)]},
             "properties": props,
         })
-    with open(path, "w") as fh:
-        json.dump({"type": "FeatureCollection", "features": features}, fh,
-                  sort_keys=True, separators=(",", ":"))
-        fh.write("\n")
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(json.dumps({"type": "FeatureCollection", "features": features},
+                            sort_keys=True, separators=(",", ":")) + "\n")

@@ -409,11 +409,11 @@ class MockSource:
         self._lock = threading.Lock()
 
     @classmethod
-    def from_directory(cls, directory, scheme: str = "mock://pages/") -> "MockSource":
+    def from_directory(cls, directory) -> "MockSource":
         pages = {}
         for path in sorted(Path(directory).iterdir()):
             if path.is_file():
-                pages[scheme + path.name] = path.read_text()
+                pages["mock://pages/" + path.name] = path.read_text(encoding="utf-8")
         return cls(pages)
 
     def fetch(self, url: str, proxy: ProxyEndpoint | None = None) -> str:
@@ -626,7 +626,7 @@ def _table_rows(path, required):
     """A CSV table's rows as dicts keyed by its header, once the header has
     every ``required`` column; a missing column, or a row with more or fewer
     cells than the header, raises ParseError naming the file and the line."""
-    with open(path, newline="") as fh:
+    with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         header = next(reader, [])
         missing = [column for column in required if column not in header]
@@ -662,7 +662,7 @@ def load_station_registry(path) -> dict:
 
 
 def save_station_registry(stations, path) -> None:
-    with open(path, "w", newline="") as fh:
+    with open(path, "w", newline="", encoding="utf-8") as fh:
         wr = csv.writer(fh, lineterminator="\n")
         wr.writerow(_STATION_COLUMNS)
         for st in stations:

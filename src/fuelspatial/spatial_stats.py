@@ -95,7 +95,7 @@ class MoranSweep:
     skipped: list[tuple[dt.date, str]] = field(default_factory=list)
 
     def to_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
+        with open(path, "w", newline="", encoding="utf-8") as fh:
             wr = csv.writer(fh, lineterminator="\n")
             wr.writerow(["window_start", "window_kind", "d0_km", "moran_i", "n", "sum_weights"])
             for row in self.rows:

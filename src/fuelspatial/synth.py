@@ -162,9 +162,9 @@ def make_mock_corpus(seed: int, out_dir, n_pages: int = 120, n_days: int = 14,
         st = stations[int(rng.integers(0, len(stations)))]
         ts = dt.datetime(2017, 1, 10 + i, 12, 0)
         if i % 2 == 0:
-            bad_lines.append(f"{st.station_id}|{ts.isoformat()}|Regular|Credit|0.050")
+            bad_lines.append(record_line(st.station_id, ts, "Regular", "Credit", 0.05))
         else:
-            bad_lines.append(f"{st.station_id}|{ts.isoformat()}|Jetfuel|Credit|2.100")
+            bad_lines.append(record_line(st.station_id, ts, "Jetfuel", "Credit", 2.1))
     truth.quarantined = len(bad_lines)
 
     all_lines = lines + dup_lines + bad_lines
@@ -173,13 +173,14 @@ def make_mock_corpus(seed: int, out_dir, n_pages: int = 120, n_days: int = 14,
     for rank, idx in enumerate(order):
         per_page[rank % n_pages].append(all_lines[idx])
     for p, page_lines in enumerate(per_page):
-        (pages_dir / f"page_{p:03d}.txt").write_text("\n".join(page_lines) + "\n")
+        (pages_dir / f"page_{p:03d}.txt").write_text("\n".join(page_lines) + "\n",
+                                                     encoding="utf-8")
 
     save_station_registry(stations, out_dir / "stations.csv")
     cov_names = ["lat", "lon", "income", "population", "wage_per_job", "jobs_per_capita",
                  "jobs", "density", "log_population", "log_total_income", "unemployment",
                  "poverty", "pct_black", "vote_gop", "state_tax"]
-    with open(out_dir / "covariates.csv", "w", newline="") as fh:
+    with open(out_dir / "covariates.csv", "w", newline="", encoding="utf-8") as fh:
         fh.write("county_fips," + ",".join(cov_names) + "\n")
         for fips in sorted(covariates):
             row = covariates[fips]

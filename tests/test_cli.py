@@ -3,6 +3,8 @@ import json
 import os
 import re
 import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -246,6 +248,8 @@ class TestExitCodes:
         ("ingest", "flag", "per_host_delay_ms", "-5"),
         ("moran", "flag", "window", "monthly"),
         ("fe", "flag", "fe_covariates", "income,income"),
+        ("moran", "flag", "d0_grid", "10,30,10"),
+        ("moran", "file", "d0_grid", "10,10.0"),
         ("stats", "flag", "fuel", "Foo"),
         ("gwr", "file", "fuel", "Foo"),
     ])
@@ -270,6 +274,21 @@ class TestExitCodes:
         assert err.startswith("error: ") and f"config value {key!r}" in err
         assert not (out / "descriptives.csv").exists()
         assert not out.exists()
+
+    @pytest.mark.parametrize("search", [["--enumerate"], ["--kernel", "all"]],
+                             ids=["enumerate", "kernel-all"])
+    def test_bandwidth_k_with_search_is_one_before_any_work(self, tmp_path, chain_dir,
+                                                             capsys, monkeypatch, search):
+        def unread(*args):
+            raise AssertionError("gwr loaded data")
+
+        monkeypatch.setattr(cli, "_county_dataset", unread)
+        out = tmp_path / "out"
+        assert run("gwr", *_inputs(chain_dir, out), *search, "--bandwidth-k", "5") == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: config value 'bandwidth_k' cannot be combined with "
+                              + ("--enumerate" if search == ["--enumerate"] else "kernel 'all'"))
+        assert list(out.iterdir()) == []
 
     def test_unknown_config_key_is_one(self, tmp_path, chain_dir, capsys):
         cfg_file = tmp_path / "run.cfg"
@@ -859,6 +878,18 @@ class TestGwrModes:
 
 
 class TestDeterminism:
+    def test_pipeline_passes_an_encoding_on_every_text_file(self, tmp_path):
+        # Under warn_default_encoding, an open() or read_text() that leaves
+        # the encoding to the locale raises EncodingWarning, here an error.
+        repo = Path(__file__).resolve().parent.parent
+        env = {**os.environ, "PYTHONPATH": str(repo / "src")}
+        done = subprocess.run(
+            [sys.executable, "-X", "warn_default_encoding", "-W", "error::EncodingWarning",
+             str(repo / "scripts" / "run_pipeline.py"), "--out", str(tmp_path / "run")],
+            capture_output=True, text=True, env=env, timeout=300)
+        assert done.returncode == 0, done.stderr
+        assert (tmp_path / "run" / "run" / "summary.txt").is_file()
+
     def test_two_runs_byte_identical(self, tmp_path):
         run_a = run_chain(tmp_path / "a" / "work")
         run_b = run_chain(tmp_path / "b" / "work")

@@ -313,14 +313,14 @@ class TestReporting:
 
     def test_text_table(self):
         fit = self._fit()
-        table = render_fe_table([fit])
+        table = render_fe_table(fit)
         assert "poverty" in table
         assert "R-squared" in table
         assert "(" in table
 
     def test_csv_table(self, tmp_path):
         fit = self._fit()
-        fe_table_to_csv([fit], tmp_path / "table.csv")
-        text = (tmp_path / "table.csv").read_text()
+        fe_table_to_csv(fit, tmp_path / "table.csv")
+        text = (tmp_path / "table.csv").read_text(encoding="utf-8")
         assert text.startswith("variable,(1)")
         assert "r_squared" in text

@@ -100,7 +100,7 @@ class TestMoranIndex:
         w = build_weights(pts, KernelShape.GAUSSIAN, Bandwidth.fixed_distance(300.0))
         x = rng.normal(0, 1, 6)
         from fuelspatial.geo import SpatialWeights
-        scaled = SpatialWeights(w.n, w.rows, w.cols, w.data * 7.3, w.shape, w.bandwidth)
+        scaled = SpatialWeights(w.n, w.rows, w.cols, w.data * 7.3)
         assert moran_index(x, scaled).index == pytest.approx(
             moran_index(x, w).index, abs=1e-9)
 
